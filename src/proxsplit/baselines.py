@@ -49,10 +49,10 @@ def _resolve_batch(config, L):
 
 def _batch_gradient(problem, w, act_l):
     """sum_{l in batch} y_l x_l h'(y_l <x_l, w>)."""
-    X = problem.data.features
+    Xa = problem.data.features[act_l]
     ya = problem.data.labels[act_l]
-    hp = loss_grad(problem.loss, ya * (X[act_l] @ w))
-    return X[act_l].T @ (ya * hp)
+    hp = loss_grad(problem.loss, ya * (Xa @ w))
+    return Xa.T @ (ya * hp)
 
 
 def _record(trace, problem, iteration, seconds, w, reference, step=None):
@@ -203,10 +203,11 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     for i in range(max_iters):
         act_l = sample_without_replacement(rng, pool_l, batch)
         w_new = reg_prox(problem, w - config.tau * u, config.tau)
+        Xa = X[act_l]
         ya = y[act_l]
-        arg = v[act_l] + sigma * (ya * (X[act_l] @ (2.0 * w_new - w)))
+        arg = v[act_l] + sigma * (ya * (Xa @ (2.0 * w_new - w)))
         v_new = prox_conjugate(prox_h, arg, sigma)
-        u += X[act_l].T @ (ya * (v_new - v[act_l]))
+        u += Xa.T @ (ya * (v_new - v[act_l]))
         v[act_l] = v_new
         w = w_new
         if not np.all(np.isfinite(w)):

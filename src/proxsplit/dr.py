@@ -20,6 +20,13 @@ scheme reads the pre-iteration w in the v-update ("literal"); composing
 the resolvents instead reads the block value just produced ("refreshed",
 the default), which is also what the simplified single-block scheme of
 :func:`run_simplified` does.
+
+An iteration gathers the rows of its mini-batch once from a row-sorted
+CSR (a full batch uses the matrix as it is).  All B forward products are
+one sparse-times-dense product with the N x B block-diagonal layout of w,
+and all B adjoint products are one transposed product whose column b is
+read on block b only.  Sorted column indices keep the summation order of
+a per-block product, so the iterates are the same bit for bit.
 """
 
 import math
@@ -176,23 +183,28 @@ def _mu_at(config, i):
 
 @dataclass
 class Preconditioner:
-    """Cholesky-factored block resolvent matrices plus block data views.
+    """Cholesky-factored block resolvent matrices plus the row data.
 
     matrices[b] = Id + tau_b * X_b^T diag(c) X_b with
     c_l = gamma_l/(1+gamma_l rho_l); labels cancel since y_l^2 = 1.
-    block_columns[b] is the CSR column slice of X for block b, reused by
-    the iteration for all forward/adjoint products.
+    features is the L x N CSR with sorted column indices that every
+    iteration gathers its mini-batch rows from: the problem's own matrix
+    when its indices are already sorted, otherwise one sorted copy.
+    The factors are checked finite once, when they are built, so apply
+    checks only its right-hand side.
     """
 
     block_slices: list
     tau: np.ndarray
     matrices: list
     factors: list
-    block_columns: list
+    features: sp.csr_matrix
 
     def apply(self, b, z):
-        """Solve matrices[b] @ out = z."""
-        return cho_solve(self.factors[b], z)
+        """Solve matrices[b] @ out = z; ValueError if z is not finite."""
+        if not np.all(np.isfinite(z)):
+            raise ValueError("array must not contain infs or NaNs")
+        return cho_solve(self.factors[b], z, check_finite=False)
 
 
 def build_preconditioner(problem, config):
@@ -201,28 +213,33 @@ def build_preconditioner(problem, config):
 
 
 def _build_preconditioner(problem, res):
-    Xc = problem.data.features.tocsc()
+    X = problem.data.features
+    # The CSC round trip is a stable sort by column, so duplicate entries
+    # keep their order.
+    rows = X if X.has_sorted_indices else X.tocsc().tocsr()
     c = res.gamma * res.inv1p
     slices = problem.partition.slices()
-    matrices, factors, columns = [], [], []
+    matrices, factors = [], []
     for b, sl in enumerate(slices):
-        Xb = Xc[:, sl].tocsr()
-        columns.append(Xb)
+        Xb = rows[:, sl]
         gram = (Xb.T @ Xb.multiply(c[:, None])).toarray()
         M = np.eye(sl.stop - sl.start) + res.tau[b] * gram
         try:
-            factors.append(cho_factor(M, lower=True))
+            factor = cho_factor(M, lower=True)
         except (LinAlgError, ValueError) as exc:
             raise FactorizationError(
                 "block %d resolvent factorization failed: %s" % (b, exc)
             ) from exc
+        if not np.all(np.isfinite(factor[0])):
+            raise FactorizationError("block %d resolvent factor is not finite" % b)
+        factors.append(factor)
         matrices.append(M)
     return Preconditioner(
         block_slices=slices,
         tau=res.tau,
         matrices=matrices,
         factors=factors,
-        block_columns=columns,
+        features=rows,
     )
 
 
@@ -296,14 +313,17 @@ def dr_iterate(state, problem, precond, config, epsilon, mu):
 
 
 def _iterate(state, problem, precond, res, act_b, act_l, mu):
-    y = problem.data.labels
     lam = problem.reg.lam
     slices = precond.block_slices
     B = len(slices)
 
     aw = None
-    if res.literal and act_l.size:
-        aw = _block_products(precond, y, state.w, act_l)
+    if act_l.size:
+        X = precond.features
+        Xa = X if act_l.size == X.shape[0] else X[act_l]
+        ya = problem.data.labels[act_l]
+        if res.literal:
+            aw = _block_products(Xa, ya, state.w, slices)
 
     for b in act_b:
         sl = slices[b]
@@ -318,7 +338,7 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
 
     if act_l.size:
         if aw is None:
-            aw = _block_products(precond, y, state.w, act_l)
+            aw = _block_products(Xa, ya, state.w, slices)
         g = res.gamma[act_l]
         inv1p = res.inv1p[act_l]
         s_rows = state.s[act_l, :]
@@ -333,20 +353,22 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
             raise NumericalError("non-finite dual update")
         state.v[act_l, :] = v_new
         state.s[act_l, :] = s_rows + ds
-        coef = y[act_l] * inv1p
-        for b in range(B):
-            state.u[slices[b]] += precond.block_columns[b][act_l].T @ (coef * ds[:, b])
+        r = Xa.T @ ((ya * inv1p)[:, None] * ds)
+        for b, sl in enumerate(slices):
+            state.u[sl] += r[sl, b]
 
     state.iteration += 1
     return state
 
 
-def _block_products(precond, y, w, act_l):
-    """(A_{l,b} w_b)_{l in act_l, b} = y_l <x_{l,b}, w_b> as an (m, B) array."""
-    out = np.empty((act_l.size, len(precond.block_slices)))
-    for b, sl in enumerate(precond.block_slices):
-        out[:, b] = precond.block_columns[b][act_l] @ w[sl]
-    out *= y[act_l][:, None]
+def _block_products(Xa, ya, w, slices):
+    """(A_{l,b} w_b)_{l,b} = y_l <x_{l,b}, w_b> as an (m, B) array, for the
+    gathered rows Xa with labels ya."""
+    W = np.zeros((w.size, len(slices)))
+    for b, sl in enumerate(slices):
+        W[sl, b] = w[sl]
+    out = Xa @ W
+    out *= ya[:, None]
     return out
 
 
@@ -506,14 +528,15 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         else:
             w_used = w
         ya = y[act_l]
-        aw = ya * (X[act_l] @ w_used)
+        Xa = X[act_l]
+        aw = ya * (Xa @ w_used)
         g = res.gamma[act_l]
         q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)
         if not np.all(np.isfinite(ds)):
             raise NumericalError("non-finite dual update")
         st[act_l] += ds
-        ut += X[act_l].T @ (ya * ds)
+        ut += Xa.T @ (ya * ds)
         if callback is not None:
             callback(i + 1, w)
         if (i + 1) % stride == 0 or i + 1 == max_iters:

@@ -67,15 +67,19 @@ class BlockPartition:
 
     @classmethod
     def contiguous(cls, n_features, num_blocks):
-        """Split N coordinates into num_blocks blocks of size ceil(N/B) (last one smaller)."""
+        """Split N coordinates into exactly num_blocks balanced blocks.
+
+        Sizes differ by at most one and the larger blocks come first:
+        (5, 2) gives offsets (0, 3, 5), (10, 6) gives (0, 2, 4, 6, 8, 9, 10).
+        """
         n = int(n_features)
         b = int(num_blocks)
         if b < 1 or b > n:
             raise DomainError("need 1 <= num_blocks <= n_features, got B=%d, N=%d" % (b, n))
-        size = math.ceil(n / b)
+        size, extra = divmod(n, b)
         offs = [0]
-        while offs[-1] < n:
-            offs.append(min(offs[-1] + size, n))
+        for i in range(b):
+            offs.append(offs[-1] + size + (i < extra))
         return cls(tuple(offs))
 
     @property

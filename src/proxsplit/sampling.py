@@ -17,26 +17,25 @@ def make_rng(seed):
 def sample_without_replacement(rng, pool, k):
     """First k entries of a partial Fisher-Yates shuffle of pool.
 
-    pool is permuted in place for the first k slots and restored before
-    returning, so one preallocated index buffer serves every iteration.
-    When k equals the pool size the full pool is returned in order and no
-    randomness is consumed (a deterministic full batch).
+    Step i swaps slot i with slot j_i = i + floor(u_i (n - i)), u_i from
+    one rng.random(k) call.  The shuffle runs on positions only: a dict
+    holds the slots that earlier swaps displaced, and pool is indexed once
+    at the end, so pool itself is never written and one index buffer
+    serves every iteration.  When k equals the pool size the full pool is
+    returned in order and no randomness is consumed (a deterministic full
+    batch).
     """
     n = pool.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= %d, got %d" % (n, k))
     if k == n:
         return pool.copy()
-    u = rng.random(k)
-    swaps = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        j = i + int(u[i] * (n - i))
-        swaps[i] = j
-        if j != i:
-            pool[i], pool[j] = pool[j], pool[i]
-    out = pool[:k].copy()
-    for i in range(k - 1, -1, -1):
-        j = swaps[i]
-        if j != i:
-            pool[i], pool[j] = pool[j], pool[i]
-    return out
+    steps = np.arange(k)
+    targets = (steps + (rng.random(k) * (n - steps)).astype(np.int64)).tolist()
+    moved = {}
+    get = moved.get
+    picks = []
+    for i, j in enumerate(targets):
+        picks.append(get(j, j))
+        moved[j] = get(i, i)
+    return pool[picks]

@@ -7,8 +7,12 @@ implementations can be checked against these.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
+
+import proxsplit as px
+from proxsplit.prox import loss_prox, prox_group_l2, prox_l1
 
 
 def prox_logistic_bisect(v, gamma, iters=200):
@@ -59,3 +63,99 @@ PROX_LOGISTIC_25_05 = 2.5366637747721663     # v=2.5, gamma=0.5
 PROX_LOGISTIC_M30_1 = -29.000000000000256    # v=-30, gamma=1 (deep tail)
 PROX_LOGISTIC_M20_2 = -18.000000030459958    # v=-20, gamma=2 (deep tail)
 PROX_CONJ_5_2 = -0.07332754954433252         # conjugate prox, v=5, sigma=2
+
+
+# ------------------------------------------------------------------------
+# Naive references for the splitting solver's hot path.  The production
+# sampler walks a dict of displaced slots and the production iteration
+# gathers the mini-batch rows once; these do the textbook versions (numpy
+# scalar swaps, one row gather per block and product) and must agree with
+# them bit for bit.
+
+def sample_by_swaps(rng, pool, k):
+    """Partial Fisher-Yates by in-place swaps on pool, undone afterwards."""
+    n = pool.shape[0]
+    if k == n:
+        return pool.copy()
+    u = rng.random(k)
+    swaps = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        j = i + int(u[i] * (n - i))
+        swaps[i] = j
+        if j != i:
+            pool[i], pool[j] = pool[j], pool[i]
+    out = pool[:k].copy()
+    for i in range(k - 1, -1, -1):
+        j = swaps[i]
+        if j != i:
+            pool[i], pool[j] = pool[j], pool[i]
+    return out
+
+
+def block_columns(problem):
+    """CSR column slice of X per block (sorted column indices)."""
+    Xc = problem.data.features.tocsc()
+    return [Xc[:, sl].tocsr() for sl in problem.partition.slices()]
+
+
+def iterate_per_block(state, problem, precond, res, act_b, act_l, mu, columns):
+    """One splitting iteration with a row gather per block and product."""
+    y = problem.data.labels
+    slices = problem.partition.slices()
+    B = len(slices)
+
+    def products(w):
+        out = np.empty((act_l.size, B))
+        for b, sl in enumerate(slices):
+            out[:, b] = columns[b][act_l] @ w[sl]
+        out *= y[act_l][:, None]
+        return out
+
+    aw = products(state.w) if res.literal and act_l.size else None
+    for b in act_b:
+        sl = slices[b]
+        wb = cho_solve(precond.factors[b], state.t[sl] - res.tau[b] * state.u[sl])
+        state.w[sl] = wb
+        z = 2.0 * wb - state.t[sl]
+        thresh = res.tau[b] * problem.reg.lam
+        pz = prox_l1(z, thresh) if problem.kappas[b] == 1 else prox_group_l2(z, thresh)
+        state.t[sl] += mu * (pz - wb)
+    if act_l.size:
+        if aw is None:
+            aw = products(state.w)
+        g = res.gamma[act_l]
+        inv1p = res.inv1p[act_l]
+        s_rows = state.s[act_l, :]
+        v_new = (s_rows + g[:, None] * aw) * inv1p[:, None]
+        p = 2.0 * v_new.sum(axis=1) - s_rows.sum(axis=1)
+        scale = B * (1.0 - g * res.rho[act_l])
+        q = loss_prox(problem.loss, p / g, scale / g)
+        ds = mu * (((p - g * q) / scale)[:, None] - v_new)
+        state.v[act_l, :] = v_new
+        state.s[act_l, :] = s_rows + ds
+        coef = y[act_l] * inv1p
+        for b in range(B):
+            state.u[slices[b]] += columns[b][act_l].T @ (coef * ds[:, b])
+    state.iteration += 1
+    return state
+
+
+def run_per_block(problem, config):
+    """The seeded run loop with the reference sampler and iteration.
+
+    Returns (w_hat, state): the prox-image solution and the final state.
+    """
+    res = px.resolve_config(problem, config)
+    N, L, B = problem.n_features, problem.n_samples, problem.num_blocks
+    rng = px.make_rng(config.seed)
+    precond = px.build_preconditioner(problem, config)
+    t0 = rng.standard_normal(N)
+    state = px.init_state(problem, config, t0, np.zeros((L, B)))
+    columns = block_columns(problem)
+    pool_b, pool_l = np.arange(B), np.arange(L)
+    for i in range(int(config.max_iters)):
+        mu = config.mu(i) if callable(config.mu) else config.mu
+        act_b = pool_b if res.primal_k is None else sample_by_swaps(rng, pool_b, res.primal_k)
+        act_l = sample_by_swaps(rng, pool_l, res.batch_size)
+        iterate_per_block(state, problem, precond, res, act_b, act_l, float(mu), columns)
+    return px.extract_solution(state, problem, config), state

@@ -85,6 +85,14 @@ def test_train_writes_model_and_trace(binary_file, tmp_path, capsys):
     assert meta["lambda"] == 1.0
 
 
+def test_train_keeps_the_requested_block_count(binary_file, tmp_path):
+    # 4 features in 3 blocks: sizes 2, 1, 1 (not 2 blocks of 2)
+    out = tmp_path / "fit"
+    assert cli.main(["train", "--data", binary_file, "--blocks", "3", "--iters", "10",
+                     "--out", str(out)]) == 0
+    assert (out / "model.txt").read_text().splitlines()[1] == "blocks 3"
+
+
 def test_train_reports_test_error(binary_file, tmp_path, capsys):
     rc = cli.main(["train", "--data", binary_file, "--test", binary_file,
                    "--iters", "30", "--out", str(tmp_path / "fit")])

@@ -104,6 +104,41 @@ def test_preconditioner_solves_its_own_matrix():
         assert np.max(np.abs(back - z)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_preconditioner_apply_rejects_nonfinite_rhs(bad):
+    prob = make_problem(7, 12, 3, lam=0.2, seed=21)
+    pre = px.build_preconditioner(prob, px.DRConfig())
+    z = np.ones(3)
+    z[1] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        pre.apply(0, z)
+
+
+def test_preconditioner_rejects_nonfinite_matrix_at_build():
+    # tau * gram overflows, so the resolvent matrix itself is not finite
+    X = sp.csr_matrix(np.array([[1e200, 1.0], [2.0, 1e200]]))
+    prob = px.Problem(data=px.TrainingSet(features=X, labels=np.array([1.0, -1.0])),
+                      partition=px.BlockPartition.contiguous(2, 1),
+                      reg=px.RegularizerSpec(lam=0.1), loss=px.ScalarLoss.LOGISTIC)
+    with pytest.raises(px.FactorizationError, match="block 0"):
+        px.build_preconditioner(prob, px.DRConfig())
+
+
+def test_preconditioner_rejects_nonfinite_factor_at_build(monkeypatch):
+    from proxsplit import dr
+
+    real = dr.cho_factor
+
+    def poisoned(M, lower):
+        c, low = real(M, lower=lower)
+        c[-1, -1] = np.nan
+        return c, low
+
+    monkeypatch.setattr(dr, "cho_factor", poisoned)
+    with pytest.raises(px.FactorizationError, match="block 0 resolvent factor is not finite"):
+        px.build_preconditioner(small_problem(), px.DRConfig())
+
+
 # -------------------------------------------------------------- init_state
 
 def test_init_state_zero_start():
@@ -201,6 +236,45 @@ def test_masked_iteration_touches_only_active_coords():
         # u stays consistent with the full recomputation from s
         u_full = px.dual_aggregate(prob, cfg, state.s)
         assert np.max(np.abs(state.u - u_full)) <= 1e-8 * max(1.0, np.max(np.abs(u_full)))
+
+
+class _NoGather(sp.csr_matrix):
+    """A CSR matrix whose row gathers fail the test."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a full batch must not gather rows")
+
+
+def test_full_sample_mask_uses_the_matrix_without_gather():
+    # The full mask on prob takes the no-gather path.  prob_pad adds an
+    # all-zero sample, which leaves the resolvents bitwise unchanged, and a
+    # mask over the original samples there takes the gather path.
+    prob = small_problem()
+    X = prob.data.features
+    padded = sp.vstack([X, sp.csr_matrix((1, 6))], format="csr")
+    prob_pad = px.Problem(data=px.TrainingSet(features=padded,
+                                              labels=np.append(prob.data.labels, 1.0)),
+                          partition=prob.partition, reg=prob.reg, loss=prob.loss)
+    cfg = px.DRConfig(tau=0.7, gamma=1.2, rho=0.1)
+    pre = px.build_preconditioner(prob, cfg)
+    pre.features = _NoGather(pre.features)
+    pre_pad = px.build_preconditioner(prob_pad, cfg)
+    for M, M_pad in zip(pre.matrices, pre_pad.matrices):
+        assert np.array_equal(M, M_pad)
+    rng = np.random.Generator(np.random.PCG64(5))
+    t0, s0 = rng.standard_normal(6), rng.standard_normal((8, 3))
+    full = px.init_state(prob, cfg, t0, s0)
+    part = px.init_state(prob_pad, cfg, t0, np.vstack([s0, np.zeros((1, 3))]))
+    eps_full = np.ones(3 + 8)
+    eps_part = np.append(eps_full, 0.0)
+    for _ in range(5):
+        px.dr_iterate(full, prob, pre, cfg, eps_full, 1.5)
+        px.dr_iterate(part, prob_pad, pre_pad, cfg, eps_part, 1.5)
+        assert np.array_equal(full.w, part.w)
+        assert np.array_equal(full.t, part.t)
+        assert np.array_equal(full.u, part.u)
+        assert np.array_equal(full.v, part.v[:8])
+        assert np.array_equal(full.s, part.s[:8])
 
 
 # -------------------------------------------------------------- run / trace

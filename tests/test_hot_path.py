@@ -1,0 +1,141 @@
+"""Bitwise equivalence of the splitting solver's hot path with the naive
+references in oracles.py: the dict-walk sampler against in-place scalar
+swaps, and the one-gather iteration against a row gather per block."""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+import proxsplit as px
+from proxsplit import dr
+from conftest import make_problem
+from oracles import block_columns, iterate_per_block, run_per_block, sample_by_swaps
+
+LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q2)
+
+
+# ----------------------------------------------------------------- sampler
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 400), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_sampler_matches_swap_reference(n, frac, seed):
+    k = 1 + int(frac * (n - 1))
+    pool = np.arange(n) * 3 + 7
+    ref_pool = pool.copy()
+    rng, ref_rng = px.make_rng(seed), px.make_rng(seed)
+    for _ in range(3):
+        got = px.sample_without_replacement(rng, pool, k)
+        want = sample_by_swaps(ref_rng, ref_pool, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(pool, np.arange(n) * 3 + 7)  # pool is never written
+    assert rng.random() == ref_rng.random()  # same stream consumed
+
+
+def test_sampler_edge_sizes():
+    pool = np.arange(50)
+    rng, ref_rng = px.make_rng(4), px.make_rng(4)
+    for k in (1, 49, 50):
+        assert np.array_equal(px.sample_without_replacement(rng, pool, k),
+                              sample_by_swaps(ref_rng, pool.copy(), k))
+    full = px.sample_without_replacement(rng, pool, 50)
+    assert np.array_equal(full, pool) and full is not pool
+    assert rng.random() == ref_rng.random()  # k == n drew nothing
+
+
+# ------------------------------------------------------------- full runs
+
+def _problem(n_features, blocks, kappa, loss, seed, features=None):
+    prob = make_problem(n_features, 24, blocks, lam=0.3, seed=seed, kappa=kappa, loss=loss)
+    if features is None:
+        return prob
+    return px.Problem(data=px.TrainingSet(features=features, labels=prob.data.labels),
+                      partition=prob.partition, reg=prob.reg, loss=prob.loss)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.integers(1, 5), kappa=st.sampled_from((1, 2)), loss=st.sampled_from(LOSSES),
+       variant=st.sampled_from(("literal", "refreshed")), batch=st.sampled_from((None, 1, 7, 24)),
+       primal=st.sampled_from(("all", 1, 2)), seed=st.integers(0, 1000))
+def test_run_matches_per_block_reference(blocks, kappa, loss, variant, batch, primal, seed):
+    if primal != "all" and primal > blocks:
+        primal = blocks
+    prob = _problem(11, blocks, kappa, loss, seed)
+    cfg = px.DRConfig(tau=0.8, gamma=0.7, rho=0.1 if loss is px.ScalarLoss.LOGISTIC else 0.0,
+                      batch_size=batch, primal_activation=primal, v_update_variant=variant,
+                      seed=seed, max_iters=25, trace_stride=5)
+    seen = []
+    w_hat, _ = px.run(prob, cfg, callback=lambda i, w: seen.append(w.copy()))
+    ref_hat, ref_state = run_per_block(prob, cfg)
+    assert np.array_equal(w_hat, ref_hat)
+    assert np.array_equal(seen[-1], ref_state.w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks=st.integers(1, 4), kappa=st.sampled_from((1, 2)), loss=st.sampled_from(LOSSES),
+       variant=st.sampled_from(("literal", "refreshed")), seed=st.integers(0, 1000))
+def test_iterate_matches_per_block_reference_on_the_whole_state(blocks, kappa, loss, variant, seed):
+    # every state array, t included, for unsorted batches, subsets of
+    # blocks and the full batch (which skips the row gather)
+    prob = _problem(9, blocks, kappa, loss, seed)
+    cfg = px.DRConfig(tau=1.1, gamma=0.6, v_update_variant=variant)
+    res = px.resolve_config(prob, cfg)
+    pre = px.build_preconditioner(prob, cfg)
+    columns = block_columns(prob)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    L, B = prob.n_samples, prob.num_blocks
+    state = px.init_state(prob, cfg, rng.standard_normal(9), rng.standard_normal((L, B)))
+    ref = px.init_state(prob, cfg, state.t, state.s)
+    for step in range(12):
+        act_b = np.sort(rng.permutation(B)[:rng.integers(1, B + 1)])
+        act_l = np.arange(L) if step % 4 == 0 else rng.permutation(L)[:rng.integers(0, L)]
+        dr._iterate(state, prob, pre, res, act_b, act_l, 1.3)
+        iterate_per_block(ref, prob, pre, res, act_b, act_l, 1.3, columns)
+        for name in ("w", "t", "v", "s", "u"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), (step, name)
+
+
+def _unsorted_copy(X, duplicate=False):
+    """X with the column indices of every row reversed; with duplicate, a
+    second entry for each row's last column (so X changes) is appended."""
+    indices, data, indptr = [], [], [0]
+    for i in range(X.shape[0]):
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        cols, vals = list(X.indices[lo:hi][::-1]), list(X.data[lo:hi][::-1])
+        if duplicate and cols:
+            cols.append(cols[0])
+            vals.append(vals[0] / 3.0)
+        indices += cols
+        data += vals
+        indptr.append(len(indices))
+    out = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32),
+                         np.array(indptr, dtype=np.int32)), shape=X.shape)
+    out.has_sorted_indices = False
+    return out
+
+
+def test_unsorted_csr_input_matches_sorted_and_reference():
+    prob = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3)
+    X = prob.data.features
+    assert X.has_sorted_indices
+    unsorted = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3, features=_unsorted_copy(X))
+    assert not unsorted.data.features.has_sorted_indices
+    cfg = px.DRConfig(rho=0.1, batch_size=9, primal_activation=2, seed=8, max_iters=40)
+
+    shared = px.build_preconditioner(prob, cfg).features
+    assert shared is X  # sorted input is shared, not copied
+    copied = px.build_preconditioner(unsorted, cfg).features
+    assert copied is not unsorted.data.features and copied.has_sorted_indices
+    assert np.array_equal(copied.toarray(), X.toarray())
+
+    w_sorted, _ = px.run(prob, cfg)
+    w_unsorted, _ = px.run(unsorted, cfg)
+    ref_hat, _ = run_per_block(unsorted, cfg)
+    assert np.array_equal(w_unsorted, w_sorted)
+    assert np.array_equal(w_unsorted, ref_hat)
+
+    # duplicate entries are summed in the order they are stored
+    dup = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3,
+                   features=_unsorted_copy(X, duplicate=True))
+    w_dup, _ = px.run(dup, cfg)
+    ref_hat, _ = run_per_block(dup, cfg)
+    assert np.array_equal(w_dup, ref_hat)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 import proxsplit as px
 from proxsplit.errors import DomainError
@@ -47,6 +48,29 @@ def test_contiguous_partition():
         px.BlockPartition.contiguous(3, 5)
     with pytest.raises(DomainError, match="num_blocks"):
         px.BlockPartition.contiguous(3, 0)
+
+
+@pytest.mark.parametrize("n,b,offsets", [
+    (300, 200, tuple(range(0, 200, 2)) + tuple(range(200, 301))),
+    (10, 6, (0, 2, 4, 6, 8, 9, 10)),
+    (5, 4, (0, 2, 3, 4, 5)),
+    (7, 3, (0, 3, 5, 7)),
+    (300, 4, (0, 75, 150, 225, 300)),
+    (2000, 1, (0, 2000)),
+])
+def test_contiguous_partition_keeps_requested_count(n, b, offsets):
+    bp = px.BlockPartition.contiguous(n, b)
+    assert bp.num_blocks == b
+    assert bp.offsets == offsets
+
+
+@given(n=st.integers(1, 5000), frac=st.floats(0.0, 1.0))
+def test_contiguous_partition_is_balanced(n, frac):
+    b = 1 + int(frac * (n - 1))
+    sizes = np.diff(px.BlockPartition.contiguous(n, b).offsets)
+    assert sizes.size == b and sizes.sum() == n
+    assert sizes.max() - sizes.min() <= 1
+    assert np.all(np.diff(sizes) <= 0)  # the larger blocks come first
 
 
 def test_regularizer_spec_validation():
