@@ -1,10 +1,11 @@
 """Stochastic baseline solvers: forward-backward, dual averaging, primal-dual.
 
 All three share the mini-batch convention of the splitting solver (uniform
-without replacement, seeded) and the same trace format, so benchmark runs
-are directly comparable.  SFB and RDA use the decreasing steps
-gamma_i = c / sqrt(i+1); BCPD uses constant steps tau, sigma subject to
-tau * sigma * ||sum_l x_l x_l^T|| <= 1.
+without replacement, seeded), its trace format and its iteration loop
+(:func:`proxsplit.trace.drive`), so benchmark runs are directly
+comparable.  Each runner is a setup plus a step and a record function.
+SFB and RDA use the decreasing steps gamma_i = c / sqrt(i+1); BCPD uses
+constant steps tau, sigma subject to tau * sigma * ||sum_l x_l x_l^T|| <= 1.
 """
 
 import time
@@ -17,7 +18,7 @@ from .errors import ConvergenceError, DomainError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_grad, loss_prox, prox_conjugate
 from .sampling import make_rng, sample_without_replacement
-from .trace import ZEROS_TOL, ConvergenceTrace, TraceRecord, plateau_hit
+from .trace import drive, float_copy
 
 
 @dataclass
@@ -47,6 +48,20 @@ def _resolve_batch(config, L):
     return batch
 
 
+def _seeded_start(problem, config, w0):
+    """(rng, w): the seeded generator and the start point, a standard-normal
+    draw from it only when w0 is None."""
+    rng = make_rng(config.seed)
+    N = problem.n_features
+    return rng, rng.standard_normal(N) if w0 is None else float_copy("w0", w0, (N,))
+
+
+def _finite(w, i):
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("non-finite iterate at iteration %d" % (i + 1))
+    return w
+
+
 def _batch_gradient(problem, w, act_l):
     """sum_{l in batch} y_l x_l h'(y_l <x_l, w>)."""
     Xa = problem.data.features[act_l]
@@ -55,20 +70,36 @@ def _batch_gradient(problem, w, act_l):
     return Xa.T @ (ya * hp)
 
 
-def _record(trace, problem, iteration, seconds, w, reference, step=None):
-    dist = None if reference is None else float(np.linalg.norm(w - reference))
-    trace.append(
-        TraceRecord(
-            iteration=iteration,
-            seconds=seconds,
-            objective=objective(problem, w),
-            dist_ref=dist,
-            zeros_exact=int(np.count_nonzero(w == 0.0)),
-            zeros_tol=int(np.count_nonzero(np.abs(w) <= ZEROS_TOL)),
-        )
-    )
-    if step is not None:
-        trace.extra.setdefault("step", []).append(step)
+def _step_size(config, i):
+    return config.step_c / np.sqrt(i + 1.0)
+
+
+def _gradient_run(problem, config, w0, reference, callback, update):
+    """SFB and RDA: w <- update(w, batch gradient, gamma_i, i) per iteration;
+    the step of the last iteration before each record goes to
+    trace.extra["step"]."""
+    start = time.perf_counter()
+    if not (config.step_c > 0.0):
+        raise DomainError("step_c must be positive")
+    L = problem.n_samples
+    batch = _resolve_batch(config, L)
+    rng, w = _seeded_start(problem, config, w0)
+    pool_l = np.arange(L)
+
+    def step(i):
+        nonlocal w
+        gamma_i = _step_size(config, i)
+        act_l = sample_without_replacement(rng, pool_l, batch)
+        w = _finite(update(w, _batch_gradient(problem, w, act_l), gamma_i, i), i)
+        return w
+
+    def record(trace, iteration, seconds):
+        trace.add(iteration, seconds, objective(problem, w), w, reference)
+        if iteration:
+            trace.extra.setdefault("step", []).append(_step_size(config, iteration - 1))
+
+    trace = drive(config, start, step, record, callback)
+    return w, trace
 
 
 def sfb_run(problem, config, w0=None, reference=None, callback=None):
@@ -77,36 +108,11 @@ def sfb_run(problem, config, w0=None, reference=None, callback=None):
     w <- prox_{gamma_i f}(w - gamma_i * batch gradient), gamma_i = c/sqrt(i+1).
     Returns (w, trace); the step sequence is kept in trace.extra["step"].
     """
-    start = time.perf_counter()
-    if not (config.step_c > 0.0):
-        raise DomainError("step_c must be positive")
-    L = problem.n_samples
-    batch = _resolve_batch(config, L)
-    rng = make_rng(config.seed)
-    w = (rng.standard_normal(problem.n_features) if w0 is None else np.array(w0, dtype=float)).copy()
-    trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    _record(trace, problem, 0, time.perf_counter() - start, w, reference)
-    pool_l = np.arange(L)
-    stride = int(config.trace_stride)
-    max_iters = int(config.max_iters)
-    stopped = False
-    for i in range(max_iters):
-        gamma_i = config.step_c / np.sqrt(i + 1.0)
-        act_l = sample_without_replacement(rng, pool_l, batch)
-        w = reg_prox(problem, w - gamma_i * _batch_gradient(problem, w, act_l), gamma_i)
-        if not np.all(np.isfinite(w)):
-            raise NumericalError("non-finite iterate at iteration %d" % (i + 1))
-        if callback is not None:
-            callback(i + 1, w)
-        if (i + 1) % stride == 0 or i + 1 == max_iters:
-            _record(trace, problem, i + 1, time.perf_counter() - start, w, reference, step=gamma_i)
-            if config.plateau_window is not None and plateau_hit(
-                trace, int(config.plateau_window), float(config.plateau_rtol)
-            ):
-                stopped = True
-                break
-    trace.extra["stopped_by_plateau"] = stopped
-    return w, trace
+
+    def update(w, gradient, gamma_i, i):
+        return reg_prox(problem, w - gamma_i * gradient, gamma_i)
+
+    return _gradient_run(problem, config, w0, reference, callback, update)
 
 
 def rda_run(problem, config, w0=None, reference=None, callback=None):
@@ -123,38 +129,14 @@ def rda_run(problem, config, w0=None, reference=None, callback=None):
     batch problem.  With a fixed weight the f term would fade relative to z
     and the iterates would drift toward the unregularized minimizer.
     """
-    start = time.perf_counter()
-    if not (config.step_c > 0.0):
-        raise DomainError("step_c must be positive")
-    L = problem.n_samples
-    batch = _resolve_batch(config, L)
-    rng = make_rng(config.seed)
-    w = (rng.standard_normal(problem.n_features) if w0 is None else np.array(w0, dtype=float)).copy()
     z = np.zeros(problem.n_features)
-    trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    _record(trace, problem, 0, time.perf_counter() - start, w, reference)
-    pool_l = np.arange(L)
-    stride = int(config.trace_stride)
-    max_iters = int(config.max_iters)
-    stopped = False
-    for i in range(max_iters):
-        gamma_i = config.step_c / np.sqrt(i + 1.0)
-        act_l = sample_without_replacement(rng, pool_l, batch)
-        z += _batch_gradient(problem, w, act_l)
-        w = reg_prox(problem, -gamma_i * z, gamma_i * (i + 1.0))
-        if not np.all(np.isfinite(w)):
-            raise NumericalError("non-finite iterate at iteration %d" % (i + 1))
-        if callback is not None:
-            callback(i + 1, w)
-        if (i + 1) % stride == 0 or i + 1 == max_iters:
-            _record(trace, problem, i + 1, time.perf_counter() - start, w, reference, step=gamma_i)
-            if config.plateau_window is not None and plateau_hit(
-                trace, int(config.plateau_window), float(config.plateau_rtol)
-            ):
-                stopped = True
-                break
-    trace.extra["stopped_by_plateau"] = stopped
-    return w, trace
+
+    def update(w, gradient, gamma_i, i):
+        nonlocal z
+        z += gradient
+        return reg_prox(problem, -gamma_i * z, gamma_i * (i + 1.0))
+
+    return _gradient_run(problem, config, w0, reference, callback, update)
 
 
 def bcpd_run(problem, config, w0=None, reference=None, callback=None):
@@ -186,21 +168,16 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
             "tau*sigma*||sum x x^T|| <= 1 violated: tau=%g, sigma=%g, norm=%g gives %g"
             % (config.tau, sigma, nrm, config.tau * sigma * nrm)
         )
-    rng = make_rng(config.seed)
-    w = (rng.standard_normal(problem.n_features) if w0 is None else np.array(w0, dtype=float)).copy()
+    rng, w = _seeded_start(problem, config, w0)
     v = np.zeros(L)
     u = np.zeros(problem.n_features)
+    pool_l = np.arange(L)
 
     def prox_h(x, gamma):
         return loss_prox(problem.loss, x, gamma)
 
-    trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    _record(trace, problem, 0, time.perf_counter() - start, w, reference)
-    pool_l = np.arange(L)
-    stride = int(config.trace_stride)
-    max_iters = int(config.max_iters)
-    stopped = False
-    for i in range(max_iters):
+    def step(i):
+        nonlocal w, u
         act_l = sample_without_replacement(rng, pool_l, batch)
         w_new = reg_prox(problem, w - config.tau * u, config.tau)
         Xa = X[act_l]
@@ -209,19 +186,13 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
         v_new = prox_conjugate(prox_h, arg, sigma)
         u += Xa.T @ (ya * (v_new - v[act_l]))
         v[act_l] = v_new
-        w = w_new
-        if not np.all(np.isfinite(w)):
-            raise NumericalError("non-finite iterate at iteration %d" % (i + 1))
-        if callback is not None:
-            callback(i + 1, w)
-        if (i + 1) % stride == 0 or i + 1 == max_iters:
-            _record(trace, problem, i + 1, time.perf_counter() - start, w, reference)
-            if config.plateau_window is not None and plateau_hit(
-                trace, int(config.plateau_window), float(config.plateau_rtol)
-            ):
-                stopped = True
-                break
-    trace.extra["stopped_by_plateau"] = stopped
+        w = _finite(w_new, i)
+        return w
+
+    def record(trace, iteration, seconds):
+        trace.add(iteration, seconds, objective(problem, w), w, reference)
+
+    trace = drive(config, start, step, record, callback)
     return w, trace
 
 

@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 # Every solver shares the calling convention
-# (problem, config, ..., reference=None, callback=None) -> (w, trace).
+# (problem, config, ..., reference=None, callback=None) -> (w, trace)
+# and runs its iterations through trace.drive, so records, callbacks and
+# the plateau stop follow the same rules for all of them.
 SOLVERS = {
     "dr": run,
     "dr-simplified": run_simplified,

@@ -27,12 +27,15 @@ one sparse-times-dense product with the N x B block-diagonal layout of w,
 and all B adjoint products are one transposed product whose column b is
 read on block b only.  Sorted column indices keep the summation order of
 a per-block product, so the iterates are the same bit for bit.
+
+:func:`run` and :func:`run_simplified` are a setup plus a step and a
+record function handed to :func:`proxsplit.trace.drive`, the loop shared
+with the baselines.
 """
 
-import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +45,7 @@ from .errors import DomainError, FactorizationError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_beta, loss_prox, prox_group_l2, prox_l1
 from .sampling import make_rng, sample_without_replacement
-from .trace import ZEROS_TOL, ConvergenceTrace, TraceRecord, plateau_hit
+from .trace import check_loop_options, drive, float_copy
 
 
 @dataclass
@@ -152,12 +155,7 @@ def resolve_config(problem, config):
             "v_update_variant must be 'literal' or 'refreshed', got %r"
             % (config.v_update_variant,)
         )
-    if int(config.trace_stride) < 1:
-        raise DomainError("trace_stride must be >= 1")
-    if int(config.max_iters) < 0:
-        raise DomainError("max_iters must be >= 0")
-    if config.plateau_window is not None and int(config.plateau_window) < 1:
-        raise DomainError("plateau_window must be >= 1 when set")
+    check_loop_options(config)
 
     return _Resolved(
         tau=tau,
@@ -257,36 +255,35 @@ class DRState:
 
 def dual_aggregate(problem, config, s):
     """Recompute u_b = sum_l y_l x_{l,b} s_{l,b} / (1 + gamma_l rho_l) from scratch."""
-    return _aggregate(problem, resolve_config(problem, config), np.asarray(s, dtype=float))
+    res = resolve_config(problem, config)
+    return _aggregate(problem, res, float_copy("s", s, (problem.n_samples, problem.num_blocks)))
 
 
 def _aggregate(problem, res, s):
-    Xc = problem.data.features.tocsc()
     coef = problem.data.labels * res.inv1p
+    r = problem.data.features.T @ (coef[:, None] * s)
     u = np.empty(problem.n_features)
     for b, sl in enumerate(problem.partition.slices()):
-        u[sl] = Xc[:, sl].T @ (coef * s[:, b])
+        u[sl] = r[sl, b]
     return u
 
 
 def init_state(problem, config, t0, s0):
     """Fresh state: w = 0 (the first iteration overwrites activated blocks),
     t = t0, s = s0, v = 0, u aggregated from s0."""
-    res = resolve_config(problem, config)
+    return _init_state(problem, resolve_config(problem, config), t0, s0)
+
+
+def _init_state(problem, res, t0, s0):
     N, L, B = problem.n_features, problem.n_samples, problem.num_blocks
-    t0 = np.array(t0, dtype=float).ravel()
-    s0 = np.array(s0, dtype=float)
-    if t0.shape != (N,):
-        raise DomainError("t0 must have shape (%d,)" % N)
-    if s0.shape != (L, B):
-        raise DomainError("s0 must have shape (%d, %d)" % (L, B))
+    t0 = float_copy("t0", t0, (N,))
+    s0 = float_copy("s0", s0, (L, B))
     return DRState(
         w=np.zeros(N),
         t=t0,
         v=np.zeros((L, B)),
         s=s0,
         u=_aggregate(problem, res, s0),
-        iteration=0,
     )
 
 
@@ -386,20 +383,6 @@ def extract_solution(state, problem, config, which="prox"):
     raise DomainError("which must be 'prox' or 'iterate', got %r" % (which,))
 
 
-def _append_record(trace, problem, iteration, seconds, w_state, w_hat, reference):
-    dist = None if reference is None else float(np.linalg.norm(w_state - reference))
-    trace.append(
-        TraceRecord(
-            iteration=iteration,
-            seconds=seconds,
-            objective=objective(problem, w_state),
-            dist_ref=dist,
-            zeros_exact=int(np.count_nonzero(w_hat == 0.0)),
-            zeros_tol=int(np.count_nonzero(np.abs(w_hat) <= ZEROS_TOL)),
-        )
-    )
-
-
 def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     """Run the block-coordinate splitting scheme.
 
@@ -414,7 +397,8 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     config : DRConfig
     t0, s0 : optional initial auxiliaries (shapes (N,) and (L, B)).
     reference : optional solution vector; fills the dist_ref trace column.
-    callback : optional callable(iteration, w) invoked after each iteration.
+    callback : optional callable(iteration, w) invoked after each iteration;
+        w is the solver's live array, so copy it to keep it.
 
     Returns
     -------
@@ -427,46 +411,23 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     rng = make_rng(config.seed)
     precond = _build_preconditioner(problem, res)
     w_init = rng.standard_normal(N)
-    t_init = w_init if t0 is None else np.array(t0, dtype=float).ravel()
-    s_init = np.zeros((L, B)) if s0 is None else np.array(s0, dtype=float)
-    if t_init.shape != (N,):
-        raise DomainError("t0 must have shape (%d,)" % N)
-    if s_init.shape != (L, B):
-        raise DomainError("s0 must have shape (%d, %d)" % (L, B))
-    state = DRState(
-        w=np.zeros(N),
-        t=t_init.copy(),
-        v=np.zeros((L, B)),
-        s=s_init.copy(),
-        u=_aggregate(problem, res, s_init),
-        iteration=0,
+    state = _init_state(
+        problem, res, w_init if t0 is None else t0, np.zeros((L, B)) if s0 is None else s0
     )
-    trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-
-    def w_hat():
-        return reg_prox(problem, 2.0 * state.w - state.t, res.tau)
-
-    _append_record(trace, problem, 0, time.perf_counter() - start, state.w, w_hat(), reference)
     pool_b = np.arange(B)
     pool_l = np.arange(L)
-    stride = int(config.trace_stride)
-    max_iters = int(config.max_iters)
-    stopped_by_plateau = False
-    for i in range(max_iters):
+
+    def step(i):
         mu = _mu_at(config, i)
         act_b = pool_b if res.primal_k is None else sample_without_replacement(rng, pool_b, res.primal_k)
         act_l = sample_without_replacement(rng, pool_l, res.batch_size)
-        _iterate(state, problem, precond, res, act_b, act_l, mu)
-        if callback is not None:
-            callback(i + 1, state.w)
-        if (i + 1) % stride == 0 or i + 1 == max_iters:
-            _append_record(trace, problem, i + 1, time.perf_counter() - start, state.w, w_hat(), reference)
-            if config.plateau_window is not None and plateau_hit(
-                trace, int(config.plateau_window), float(config.plateau_rtol)
-            ):
-                stopped_by_plateau = True
-                break
-    trace.extra["stopped_by_plateau"] = stopped_by_plateau
+        return _iterate(state, problem, precond, res, act_b, act_l, mu).w
+
+    def record(trace, iteration, seconds):
+        w_hat = reg_prox(problem, 2.0 * state.w - state.t, res.tau)
+        trace.add(iteration, seconds, objective(problem, state.w), state.w, reference, w_hat)
+
+    trace = drive(config, start, step, record, callback)
     return extract_solution(state, problem, config), trace
 
 
@@ -498,38 +459,24 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     X = problem.data.features
     y = problem.data.labels
     w_init = rng.standard_normal(N)
-    t = (w_init if t0 is None else np.array(t0, dtype=float).ravel()).copy()
-    st = (np.zeros(L) if st0 is None else np.array(st0, dtype=float).ravel()).copy()
-    if t.shape != (N,):
-        raise DomainError("t0 must have shape (%d,)" % N)
-    if st.shape != (L,):
-        raise DomainError("st0 must have shape (%d,)" % L)
+    t = float_copy("t0", w_init if t0 is None else t0, (N,))
+    st = float_copy("st0", np.zeros(L) if st0 is None else st0, (L,))
     ut = X.T @ (y * st)
     w = np.zeros(N)
-    trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    _append_record(
-        trace, problem, 0, time.perf_counter() - start, w,
-        reg_prox(problem, 2.0 * w - t, tau), reference,
-    )
     pool_l = np.arange(L)
-    stride = int(config.trace_stride)
-    max_iters = int(config.max_iters)
-    stopped_by_plateau = False
-    for i in range(max_iters):
+
+    def step(i):
+        nonlocal w, t, ut
         mu = _mu_at(config, i)
         act_l = sample_without_replacement(rng, pool_l, res.batch_size)
-        w_for_dual = w.copy() if res.literal else None
+        w_old = w
         w = precond.apply(0, t + ut)
         if not np.all(np.isfinite(w)):
             raise NumericalError("non-finite primal update")
         t += mu * (reg_prox(problem, 2.0 * w - t, tau) - w)
-        if res.literal:
-            w_used = w_for_dual
-        else:
-            w_used = w
         ya = y[act_l]
         Xa = X[act_l]
-        aw = ya * (Xa @ w_used)
+        aw = ya * (Xa @ (w_old if res.literal else w))
         g = res.gamma[act_l]
         q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)
@@ -537,17 +484,11 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
             raise NumericalError("non-finite dual update")
         st[act_l] += ds
         ut += Xa.T @ (ya * ds)
-        if callback is not None:
-            callback(i + 1, w)
-        if (i + 1) % stride == 0 or i + 1 == max_iters:
-            _append_record(
-                trace, problem, i + 1, time.perf_counter() - start, w,
-                reg_prox(problem, 2.0 * w - t, tau), reference,
-            )
-            if config.plateau_window is not None and plateau_hit(
-                trace, int(config.plateau_window), float(config.plateau_rtol)
-            ):
-                stopped_by_plateau = True
-                break
-    trace.extra["stopped_by_plateau"] = stopped_by_plateau
+        return w
+
+    def record(trace, iteration, seconds):
+        w_hat = reg_prox(problem, 2.0 * w - t, tau)
+        trace.add(iteration, seconds, objective(problem, w), w, reference, w_hat)
+
+    trace = drive(config, start, step, record, callback)
     return reg_prox(problem, 2.0 * w - t, tau), trace

@@ -1,14 +1,21 @@
-"""Convergence traces: per-iteration progress records and their CSV form.
+"""Convergence traces and the iteration loop every solver runs through.
 
 The CSV layout is fixed so traces from different solvers can be compared
 and re-plotted: a `# setup_seconds=...` metadata line, the header
 `iter,seconds,objective,dist_ref,zeros_exact,zeros_tol`, then one row per
 record.  Floats are written with 17 significant digits so a re-parse
 reproduces the in-memory trace exactly.
+
+:func:`drive` is the iteration loop of all five solvers, with the record
+at iteration 0, the callback, the strided record and the plateau stop;
+:func:`check_loop_options` and :func:`float_copy` are their shared checks.
 """
 
 import io
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, ParseError
 
@@ -50,6 +57,22 @@ class ConvergenceTrace:
             if record.seconds < last.seconds:
                 raise DomainError("trace seconds must be nondecreasing")
         self.records.append(record)
+
+    def add(self, iteration, seconds, objective, w, reference=None, w_hat=None):
+        """Append the record of iterate w with its objective value: the
+        distance of w to reference (None without one) and the zeros of
+        w_hat, the vector the solver returns (default w itself)."""
+        zeros_of = w if w_hat is None else w_hat
+        self.append(
+            TraceRecord(
+                iteration=iteration,
+                seconds=seconds,
+                objective=objective,
+                dist_ref=None if reference is None else float(np.linalg.norm(w - reference)),
+                zeros_exact=int(np.count_nonzero(zeros_of == 0.0)),
+                zeros_tol=int(np.count_nonzero(np.abs(zeros_of) <= ZEROS_TOL)),
+            )
+        )
 
     @property
     def final(self):
@@ -132,3 +155,55 @@ def plateau_hit(trace, window, rtol):
         if r.iteration <= target:
             return abs(last.objective - r.objective) <= rtol * max(1.0, abs(last.objective))
     return False
+
+
+def check_loop_options(config):
+    """DomainError unless trace_stride >= 1, max_iters >= 0 and
+    plateau_window is None or >= 1."""
+    if int(config.trace_stride) < 1:
+        raise DomainError("trace_stride must be >= 1")
+    if int(config.max_iters) < 0:
+        raise DomainError("max_iters must be >= 0")
+    if config.plateau_window is not None and int(config.plateau_window) < 1:
+        raise DomainError("plateau_window must be >= 1 when set")
+
+
+def float_copy(name, value, shape):
+    """A float copy of a caller's array (a start vector, say); DomainError
+    unless it has the given shape."""
+    out = np.array(value, dtype=float)
+    if out.shape != shape:
+        raise DomainError("%s must have shape %s" % (name, shape))
+    return out
+
+
+def drive(config, start, step, record, callback=None):
+    """Run a solver's iterations and return its ConvergenceTrace.
+
+    start is the perf_counter reading at which the solver's setup began;
+    setup_seconds and every record's seconds count from it.  step(i)
+    performs iteration i (0-based) and returns the iterate passed to
+    callback(i + 1, w); record(trace, iteration, seconds) appends one
+    record through ConvergenceTrace.add.  The loop options are
+    config.max_iters, trace_stride, plateau_window and plateau_rtol;
+    trace.extra["stopped_by_plateau"] tells whether the plateau rule
+    ended the run.
+    """
+    check_loop_options(config)
+    max_iters, stride = int(config.max_iters), int(config.trace_stride)
+    trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
+    record(trace, 0, time.perf_counter() - start)
+    stopped = False
+    for i in range(max_iters):
+        w = step(i)
+        if callback is not None:
+            callback(i + 1, w)
+        if (i + 1) % stride == 0 or i + 1 == max_iters:
+            record(trace, i + 1, time.perf_counter() - start)
+            if config.plateau_window is not None and plateau_hit(
+                trace, int(config.plateau_window), float(config.plateau_rtol)
+            ):
+                stopped = True
+                break
+    trace.extra["stopped_by_plateau"] = stopped
+    return trace

@@ -54,6 +54,14 @@ def test_domain_errors_return_two(binary_file, capsys):
     assert "rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["dr", "dr-simplified", "sfb", "rda", "bcpd"])
+def test_bad_loop_option_returns_two_for_every_solver(binary_file, tmp_path, solver, capsys):
+    args = ["train", "--data", binary_file, "--solver", solver, "--trace-stride", "0",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert "error: trace_stride must be >= 1" in capsys.readouterr().err
+
+
 def test_missing_and_malformed_data_return_one(tmp_path, capsys):
     assert cli.main(["train", "--data", str(tmp_path / "nope.txt")]) == 1
     bad = tmp_path / "bad.txt"

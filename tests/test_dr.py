@@ -182,6 +182,13 @@ def test_dual_aggregate_formula():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_dual_aggregate_rejects_misshapen_s():
+    prob = small_problem()
+    for bad in (np.zeros(8), np.zeros((8, 4)), np.zeros((3, 8))):
+        with pytest.raises(DomainError, match=r"s must have shape \(8, 3\)"):
+            px.dual_aggregate(prob, px.DRConfig(), bad)
+
+
 # ----------------------------------------------------------- one iteration
 
 def test_single_iteration_literal_by_hand():

@@ -1,0 +1,183 @@
+"""The iteration loop all five solvers share (trace.drive): loop options,
+start vectors, the record schedule, callbacks, the plateau stop,
+determinism, and the module names through which each layer is reached."""
+
+import numpy as np
+import pytest
+
+import proxsplit as px
+from proxsplit import baselines, dr
+from proxsplit.bench import SOLVERS
+from proxsplit.errors import DomainError
+from conftest import make_problem
+
+# keyword of each solver's start vector
+START_KW = {"dr": "t0", "dr-simplified": "t0", "sfb": "w0", "rda": "w0", "bcpd": "w0"}
+
+
+def single_block_problem():
+    return make_problem(6, 12, 1, lam=0.4, seed=3)
+
+
+def config_for(solver, **loop):
+    if solver.startswith("dr"):
+        return px.DRConfig(rho=0.0, batch_size=4, seed=5, **loop)
+    return px.BaselineConfig(step_c=0.3, batch_size=4, seed=5, **loop)
+
+
+def owner(solver):
+    """The module through whose bindings the solver reaches each layer."""
+    return dr if solver.startswith("dr") else baselines
+
+
+def run(solver, **kwargs):
+    loop = {k: kwargs.pop(k) for k in list(kwargs) if k in
+            ("max_iters", "trace_stride", "plateau_window", "plateau_rtol")}
+    return SOLVERS[solver](single_block_problem(), config_for(solver, **loop), **kwargs)
+
+
+# ------------------------------------------------------------ loop options
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("loop,msg", [
+    (dict(trace_stride=0), "trace_stride must be >= 1"),
+    (dict(max_iters=-1), "max_iters must be >= 0"),
+    (dict(plateau_window=0), "plateau_window must be >= 1"),
+])
+def test_every_solver_rejects_bad_loop_options(solver, loop, msg):
+    with pytest.raises(DomainError, match=msg):
+        run(solver, **loop)
+
+
+# ----------------------------------------------------------- start vectors
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("bad", [np.zeros((6, 1)), np.zeros(5), 0.0])
+def test_misshapen_start_vector_is_a_domain_error(solver, bad):
+    kw = START_KW[solver]
+    with pytest.raises(DomainError, match=r"%s must have shape \(6,\)" % kw):
+        run(solver, max_iters=1, **{kw: bad})
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_start_vector_is_copied(solver):
+    start = np.linspace(-1.0, 1.0, 6)
+    kept = start.copy()
+    run(solver, max_iters=3, **{START_KW[solver]: start})
+    assert np.array_equal(start, kept)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_random_start_is_drawn_unless_a_baseline_gets_w0(solver, monkeypatch):
+    # DR always draws its standard-normal start; a baseline draws it only
+    # when w0 is None, so its first sample comes from a fresh stream
+    module = owner(solver)
+    original = module.sample_without_replacement
+    states = []
+
+    def spy(rng, pool, k):
+        states.append(rng.bit_generator.state)
+        return original(rng, pool, k)
+
+    monkeypatch.setattr(module, "sample_without_replacement", spy)
+    after_draw = px.make_rng(5)
+    after_draw.standard_normal(6)
+    run(solver, max_iters=1)
+    run(solver, max_iters=1, **{START_KW[solver]: np.zeros(6)})
+    given = after_draw if solver.startswith("dr") else px.make_rng(5)
+    assert states == [after_draw.bit_generator.state, given.bit_generator.state]
+
+
+# ----------------------------------------------------------- loop contract
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
+    reference = np.full(6, 0.25)
+    seen, events = [], []
+    module = owner(solver)
+    original = module.objective
+
+    def objective(*args):
+        events.append("record")
+        return original(*args)
+
+    def callback(i, ww):
+        events.append(i)
+        seen.append((i, ww.copy()))
+
+    monkeypatch.setattr(module, "objective", objective)
+    w, tr = run(solver, max_iters=11, trace_stride=4, reference=reference, callback=callback)
+    monkeypatch.undo()
+    assert [r.iteration for r in tr.records] == [0, 4, 8, 11]
+    # one callback per iteration, each record after the callback of its iteration
+    assert events == ["record", 1, 2, 3, 4, "record", 5, 6, 7, 8, "record", 9, 10, 11, "record"]
+    assert tr.extra["stopped_by_plateau"] is False
+    # the last record is taken after the last callback, on the same iterate
+    last = seen[-1][1]
+    assert tr.final.objective == px.objective(single_block_problem(), last)
+    assert tr.final.dist_ref == float(np.linalg.norm(last - reference))
+    # the zero counts are those of the returned solution (DR: its prox image)
+    assert (tr.final.zeros_exact, tr.final.zeros_tol) == (
+        np.count_nonzero(w == 0.0), np.count_nonzero(np.abs(w) <= px.ZEROS_TOL))
+    w2, tr2 = run(solver, max_iters=11, trace_stride=4, reference=reference)
+    assert np.array_equal(w, w2)
+    fields = [(r.iteration, r.objective, r.dist_ref, r.zeros_exact, r.zeros_tol)
+              for r in tr.records]
+    assert fields == [(r.iteration, r.objective, r.dist_ref, r.zeros_exact, r.zeros_tol)
+                      for r in tr2.records]
+    assert tr.extra == tr2.extra
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_zero_iterations_record_only_the_start(solver):
+    seen = []
+    _, tr = run(solver, max_iters=0, callback=lambda i, ww: seen.append(i))
+    assert [r.iteration for r in tr.records] == [0]
+    assert seen == []
+    assert tr.extra["stopped_by_plateau"] is False
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_plateau_stop_ends_on_a_record(solver):
+    # any objective change is within rtol=1e9, so the first record with one
+    # at least 5 iterations older (iteration 6, against iteration 0) stops
+    seen = []
+    _, tr = run(solver, max_iters=50, trace_stride=3, plateau_window=5, plateau_rtol=1e9,
+                callback=lambda i, ww: seen.append(i))
+    assert tr.extra["stopped_by_plateau"] is True
+    assert [r.iteration for r in tr.records] == [0, 3, 6]
+    assert seen == list(range(1, 7))
+
+
+# ------------------------------------------------- wrapped layer bindings
+
+_WRAPPED = ("sample_without_replacement", "objective", "loss_prox", "reg_prox")
+
+
+@pytest.mark.parametrize("solver,sampler,objective,loss_prox,reg_prox", [
+    # 7 iterations, records at 0, 3, 6 and 7; DR's reg_prox is one call per
+    # record plus the extracted solution, the simplified scheme also calls
+    # it once per iteration
+    ("dr", 7, 4, 7, 5),
+    ("dr-simplified", 7, 4, 7, 12),
+    ("sfb", 7, 4, 0, 7),
+    ("rda", 7, 4, 0, 7),
+    ("bcpd", 7, 4, 7, 7),
+])
+def test_layers_are_called_through_their_module_bindings(
+    monkeypatch, solver, sampler, objective, loss_prox, reg_prox
+):
+    counts = {}
+    for module in (dr, baselines):
+        for name in _WRAPPED:
+            key = "%s.%s" % (module.__name__, name)
+
+            def counted(*args, _original=getattr(module, name), _key=key, **kwargs):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    run(solver, max_iters=7, trace_stride=3)
+    want = dict(zip(_WRAPPED, (sampler, objective, loss_prox, reg_prox)))
+    prefix = owner(solver).__name__
+    assert counts == {"%s.%s" % (prefix, k): v for k, v in want.items() if v}
