@@ -85,6 +85,23 @@ def thread_count():
     return value
 
 
+def solver_named(name):
+    """The SOLVERS entry for `name`; DomainError listing the known names."""
+    if name not in SOLVERS:
+        raise DomainError("unknown solver %r; known: %s" % (name, ", ".join(sorted(SOLVERS))))
+    return SOLVERS[name]
+
+
+def map_workers(fn, items, workers=None):
+    """[fn(item) for item in items] on up to `workers` threads (default:
+    the PROXSPLIT_THREADS cap); no pool for one worker or one item."""
+    workers = min(thread_count() if workers is None else workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4):
     """Long-run solution used as the w-infinity of distance plots.
 
@@ -95,11 +112,13 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
 
     Raises
     ------
+    DomainError
+        If `solver` names no SOLVERS entry.
     NonConvergenceError
         If the run exhausted its budget without plateauing and the KKT
         residual of the result still exceeds `kkt_tol`.
     """
-    solver_fn = SOLVERS[solver] if isinstance(solver, str) else solver
+    solver_fn = solver_named(solver) if isinstance(solver, str) else solver
     if long_run_factor < 1:
         raise DomainError("long_run_factor must be >= 1, got %r" % (long_run_factor,))
     window = config.plateau_window if config.plateau_window is not None else 50
@@ -146,10 +165,7 @@ def run_benchmark(
     entries = list(entries)
     seen = set()
     for entry in entries:
-        if entry.solver not in SOLVERS:
-            raise DomainError(
-                "unknown solver %r; known: %s" % (entry.solver, ", ".join(sorted(SOLVERS)))
-            )
+        solver_named(entry.solver)
         if not entry.name:
             raise DomainError("benchmark entry names must be nonempty")
         if entry.name in seen:
@@ -167,11 +183,7 @@ def run_benchmark(
     workers = thread_count() if max_workers is None else int(max_workers)
     if workers < 1:
         raise DomainError("max_workers must be >= 1, got %d" % workers)
-    if workers > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(entries))) as pool:
-            results = list(pool.map(_one, entries))
-    else:
-        results = [_one(entry) for entry in entries]
+    results = map_workers(_one, entries, workers)
 
     rows = []
     for entry, (w, trace) in zip(entries, results):

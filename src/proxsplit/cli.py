@@ -6,16 +6,18 @@ solvers on one binary task against a long-run reference; ``prox-eval`` and
 ``w-eval`` print single values of the logistic proximity operator and of
 the auxiliary root solve behind it.
 
-Numeric options resolve as flags > config file > defaults.  The config
-file holds ``key = value`` lines (``#`` comments allowed) keyed by the
-long flag names.  Exit codes: 0 success, 1 runtime failure, 2 bad
-arguments or an invalid parameter combination.
+One table per command declares the options of ``train`` and ``bench``
+(dest -> converter, default, help) and gives their flags, their
+``key = value`` config-file keys and their defaults.  Options resolve as
+flags > config file > defaults; a file value passes the flag's converter.
+Exit codes: 0 success, 1 runtime failure, 2 bad arguments or an invalid
+parameter combination.
 """
 
 import argparse
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,8 +26,9 @@ from .bench import (
     BenchmarkEntry,
     compute_reference,
     format_summary,
+    map_workers,
     run_benchmark,
-    thread_count,
+    solver_named,
 )
 from .baselines import BaselineConfig
 from .data import binarize, load_libsvm, one_vs_all_tasks, predict_one_vs_all, to_matrix
@@ -42,43 +45,52 @@ _REG_NAMES = ("l1", "group-l2")
 
 
 def _choice(options):
+    """Converter accepting one of `options`; argparse gets them as choices."""
+
     def convert(text):
         if text not in options:
             raise ValueError("expected one of %s, got %r" % (", ".join(options), text))
         return text
 
+    convert.options = tuple(options)
     return convert
 
 
-# Option tables drive both config-file parsing and the flag/file/default
-# merge: dest -> (converter, default).
+# The only declaration of each command's options: dest -> (converter,
+# default, help).  A None default means unset; rho's default depends on the
+# solver and is picked in _solver_config.
 _COMMON_SPEC = {
-    "data": (str, None),
-    "test": (str, None),
-    "loss": (_choice(_LOSS_NAMES), "logistic"),
-    "reg": (_choice(_REG_NAMES), "l1"),
-    "lam": (float, 1.0),
-    "blocks": (int, 1),
-    "batch": (int, 1000),
-    "iters": (int, 1000),
-    "seed": (int, 0),
-    "gamma": (float, 1.0),
-    "tau": (float, 1.0),
-    "mu": (float, 1.5),
-    "rho": (float, 0.1),
-    "step_c": (float, 0.1),
-    "trace_stride": (int, 10),
-    "plateau_window": (int, None),
-    "plateau_rtol": (float, 1e-10),
-    "positive_class": (float, None),
+    "data": (str, None, "training set, sparse text format"),
+    "test": (str, None, "held-out set for the error report"),
+    "loss": (_choice(_LOSS_NAMES), "logistic", "margin loss (default logistic)"),
+    "reg": (_choice(_REG_NAMES), "l1", "regularizer (default l1)"),
+    "lam": (float, 1.0, "regularization weight"),
+    "blocks": (int, 1, "number of coordinate blocks"),
+    "batch": (int, 1000, "samples activated per iteration"),
+    "iters": (int, 1000, "iteration budget"),
+    "seed": (int, 0, "RNG seed"),
+    "gamma": (float, 1.0, "dual step size"),
+    "tau": (float, 1.0, "primal step size"),
+    "mu": (float, 1.5, "relaxation parameter"),
+    "rho": (float, None, "logistic strong-convexity shift (default 0.1, 0 for dr-simplified)"),
+    "step_c": (float, 0.1, "sfb/rda step constant"),
+    "trace_stride": (int, 10, "record period"),
+    "plateau_window": (int, None, "early-stop window"),
+    "plateau_rtol": (float, 1e-10, "early-stop tolerance"),
+    "positive_class": (float, None, "label mapped to +1 (binary task)"),
 }
-_TRAIN_SPEC = dict(_COMMON_SPEC, solver=(str, "dr"), out=(str, "."))
+_SOLVER_NAME = _choice(sorted(SOLVERS))
+_TRAIN_SPEC = dict(
+    _COMMON_SPEC,
+    solver=(_SOLVER_NAME, "dr", "solver (default dr)"),
+    out=(str, ".", "output directory (default .)"),
+)
 _BENCH_SPEC = dict(
     _COMMON_SPEC,
-    solvers=(str, "dr,sfb,rda,bcpd"),
-    ref_solver=(str, "dr"),
-    ref_factor=(int, 20),
-    out=(str, None),
+    solvers=(str, "dr,sfb,rda,bcpd", "comma list (default dr,sfb,rda,bcpd)"),
+    ref_solver=(_SOLVER_NAME, "dr", "reference solver (default dr)"),
+    ref_factor=(int, 20, "reference budget multiplier"),
+    out=(str, None, "directory for trace + summary CSVs"),
 )
 
 
@@ -106,36 +118,18 @@ def _read_config(path, spec):
 
 
 def _merge(args, spec):
-    """Resolve every option from flags, then the config file, then defaults.
-
-    Returns the value dict plus an origin dict (flag/config/default), used
-    to tell explicit choices from fall-through defaults.
-    """
-    file_values = {}
-    if getattr(args, "config", None) is not None:
-        file_values = _read_config(args.config, spec)
+    """{dest: value}, each from its flag, else the config file, else the default."""
+    file_values = {} if args.config is None else _read_config(args.config, spec)
     merged = {}
-    origin = {}
-    for key, (convert, default) in spec.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-            origin[key] = "flag"
-        elif key in file_values:
+    for key, (convert, default, _) in spec.items():
+        value = getattr(args, key)
+        if value is None and key in file_values:
             try:
-                merged[key] = convert(file_values[key])
+                value = convert(file_values[key])
             except (TypeError, ValueError) as exc:
                 raise DomainError("config key %s: %s" % (key, exc)) from None
-            origin[key] = "config"
-        else:
-            merged[key] = default
-            origin[key] = "default"
-    return merged, origin
-
-
-def _require(merged, key, flag):
-    if merged[key] is None:
-        raise DomainError("missing required option %s" % flag)
+        merged[key] = default if value is None else value
+    return merged
 
 
 def save_model(path, w, problem):
@@ -152,7 +146,14 @@ def save_model(path, w, problem):
 
 
 def load_model(path):
-    """Inverse of save_model: returns (weights, header dict)."""
+    """Inverse of save_model: returns (weights, header dict).
+
+    Raises ParseError, with the line number, on a missing or malformed
+    header line, blocks outside [1, n_features], a kappa count other than
+    blocks or a kappa other than 1 or 2, an unknown loss, a negative or
+    non-finite lambda, a malformed or non-finite weight, or a weight count
+    other than n_features.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     expected = ("n_features", "blocks", "lambda", "kappa", "loss")
@@ -171,14 +172,31 @@ def load_model(path):
             elif key == "kappa":
                 meta[key] = tuple(int(tok) for tok in rest.split())
             else:
-                meta[key] = rest.strip()
+                meta[key] = ScalarLoss(rest.strip()).value
         except ValueError:
             raise ParseError("bad header value %r" % rest, line_number=lineno) from None
-    body = [line for line in lines[len(expected):] if line.strip()]
-    try:
-        w = np.asarray([float(line) for line in body], dtype=float)
-    except ValueError as exc:
-        raise ParseError("bad weight line: %s" % exc) from None
+    for lineno, ok, message in (
+        (2, 1 <= meta["blocks"] <= meta["n_features"],
+         "blocks %d outside [1, n_features = %d]" % (meta["blocks"], meta["n_features"])),
+        (3, math.isfinite(meta["lambda"]) and meta["lambda"] >= 0.0,
+         "lambda must be finite and >= 0, got %r" % meta["lambda"]),
+        (4, len(meta["kappa"]) == meta["blocks"],
+         "%d kappa values for %d blocks" % (len(meta["kappa"]), meta["blocks"])),
+        (4, set(meta["kappa"]) <= {1, 2},
+         "kappa values must be 1 or 2, got %r" % (meta["kappa"],)),
+    ):
+        if not ok:
+            raise ParseError(message, line_number=lineno)
+    weights = []
+    for lineno, line in enumerate(lines[len(expected):], start=len(expected) + 1):
+        if line.strip():
+            try:
+                weights.append(float(line))
+            except ValueError:
+                raise ParseError("bad weight %r" % line, line_number=lineno) from None
+            if not math.isfinite(weights[-1]):
+                raise ParseError("non-finite weight %r" % line, line_number=lineno)
+    w = np.asarray(weights, dtype=float)
     if w.shape[0] != meta["n_features"]:
         raise ParseError(
             "expected %d weights, found %d" % (meta["n_features"], w.shape[0])
@@ -186,12 +204,11 @@ def load_model(path):
     return w, meta
 
 
-def _solver_config(merged, origin, solver, n_samples):
+def _solver_config(merged, solver, n_samples):
     """DRConfig or BaselineConfig for one solver from the merged options.
 
-    The simplified runner needs rho = 0; when rho merely fell through from
-    the built-in default it is dropped silently, an explicit nonzero rho is
-    left in place so the runner can reject it by name.
+    rho defaults to 0.1, or to 0 for dr-simplified, which needs rho = 0; an
+    explicit rho is passed on as given so the runner can reject it by name.
     """
     if merged["batch"] < 1:
         raise DomainError("batch must be >= 1, got %d" % merged["batch"])
@@ -206,8 +223,8 @@ def _solver_config(merged, origin, solver, n_samples):
     )
     if solver in ("dr", "dr-simplified"):
         rho = merged["rho"]
-        if solver == "dr-simplified" and rho != 0.0 and origin["rho"] == "default":
-            rho = 0.0
+        if rho is None:
+            rho = 0.0 if solver == "dr-simplified" else 0.1
         return DRConfig(
             tau=merged["tau"], gamma=merged["gamma"], rho=rho, mu=merged["mu"], **common
         )
@@ -215,6 +232,8 @@ def _solver_config(merged, origin, solver, n_samples):
 
 
 def _load_datasets(merged):
+    if merged["data"] is None:
+        raise DomainError("missing required option --data")
     raw = load_libsvm(merged["data"])
     raw_test = None if merged["test"] is None else load_libsvm(merged["test"])
     n_features = raw.n_features
@@ -225,6 +244,23 @@ def _load_datasets(merged):
     if raw.n_samples == 0:
         raise DomainError("dataset %s has no samples" % merged["data"])
     return raw, raw_test, n_features
+
+
+def _binary_task(merged, raw, raw_test, n_features):
+    """Train and test sets (test None without --test) with y = +1 on
+    --positive-class, by default the larger of the two labels."""
+    positive = merged["positive_class"]
+    if positive is None:
+        classes = raw.class_labels()
+        if len(classes) != 2:
+            raise DomainError(
+                "a binary task needs two classes; dataset has %d, pass --positive-class"
+                % len(classes)
+            )
+        positive = classes[1]
+    tset = binarize(raw, positive, n_features=n_features)
+    test_set = None if raw_test is None else binarize(raw_test, positive, n_features=n_features)
+    return tset, test_set
 
 
 def _make_problem(tset, n_features, merged):
@@ -242,25 +278,17 @@ def _label_text(label):
 
 
 def _cmd_train(args):
-    merged, origin = _merge(args, _TRAIN_SPEC)
-    _require(merged, "data", "--data")
-    solver = merged["solver"]
-    if solver not in SOLVERS:
-        raise DomainError(
-            "unknown solver %r; known: %s" % (solver, ", ".join(sorted(SOLVERS)))
-        )
+    merged = _merge(args, _TRAIN_SPEC)
+    run_solver = solver_named(merged["solver"])
     raw, raw_test, n_features = _load_datasets(merged)
-    classes = raw.class_labels()
-
-    if merged["positive_class"] is not None or len(classes) == 2:
-        positive = merged["positive_class"]
-        tasks = [(None, binarize(raw, positive, n_features=n_features))]
-        positive = classes[1] if positive is None else positive
-    else:
-        positive = None
+    one_vs_all = merged["positive_class"] is None and len(raw.class_labels()) != 2
+    if one_vs_all:
         tasks = one_vs_all_tasks(raw, n_features=n_features)
+    else:
+        tset, test_set = _binary_task(merged, raw, raw_test, n_features)
+        tasks = [(None, tset)]
 
-    config = _solver_config(merged, origin, solver, tasks[0][1].n_samples)
+    config = _solver_config(merged, merged["solver"], tasks[0][1].n_samples)
     probe = _make_problem(tasks[0][1], n_features, merged)
     if isinstance(config, DRConfig):
         resolve_config(probe, config)  # reject bad combinations before any work
@@ -270,19 +298,13 @@ def _cmd_train(args):
     def _train_one(item):
         label, tset = item
         problem = _make_problem(tset, n_features, merged)
-        w, trace = SOLVERS[solver](problem, config)
+        w, trace = run_solver(problem, config)
         suffix = "" if label is None else "_" + _label_text(label)
         save_model(os.path.join(out_dir, "model%s.txt" % suffix), w, problem)
         trace.write_csv(os.path.join(out_dir, "trace%s.csv" % suffix))
         return label, w, trace
 
-    workers = min(len(tasks), thread_count())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_one, tasks))
-    else:
-        results = [_train_one(task) for task in tasks]
-
+    results = map_workers(_train_one, tasks)
     for label, w, trace in results:
         tag = "" if label is None else "class %s: " % _label_text(label)
         print(
@@ -291,10 +313,8 @@ def _cmd_train(args):
         )
 
     if raw_test is not None:
-        if positive is not None:
-            w = results[0][1]
-            tset = binarize(raw_test, positive, n_features=n_features)
-            print("test error %.2f%%" % (100.0 * test_error(w, tset)))
+        if not one_vs_all:
+            print("test error %.2f%%" % (100.0 * test_error(results[0][1], test_set)))
         else:
             weights = [(label, w) for label, w, _ in results]
             features, labels = to_matrix(raw_test, n_features=n_features)
@@ -304,31 +324,12 @@ def _cmd_train(args):
 
 
 def _cmd_bench(args):
-    merged, origin = _merge(args, _BENCH_SPEC)
-    _require(merged, "data", "--data")
+    merged = _merge(args, _BENCH_SPEC)
     names = [name.strip() for name in merged["solvers"].split(",") if name.strip()]
     for name in names:
-        if name not in SOLVERS:
-            raise DomainError(
-                "unknown solver %r; known: %s" % (name, ", ".join(sorted(SOLVERS)))
-            )
-    if merged["ref_solver"] not in SOLVERS:
-        raise DomainError("unknown reference solver %r" % merged["ref_solver"])
+        solver_named(name)
     raw, raw_test, n_features = _load_datasets(merged)
-    classes = raw.class_labels()
-    positive = merged["positive_class"]
-    if positive is None and len(classes) != 2:
-        raise DomainError(
-            "bench needs a binary task; dataset has %d classes, pass --positive-class"
-            % len(classes)
-        )
-    tset = binarize(raw, positive, n_features=n_features)
-    positive = classes[1] if positive is None else positive
-    test_set = (
-        None
-        if raw_test is None
-        else binarize(raw_test, positive, n_features=n_features)
-    )
+    tset, test_set = _binary_task(merged, raw, raw_test, n_features)
     problem = _make_problem(tset, n_features, merged)
     if not names:
         print(format_summary([]))
@@ -336,13 +337,11 @@ def _cmd_bench(args):
 
     entries = [
         BenchmarkEntry(
-            name=name,
-            solver=name,
-            config=_solver_config(merged, origin, name, tset.n_samples),
+            name=name, solver=name, config=_solver_config(merged, name, tset.n_samples)
         )
         for name in names
     ]
-    ref_config = _solver_config(merged, origin, merged["ref_solver"], tset.n_samples)
+    ref_config = _solver_config(merged, merged["ref_solver"], tset.n_samples)
     reference = compute_reference(
         problem, merged["ref_solver"], ref_config, long_run_factor=merged["ref_factor"]
     )
@@ -363,59 +362,28 @@ def _cmd_w_eval(args):
     return 0
 
 
-def _add_common_options(parser):
-    parser.add_argument("--config", metavar="FILE", help="key = value option file")
-    parser.add_argument("--data", metavar="FILE", help="training set, sparse text format")
-    parser.add_argument("--test", metavar="FILE", help="held-out set for the error report")
-    parser.add_argument("--loss", choices=_LOSS_NAMES, help="margin loss (default logistic)")
-    parser.add_argument("--reg", choices=_REG_NAMES, help="regularizer (default l1)")
-    parser.add_argument("--lambda", dest="lam", type=float, help="regularization weight")
-    parser.add_argument("--blocks", type=int, help="number of coordinate blocks")
-    parser.add_argument("--batch", type=int, help="samples activated per iteration")
-    parser.add_argument("--iters", type=int, help="iteration budget")
-    parser.add_argument("--seed", type=int, help="RNG seed")
-    parser.add_argument("--gamma", type=float, help="dual step size")
-    parser.add_argument("--tau", type=float, help="primal step size")
-    parser.add_argument("--mu", type=float, help="relaxation parameter")
-    parser.add_argument("--rho", type=float, help="strong-convexity shift (logistic only)")
-    parser.add_argument("--step-c", dest="step_c", type=float, help="sfb/rda step constant")
-    parser.add_argument("--trace-stride", dest="trace_stride", type=int, help="record period")
-    parser.add_argument(
-        "--plateau-window", dest="plateau_window", type=int, help="early-stop window"
-    )
-    parser.add_argument(
-        "--plateau-rtol", dest="plateau_rtol", type=float, help="early-stop tolerance"
-    )
-    parser.add_argument(
-        "--positive-class",
-        dest="positive_class",
-        type=float,
-        help="label mapped to +1 (binary task)",
-    )
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="proxsplit",
         description="Sparse linear classification via proximal splitting solvers.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    train = commands.add_parser("train", help="fit a model and write model + trace files")
-    _add_common_options(train)
-    train.add_argument("--solver", choices=sorted(SOLVERS), help="solver (default dr)")
-    train.add_argument("--out", metavar="DIR", help="output directory (default .)")
-    train.set_defaults(handler=_cmd_train)
-
-    bench = commands.add_parser("bench", help="compare solvers against a reference run")
-    _add_common_options(bench)
-    bench.add_argument("--solvers", help="comma list (default dr,sfb,rda,bcpd)")
-    bench.add_argument("--ref-solver", dest="ref_solver", help="reference solver (default dr)")
-    bench.add_argument(
-        "--ref-factor", dest="ref_factor", type=int, help="reference budget multiplier"
-    )
-    bench.add_argument("--out", metavar="DIR", help="directory for trace + summary CSVs")
-    bench.set_defaults(handler=_cmd_bench)
+    for name, spec, handler, help_text in (
+        ("train", _TRAIN_SPEC, _cmd_train, "fit a model and write model + trace files"),
+        ("bench", _BENCH_SPEC, _cmd_bench, "compare solvers against a reference run"),
+    ):
+        command = commands.add_parser(name, help=help_text)
+        command.add_argument("--config", metavar="FILE", help="key = value option file")
+        for dest, (convert, _, option_help) in spec.items():
+            choices = getattr(convert, "options", None)
+            command.add_argument(
+                "--lambda" if dest == "lam" else "--" + dest.replace("_", "-"),
+                dest=dest,
+                type=None if choices else convert,
+                choices=choices,
+                help=option_help,
+            )
+        command.set_defaults(handler=handler)
 
     prox = commands.add_parser("prox-eval", help="print the logistic prox at one point")
     prox.add_argument("--v", type=float, required=True, help="evaluation point")

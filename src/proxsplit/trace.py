@@ -115,7 +115,10 @@ class ConvergenceTrace:
                 if "=" in body:
                     key, _, val = body.partition("=")
                     if key.strip() == "setup_seconds":
-                        trace.setup_seconds = float(val)
+                        try:
+                            trace.setup_seconds = float(val)
+                        except ValueError:
+                            raise ParseError("bad setup_seconds %r" % val.strip(), lineno) from None
                 continue
             if not header_seen:
                 if line != CSV_HEADER:

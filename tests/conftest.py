@@ -7,8 +7,17 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 import proxsplit as px
+
+# Finite floats for round-trip tests, with the extremes, the subnormals and
+# -0.0 drawn on purpose.
+FINITE_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 # One line per acceptance criterion, printed after the run so the
 # pass/fail verdicts are visible in plain pytest output.

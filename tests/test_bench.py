@@ -52,6 +52,12 @@ def test_compute_reference_raises_when_unconverged():
                              long_run_factor=1, kkt_tol=1e-12)
 
 
+def test_compute_reference_rejects_unknown_solver():
+    prob = make_problem(8, 25, 2, lam=0.6, seed=9)
+    with pytest.raises(DomainError, match="unknown solver 'bogus'; known: bcpd, dr, "):
+        px.compute_reference(prob, "bogus", px.DRConfig(max_iters=5))
+
+
 def test_references_from_different_solvers_agree():
     prob = make_problem(8, 25, 2, lam=0.6, seed=9)
     w1 = px.compute_reference(prob, "dr", px.DRConfig(rho=0.1, max_iters=300,

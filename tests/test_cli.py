@@ -1,11 +1,20 @@
 """End-to-end tests of the command line driven in process through main()."""
 
+import argparse
+import pathlib
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit import cli
 from proxsplit.errors import ParseError
+from conftest import FINITE_FLOATS
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -134,6 +143,84 @@ def test_unknown_config_key_lists_known_keys(binary_file, tmp_path, capsys):
     assert "known keys:" in err
 
 
+def command_parsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+LOSSES = ("logistic", "hinge_q1", "hinge_q2", "huber")
+SOLVER_NAMES = ("bcpd", "dr", "dr-simplified", "rda", "sfb")
+COMMON_OPTIONS = [
+    ("--config", "config", None), ("--data", "data", None), ("--test", "test", None),
+    ("--loss", "loss", LOSSES), ("--reg", "reg", ("l1", "group-l2")),
+    ("--lambda", "lam", None), ("--blocks", "blocks", None), ("--batch", "batch", None),
+    ("--iters", "iters", None), ("--seed", "seed", None), ("--gamma", "gamma", None),
+    ("--tau", "tau", None), ("--mu", "mu", None), ("--rho", "rho", None),
+    ("--step-c", "step_c", None), ("--trace-stride", "trace_stride", None),
+    ("--plateau-window", "plateau_window", None), ("--plateau-rtol", "plateau_rtol", None),
+    ("--positive-class", "positive_class", None),
+]
+COMMON_DEFAULTS = dict(
+    data=None, test=None, loss="logistic", reg="l1", lam=1.0, blocks=1, batch=1000,
+    iters=1000, seed=0, gamma=1.0, tau=1.0, mu=1.5, rho=None, step_c=0.1, trace_stride=10,
+    plateau_window=None, plateau_rtol=1e-10, positive_class=None,
+)
+
+
+@pytest.mark.parametrize("command,extra_options,extra_defaults", [
+    ("train", [("--solver", "solver", SOLVER_NAMES), ("--out", "out", None)],
+     dict(solver="dr", out=".")),
+    ("bench", [("--solvers", "solvers", None), ("--ref-solver", "ref_solver", SOLVER_NAMES),
+               ("--ref-factor", "ref_factor", None), ("--out", "out", None)],
+     dict(solvers="dr,sfb,rda,bcpd", ref_solver="dr", ref_factor=20, out=None)),
+])
+def test_option_tables_give_the_flags_and_defaults(command, extra_options, extra_defaults):
+    parser = command_parsers()[command]
+    options = [(a.option_strings[0], a.dest, None if a.choices is None else tuple(a.choices))
+               for a in parser._actions if a.dest != "help"]
+    assert options == COMMON_OPTIONS + extra_options
+    spec = cli._TRAIN_SPEC if command == "train" else cli._BENCH_SPEC
+    assert cli._merge(parser.parse_args([]), spec) == dict(COMMON_DEFAULTS, **extra_defaults)
+
+
+def test_readme_option_list_matches_the_parsers():
+    section = README.read_text().split("## Options and config files", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    parsed = {flag for name in ("train", "bench") for a in command_parsers()[name]._actions
+              for flag in a.option_strings if flag not in ("-h", "--help")}
+    assert documented == parsed
+
+
+def test_rho_defaults_per_solver_and_an_explicit_rho_is_kept(binary_file, tmp_path, capsys):
+    merged = dict(COMMON_DEFAULTS)
+    assert cli._solver_config(merged, "dr", 12).rho == 0.1
+    assert cli._solver_config(merged, "dr-simplified", 12).rho == 0.0
+    merged["rho"] = 0.1
+    assert cli._solver_config(merged, "dr-simplified", 12).rho == 0.1
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("rho = 0.1\n")
+    for source in (["--rho", "0.1"], ["--config", str(cfg)]):
+        assert cli.main(["train", "--data", binary_file, "--solver", "dr-simplified",
+                         "--iters", "5", "--out", str(tmp_path / "o")] + source) == 2
+        assert "rho" in capsys.readouterr().err
+
+
+def test_solver_names_are_checked_from_flags_and_the_config_file(binary_file, tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("solver = bogus\n")
+    assert cli.main(["train", "--data", binary_file, "--config", str(cfg)]) == 2
+    assert "config key solver: expected one of bcpd, dr," in capsys.readouterr().err
+    cfg.write_text("ref-solver = bogus\n")
+    assert cli.main(["bench", "--data", binary_file, "--config", str(cfg)]) == 2
+    assert "config key ref_solver: expected one of" in capsys.readouterr().err
+    assert cli.main(["bench", "--data", binary_file, "--ref-solver", "bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert cli.main(["bench", "--data", binary_file, "--solvers", "dr,bogus"]) == 2
+    assert "unknown solver 'bogus'; known: bcpd, dr," in capsys.readouterr().err
+
+
 def test_train_one_vs_all(multiclass_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROXSPLIT_THREADS", "2")
     out = tmp_path / "ova"
@@ -180,6 +267,16 @@ def test_bench_writes_summary(binary_file, tmp_path, capsys):
     assert "dr" in table and "sfb" in table
 
 
+def test_bench_reports_test_error_with_the_positive_class(multiclass_file, tmp_path,
+                                                          capsys):
+    rc = cli.main(["bench", "--data", multiclass_file, "--test", multiclass_file,
+                   "--positive-class", "2", "--iters", "20", "--solvers", "sfb",
+                   "--ref-factor", "2", "--plateau-window", "5", "--out", str(tmp_path / "b")])
+    assert rc == 0
+    row = (tmp_path / "b" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[:2] == ["sfb", "sfb"] and row[4] != ""
+
+
 def test_bench_multiclass_needs_positive_class(multiclass_file, capsys):
     assert cli.main(["bench", "--data", multiclass_file]) == 2
     assert "positive-class" in capsys.readouterr().err.replace("_", "-")
@@ -187,23 +284,32 @@ def test_bench_multiclass_needs_positive_class(multiclass_file, capsys):
 
 # ------------------------------------------------------------ model files
 
-def test_model_round_trip(tmp_path):
-    prob_w = np.array([0.0, -1.5, 2.5e-17, 3.0])
-    import scipy.sparse as sp
-    tset = px.TrainingSet(features=sp.csr_matrix(np.ones((2, 4))),
-                          labels=np.array([1.0, -1.0]))
-    prob = px.Problem(data=tset, partition=px.BlockPartition.contiguous(4, 2),
-                      reg=px.RegularizerSpec(lam=0.75, kappa=2),
-                      loss=px.ScalarLoss.HUBER)
-    path = tmp_path / "model.txt"
-    cli.save_model(str(path), prob_w, prob)
+@st.composite
+def models(draw):
+    n = draw(st.integers(1, 12))
+    kappas = tuple(draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=n)))
+    lam = draw(st.one_of(st.sampled_from((0.0, 5e-324, 1.7976931348623157e308)),
+                         st.floats(0.0, allow_infinity=False)))
+    w = np.array(draw(st.lists(FINITE_FLOATS, min_size=n, max_size=n)), dtype=float)
+    return w, lam, kappas, draw(st.sampled_from(px.ScalarLoss))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models())
+@example(model=(np.array([0.0, -1.5, 2.5e-17, 3.0]), 0.75, (2, 2), px.ScalarLoss.HUBER))
+def test_model_round_trip(model, tmp_path_factory):
+    w0, lam, kappas, loss = model
+    n = w0.shape[0]
+    tset = px.TrainingSet(features=sp.csr_matrix((1, n)), labels=np.array([1.0]))
+    prob = px.Problem(data=tset, partition=px.BlockPartition.contiguous(n, len(kappas)),
+                      reg=px.RegularizerSpec(lam=lam, kappa=kappas), loss=loss)
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    cli.save_model(str(path), w0, prob)
     w, meta = cli.load_model(str(path))
-    assert np.array_equal(w, prob_w)  # 17 significant digits survive re-parse
-    assert meta["n_features"] == 4
-    assert meta["blocks"] == 2
-    assert meta["lambda"] == 0.75
-    assert meta["kappa"] == (2, 2)
-    assert meta["loss"] == "huber"
+    assert w.view(np.uint64).tolist() == w0.view(np.uint64).tolist()  # bit for bit
+    assert meta["lambda"].hex() == float(lam).hex()
+    assert meta == {"n_features": n, "blocks": len(kappas), "lambda": lam,
+                    "kappa": kappas, "loss": loss.value}
 
 
 def test_load_model_rejects_corrupt_header(tmp_path):
@@ -211,3 +317,31 @@ def test_load_model_rejects_corrupt_header(tmp_path):
     path.write_text("not_a_header 5\n")
     with pytest.raises(ParseError):
         cli.load_model(str(path))
+
+
+GOOD_MODEL = ["n_features 2", "blocks 1", "lambda 0.5", "kappa 1", "loss logistic", "1", "-2"]
+
+
+@pytest.mark.parametrize("line,text,message", [
+    (2, "blocks 5", "line 2: blocks 5 outside [1, n_features = 2]"),
+    (2, "blocks 0", "line 2: blocks 0 outside"),
+    (4, "kappa 1 1", "line 4: 2 kappa values for 1 blocks"),
+    (4, "kappa 7", "line 4: kappa values must be 1 or 2"),
+    (5, "loss nonsense", "line 5: bad header value 'nonsense'"),
+    (3, "lambda nan", "line 3: lambda must be finite and >= 0"),
+    (3, "lambda inf", "line 3: lambda must be finite and >= 0"),
+    (3, "lambda -0.5", "line 3: lambda must be finite and >= 0"),
+    (7, "inf", "line 7: non-finite weight 'inf'"),
+    (6, "nan", "line 6: non-finite weight 'nan'"),
+    (6, "x", "line 6: bad weight 'x'"),
+])
+def test_load_model_rejects_bad_header_values_and_weights(tmp_path, line, text, message):
+    lines = list(GOOD_MODEL)
+    lines[line - 1] = text
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        cli.load_model(str(path))
+    assert message in str(exc.value)
+    assert exc.value.line_number == line
+

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit.errors import (
@@ -13,6 +14,7 @@ from proxsplit.errors import (
     ParseError,
     UnknownClassError,
 )
+from conftest import FINITE_FLOATS
 
 
 # ----------------------------------------------------------------- parsing
@@ -65,14 +67,29 @@ def test_parse_error_line_numbers_count_raw_lines():
         px.parse_libsvm("1 1:1\n\n# c\n1 0:1\n")
 
 
-def test_round_trip_preserves_floats_exactly():
-    vals = (math.pi, -1.0 / 3.0, 2.5e-17, 1e300, -7.0)
-    text = "1 " + " ".join("%d:%.17g" % (j + 1, v) for j, v in enumerate(vals)) + "\n"
+def bits(labels, rows):
+    """Labels and (index, value) rows with every float as its exact bit pattern."""
+    return ([x.hex() for x in labels],
+            [[(j, v.hex()) for j, v in row] for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(st.tuples(FINITE_FLOATS, st.dictionaries(st.integers(1, 2**31),
+                                                                FINITE_FLOATS, max_size=6)),
+                        max_size=8))
+@example(samples=[(1.0, {j + 1: v for j, v in
+                         enumerate((math.pi, -1.0 / 3.0, 2.5e-17, 1e300, -7.0))})])
+def test_round_trip_preserves_floats_exactly(samples):
+    labels = [label for label, _ in samples]
+    rows = [sorted(row.items()) for _, row in samples]
+    text = "".join(" ".join([repr(label)] + ["%d:%r" % entry for entry in row]) + "\n"
+                   for label, row in zip(labels, rows))
     raw = px.parse_libsvm(text)
     again = px.parse_libsvm(px.serialize_libsvm(raw))
-    assert again.rows == raw.rows
-    assert again.labels == raw.labels
-    assert again.n_features == raw.n_features
+    assert bits(raw.labels, raw.rows) == bits(labels, rows)
+    assert bits(again.labels, again.rows) == bits(labels, rows)
+    assert again.n_features == raw.n_features == max((j for row in rows for j, _ in row),
+                                                     default=0)
 
 
 def test_serialize_shape():

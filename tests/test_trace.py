@@ -1,9 +1,11 @@
 """Tests for trace records, their validation, and the CSV round trip."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit.errors import DomainError, ParseError
+from conftest import FINITE_FLOATS
 
 
 def sample_trace():
@@ -15,11 +17,38 @@ def sample_trace():
     return t
 
 
-def test_csv_round_trip_is_exact():
-    t = sample_trace()
-    back = px.ConvergenceTrace.from_csv(t.to_csv())
-    assert back.setup_seconds == t.setup_seconds
-    assert back.records == t.records
+COUNTS = st.integers(0, 2**40)
+
+
+@st.composite
+def traces(draw):
+    iterations = sorted(draw(st.sets(st.integers(0, 2**40), max_size=6)))
+    seconds = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=len(iterations),
+                                   max_size=len(iterations))))
+    t = px.ConvergenceTrace(setup_seconds=draw(FINITE_FLOATS))
+    for iteration, sec in zip(iterations, seconds):
+        t.append(px.TraceRecord(iteration=iteration, seconds=sec,
+                                objective=draw(FINITE_FLOATS),
+                                dist_ref=draw(st.none() | FINITE_FLOATS),
+                                zeros_exact=draw(COUNTS), zeros_tol=draw(COUNTS)))
+    return t
+
+
+def bits(t):
+    """Every field of a trace, floats by their exact bit pattern."""
+    def hexed(x):
+        return None if x is None else float(x).hex()
+
+    return hexed(t.setup_seconds), [
+        (r.iteration, hexed(r.seconds), hexed(r.objective), hexed(r.dist_ref),
+         r.zeros_exact, r.zeros_tol) for r in t.records]
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=traces())
+@example(t=sample_trace())
+def test_csv_round_trip_is_exact(t):
+    assert bits(px.ConvergenceTrace.from_csv(t.to_csv())) == bits(t)
 
 
 def test_csv_layout():
@@ -60,6 +89,8 @@ def test_from_csv_rejects_malformed():
     good = sample_trace().to_csv()
     with pytest.raises(ParseError, match="expected 6 fields"):
         px.ConvergenceTrace.from_csv(good + "1,2,3\n")
+    with pytest.raises(ParseError, match="line 1: bad setup_seconds 'abc'"):
+        px.ConvergenceTrace.from_csv("# setup_seconds=abc\n" + good)
 
 
 def test_zeros_tolerance_constant():
