@@ -92,10 +92,10 @@ def solver_named(name):
     return SOLVERS[name]
 
 
-def map_workers(fn, items, workers=None):
-    """[fn(item) for item in items] on up to `workers` threads (default:
-    the PROXSPLIT_THREADS cap); no pool for one worker or one item."""
-    workers = min(thread_count() if workers is None else workers, len(items))
+def map_workers(fn, items):
+    """[fn(item) for item in items] on up to PROXSPLIT_THREADS threads;
+    no pool for one worker or one item."""
+    workers = min(thread_count(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -138,14 +138,20 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
     return w
 
 
-def run_benchmark(
-    problem,
-    entries,
-    reference=None,
-    out_dir=None,
-    test_set=None,
-    max_workers=None,
-):
+def check_entries(entries):
+    """DomainError unless every entry names a known solver and the entry
+    names are nonempty and distinct."""
+    seen = set()
+    for entry in entries:
+        solver_named(entry.solver)
+        if not entry.name:
+            raise DomainError("benchmark entry names must be nonempty")
+        if entry.name in seen:
+            raise DomainError("duplicate benchmark entry name %r" % entry.name)
+        seen.add(entry.name)
+
+
+def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None):
     """Run every entry, write per-run trace CSVs plus summary.csv, return rows.
 
     Parameters
@@ -159,18 +165,11 @@ def run_benchmark(
         if missing.  No files are written when omitted.
     test_set : TrainingSet, optional
         Held-out data for the test-error column.
-    max_workers : int, optional
-        Thread pool size; defaults to the PROXSPLIT_THREADS cap.
+
+    The entries run on up to PROXSPLIT_THREADS threads.
     """
     entries = list(entries)
-    seen = set()
-    for entry in entries:
-        solver_named(entry.solver)
-        if not entry.name:
-            raise DomainError("benchmark entry names must be nonempty")
-        if entry.name in seen:
-            raise DomainError("duplicate benchmark entry name %r" % entry.name)
-        seen.add(entry.name)
+    check_entries(entries)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
@@ -180,10 +179,7 @@ def run_benchmark(
             trace.write_csv(os.path.join(out_dir, entry.name + ".csv"))
         return w, trace
 
-    workers = thread_count() if max_workers is None else int(max_workers)
-    if workers < 1:
-        raise DomainError("max_workers must be >= 1, got %d" % workers)
-    results = map_workers(_one, entries, workers)
+    results = map_workers(_one, entries)
 
     rows = []
     for entry, (w, trace) in zip(entries, results):

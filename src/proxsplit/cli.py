@@ -24,6 +24,7 @@ import numpy as np
 from .bench import (
     SOLVERS,
     BenchmarkEntry,
+    check_entries,
     compute_reference,
     format_summary,
     map_workers,
@@ -326,8 +327,6 @@ def _cmd_train(args):
 def _cmd_bench(args):
     merged = _merge(args, _BENCH_SPEC)
     names = [name.strip() for name in merged["solvers"].split(",") if name.strip()]
-    for name in names:
-        solver_named(name)
     raw, raw_test, n_features = _load_datasets(merged)
     tset, test_set = _binary_task(merged, raw, raw_test, n_features)
     problem = _make_problem(tset, n_features, merged)
@@ -341,6 +340,7 @@ def _cmd_bench(args):
         )
         for name in names
     ]
+    check_entries(entries)
     ref_config = _solver_config(merged, merged["ref_solver"], tset.n_samples)
     reference = compute_reference(
         problem, merged["ref_solver"], ref_config, long_run_factor=merged["ref_factor"]

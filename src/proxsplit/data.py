@@ -5,10 +5,15 @@ one sample per line, a numeric label followed by whitespace-separated
 ``index:value`` pairs with strictly increasing 1-based indices.  Blank
 lines and lines starting with ``#`` are skipped.  Gzip-compressed files
 are handled transparently by their ``.gz`` extension.
+
+A parsed dataset is its labels plus one CSR matrix, built once from flat
+typed buffers of 0-based column indices, values and row ends, so no
+per-entry Python object outlives its line.  The solvers train on it.
 """
 
 import gzip
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +42,22 @@ class RawDataset:
     ----------
     labels : tuple of float
         Raw label of each sample, in file order.
-    rows : tuple of tuple of (int, float)
-        Per sample, the ``(index, value)`` pairs with 1-based strictly
-        increasing indices, exactly as they appeared in the text.
-    n_features : int
-        Feature space dimension: the declared value when one was given,
-        otherwise the largest index seen.
+    features : scipy.sparse.csr_matrix, shape (n_samples, n_features)
+        Row i holds sample i's values as written (explicit zeros and -0.0
+        included) at 0-based, strictly increasing columns.  The width is
+        the declared dimension if given, else the largest index seen.
     """
 
     labels: tuple
-    rows: tuple
-    n_features: int
+    features: sp.csr_matrix
 
     @property
     def n_samples(self):
         return len(self.labels)
+
+    @property
+    def n_features(self):
+        return self.features.shape[1]
 
     def class_labels(self):
         """Distinct raw labels in increasing order."""
@@ -73,15 +79,18 @@ def parse_libsvm(source, n_features=None):
     ------
     ParseError
         On a malformed token, a non-finite number, a non-increasing
-        feature index, or an index exceeding the declared dimension.
-        The message carries the 1-based line number.
+        feature index, or an index exceeding the declared dimension or
+        the int64 range.  The message carries the 1-based line number.
     """
     if n_features is not None and n_features < 0:
         raise DomainError("declared n_features must be nonnegative")
+    # An index above the int64 range could not be stored.
+    limit = np.iinfo(np.int64).max if n_features is None else n_features
     lines = source.splitlines() if isinstance(source, str) else source
     labels = []
-    rows = []
-    max_index = 0
+    indptr = array("q", [0])
+    indices = array("q")
+    values = array("d")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -93,7 +102,6 @@ def parse_libsvm(source, n_features=None):
             raise ParseError("bad label %r" % tokens[0], line_number=lineno) from None
         if not math.isfinite(label):
             raise ParseError("non-finite label %r" % tokens[0], line_number=lineno)
-        entries = []
         previous = 0
         for token in tokens[1:]:
             index_text, sep, value_text = token.partition(":")
@@ -112,18 +120,19 @@ def parse_libsvm(source, n_features=None):
                 )
             if not math.isfinite(value):
                 raise ParseError("non-finite value %r" % value_text, line_number=lineno)
-            if n_features is not None and index > n_features:
-                raise ParseError(
-                    "feature index %d exceeds declared dimension %d" % (index, n_features),
-                    line_number=lineno,
-                )
-            entries.append((index, value))
+            if index > limit:
+                bound = "the int64 range" if n_features is None else "declared dimension %d" % limit
+                raise ParseError("feature index %d exceeds %s" % (index, bound), line_number=lineno)
+            indices.append(index - 1)
+            values.append(value)
             previous = index
         labels.append(label)
-        rows.append(tuple(entries))
-        max_index = max(max_index, previous)
-    dimension = max_index if n_features is None else n_features
-    return RawDataset(labels=tuple(labels), rows=tuple(rows), n_features=dimension)
+        indptr.append(len(indices))
+    dimension = int(np.max(indices, initial=-1)) + 1 if n_features is None else n_features
+    # scipy wraps the typed buffers without a copy (then downcasts the
+    # index arrays to int32 when they fit).
+    features = sp.csr_matrix((values, indices, indptr), shape=(len(labels), dimension))
+    return RawDataset(labels=tuple(labels), features=features)
 
 
 def load_libsvm(path, n_features=None):
@@ -140,10 +149,13 @@ def serialize_libsvm(raw, sink=None):
     `sink` and returns None.  17 significant digits reproduce any float
     bit-for-bit through parse_libsvm.
     """
+    X = raw.features
+    indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
     pieces = []
-    for label, entries in zip(raw.labels, raw.rows):
+    for i, label in enumerate(raw.labels):
+        entries = range(indptr[i], indptr[i + 1])
         parts = [format(label, ".17g")]
-        parts.extend("%d:%s" % (index, format(value, ".17g")) for index, value in entries)
+        parts.extend("%d:%s" % (indices[k] + 1, format(data[k], ".17g")) for k in entries)
         pieces.append(" ".join(parts))
     text = "\n".join(pieces)
     if pieces:
@@ -158,25 +170,17 @@ def to_matrix(raw, n_features=None):
     """CSR feature matrix and raw label vector of a parsed dataset.
 
     `n_features` widens (never narrows) the column count, so train and
-    test matrices can be aligned to a common dimension.
+    test matrices can be aligned to a common dimension.  The matrix
+    shares `raw.features`' arrays, unless a width beyond int32 needs
+    int64 index copies.
     """
     dimension = raw.n_features if n_features is None else n_features
     if dimension < raw.n_features:
         raise DomainError(
             "requested dimension %d is below the dataset's %d" % (dimension, raw.n_features)
         )
-    indptr = np.zeros(raw.n_samples + 1, dtype=np.int64)
-    indices = []
-    data = []
-    for i, entries in enumerate(raw.rows):
-        for index, value in entries:
-            indices.append(index - 1)
-            data.append(value)
-        indptr[i + 1] = len(indices)
-    features = sp.csr_matrix(
-        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64), indptr),
-        shape=(raw.n_samples, dimension),
-    )
+    X = raw.features
+    features = sp.csr_matrix((X.data, X.indices, X.indptr), shape=(raw.n_samples, dimension))
     return features, np.asarray(raw.labels, dtype=float)
 
 

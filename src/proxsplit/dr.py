@@ -193,7 +193,6 @@ class Preconditioner:
     """
 
     block_slices: list
-    tau: np.ndarray
     matrices: list
     factors: list
     features: sp.csr_matrix
@@ -234,7 +233,6 @@ def _build_preconditioner(problem, res):
         matrices.append(M)
     return Preconditioner(
         block_slices=slices,
-        tau=res.tau,
         matrices=matrices,
         factors=factors,
         features=rows,

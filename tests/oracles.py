@@ -7,6 +7,7 @@ implementations can be checked against these.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
@@ -159,3 +160,21 @@ def run_per_block(problem, config):
         act_l = sample_by_swaps(rng, pool_l, res.batch_size)
         iterate_per_block(state, problem, precond, res, act_b, act_l, float(mu), columns)
     return px.extract_solution(state, problem, config), state
+
+
+def csr_from_rows(rows, dimension):
+    """CSR of per-sample ``(1-based index, value)`` rows, built entry by
+    entry from Python lists: the conversion the tuple-row dataset layout
+    used, so the dtypes scipy picks follow the same path."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indices = []
+    data = []
+    for i, entries in enumerate(rows):
+        for index, value in entries:
+            indices.append(index - 1)
+            data.append(value)
+        indptr[i + 1] = len(indices)
+    return sp.csr_matrix(
+        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64), indptr),
+        shape=(len(rows), dimension),
+    )

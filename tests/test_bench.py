@@ -95,10 +95,12 @@ def test_run_benchmark_with_test_set():
     assert 0.0 <= rows[0].test_error_pct <= 100.0
 
 
-def test_run_benchmark_parallel_matches_sequential(tmp_path):
+def test_run_benchmark_parallel_matches_sequential(tmp_path, monkeypatch):
     prob = make_problem(8, 25, 2, lam=0.6, seed=9)
+    monkeypatch.setenv("PROXSPLIT_THREADS", "1")
     seq = px.run_benchmark(prob, bench_entries())
-    par = px.run_benchmark(prob, bench_entries(), max_workers=3)
+    monkeypatch.setenv("PROXSPLIT_THREADS", "3")
+    par = px.run_benchmark(prob, bench_entries())
     assert [(r.name, r.objective, r.zeros_pct) for r in seq] == \
            [(r.name, r.objective, r.zeros_pct) for r in par]
 

@@ -221,6 +221,16 @@ def test_solver_names_are_checked_from_flags_and_the_config_file(binary_file, tm
     assert "unknown solver 'bogus'; known: bcpd, dr," in capsys.readouterr().err
 
 
+def test_bench_rejects_duplicate_solvers_before_the_reference_run(binary_file, capsys,
+                                                                   monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("compute_reference ran")
+
+    monkeypatch.setattr(cli, "compute_reference", no_reference)
+    assert cli.main(["bench", "--data", binary_file, "--solvers", "dr,dr"]) == 2
+    assert "duplicate benchmark entry name 'dr'" in capsys.readouterr().err
+
+
 def test_train_one_vs_all(multiclass_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROXSPLIT_THREADS", "2")
     out = tmp_path / "ova"

@@ -2,6 +2,7 @@
 
 import gzip
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,23 @@ from proxsplit.errors import (
     UnknownClassError,
 )
 from conftest import FINITE_FLOATS
+from oracles import csr_from_rows
+
+
+def row_entries(raw):
+    """Per sample, the (1-based index, value) pairs stored in raw.features."""
+    X = raw.features
+    return tuple(tuple(zip((X.indices[a:b] + 1).tolist(), X.data[a:b].tolist()))
+                 for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist()))
+
+
+def assert_same_csr(A, B):
+    """Same shape, sorted indices, and the same dtype and bytes in every array."""
+    assert A.format == B.format == "csr" and A.shape == B.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert A.has_sorted_indices and B.has_sorted_indices
 
 
 # ----------------------------------------------------------------- parsing
@@ -22,7 +40,7 @@ from conftest import FINITE_FLOATS
 def test_parse_basic():
     raw = px.parse_libsvm("+1 1:2.5 3:-1\n-1 2:0.5\n")
     assert raw.labels == (1.0, -1.0)
-    assert raw.rows == (((1, 2.5), (3, -1.0)), ((2, 0.5),))
+    assert row_entries(raw) == (((1, 2.5), (3, -1.0)), ((2, 0.5),))
     assert raw.n_features == 3
     assert raw.n_samples == 2
     assert raw.class_labels() == [-1.0, 1.0]
@@ -55,6 +73,8 @@ def test_parse_declared_dimension():
     ("1 0:1\n", "line 1: feature index 0"),
     ("1 2:1 1:2\n", "line 1: feature index 1 after 2"),
     ("1 2:1 2:2\n", "line 1: feature index 2 after 2"),
+    ("1 1:1\n1 99999999999999999999:1\n",
+     "line 2: feature index 99999999999999999999 exceeds the int64 range"),
 ])
 def test_parse_errors_carry_line_numbers(text, msg):
     with pytest.raises(ParseError) as exc:
@@ -86,10 +106,56 @@ def test_round_trip_preserves_floats_exactly(samples):
                    for label, row in zip(labels, rows))
     raw = px.parse_libsvm(text)
     again = px.parse_libsvm(px.serialize_libsvm(raw))
-    assert bits(raw.labels, raw.rows) == bits(labels, rows)
-    assert bits(again.labels, again.rows) == bits(labels, rows)
+    assert bits(raw.labels, row_entries(raw)) == bits(labels, rows)
+    assert bits(again.labels, row_entries(again)) == bits(labels, rows)
     assert again.n_features == raw.n_features == max((j for row in rows for j, _ in row),
                                                      default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.one_of(st.integers(1, 40), st.integers(1, 2**31 + 1)),
+                                     FINITE_FLOATS, max_size=6), max_size=8),
+       extra=st.none() | st.integers(0, 5), widen=st.sampled_from((0, 3, 2**31)))
+@example(rows=[{1: 0.0, 3: -0.0}, {}, {2: 5e-324, 4: -1.5}], extra=None, widen=0)
+@example(rows=[{}, {2: -0.0}, {}], extra=4, widen=3)
+@example(rows=[{2**31: 1.0}], extra=None, widen=0)
+@example(rows=[{1: 0.0}], extra=1, widen=2**31)
+@example(rows=[], extra=None, widen=0)
+def test_parsed_csr_matches_the_row_conversion(rows, extra, widen):
+    rows = [sorted(row.items()) for row in rows]
+    text = "".join(" ".join(["1"] + ["%d:%r" % entry for entry in row]) + "\n" for row in rows)
+    largest = max((j for row in rows for j, _ in row), default=0)
+    declared = None if extra is None else largest + extra
+    raw = px.parse_libsvm(text, n_features=declared)
+    assert_same_csr(raw.features, csr_from_rows(rows, largest if declared is None else declared))
+    width = raw.n_features + widen
+    assert_same_csr(px.to_matrix(raw, n_features=width)[0], csr_from_rows(rows, width))
+    if rows and width:
+        assert_same_csr(px.binarize(raw, 1.0, n_features=width).features,
+                        csr_from_rows(rows, width))
+
+
+def test_parse_and_binarize_keep_no_per_entry_objects(tmp_path):
+    # The w8a shape: 300 binary features at 4.4% density.  Per-entry
+    # Python objects cost over 100 traced bytes per entry; flat buffers
+    # plus the int32 index copy about 24.
+    rng = np.random.default_rng(0)
+    lines, stored = [], 0
+    for i in range(4000):
+        columns = np.flatnonzero(rng.random(300) < 0.044) + 1
+        stored += len(columns)
+        lines.append(" ".join(["+1" if i % 5 == 0 else "-1"] + ["%d:1" % j for j in columns]))
+    path = tmp_path / "train.txt"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        raw = px.load_libsvm(str(path))
+        tset = px.binarize(raw, None, n_features=raw.n_features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tset.features.nnz == stored
+    assert peak / stored <= 48
 
 
 def test_serialize_shape():
@@ -103,11 +169,11 @@ def test_load_plain_and_gzip(tmp_path):
     raw = px.parse_libsvm("+1 1:0.1 4:-2.5\n-1 2:3.0\n")
     plain = tmp_path / "data.txt"
     plain.write_text(px.serialize_libsvm(raw))
-    assert px.load_libsvm(str(plain)).rows == raw.rows
+    assert_same_csr(px.load_libsvm(str(plain)).features, raw.features)
     gz = tmp_path / "data.txt.gz"
     with gzip.open(gz, "wt") as f:
         f.write(px.serialize_libsvm(raw))
-    assert px.load_libsvm(str(gz)).rows == raw.rows
+    assert_same_csr(px.load_libsvm(str(gz)).features, raw.features)
 
 
 def test_load_missing_file_raises_oserror(tmp_path):
@@ -124,6 +190,9 @@ def test_to_matrix_values():
     assert y.tolist() == [1.0, -1.0]
     X8, _ = px.to_matrix(raw, n_features=8)
     assert X8.shape == (2, 8)
+    for M in (X, X8):
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(M, name), getattr(raw.features, name))
     with pytest.raises(DomainError, match="below the dataset"):
         px.to_matrix(raw, n_features=2)
 
