@@ -22,6 +22,10 @@ import scipy.sparse as sp
 from .errors import DegenerateDatasetError, DomainError, ParseError, UnknownClassError
 from .model import TrainingSet
 
+# the widest dimension, and so the largest feature index, that scipy's
+# int64 index arrays can hold
+INDEX_MAX = int(np.iinfo(np.int64).max)
+
 __all__ = [
     "RawDataset",
     "parse_libsvm",
@@ -77,15 +81,16 @@ def parse_libsvm(source, n_features=None):
 
     Raises
     ------
+    DomainError
+        If the declared dimension is negative or beyond the int64 range.
     ParseError
         On a malformed token, a non-finite number, a non-increasing
         feature index, or an index exceeding the declared dimension or
         the int64 range.  The message carries the 1-based line number.
     """
-    if n_features is not None and n_features < 0:
-        raise DomainError("declared n_features must be nonnegative")
-    # An index above the int64 range could not be stored.
-    limit = np.iinfo(np.int64).max if n_features is None else n_features
+    if n_features is not None and not 0 <= n_features <= INDEX_MAX:
+        raise DomainError("declared n_features must be in [0, %d]" % INDEX_MAX)
+    limit = INDEX_MAX if n_features is None else n_features
     lines = source.splitlines() if isinstance(source, str) else source
     labels = []
     indptr = array("q", [0])
@@ -179,6 +184,8 @@ def to_matrix(raw, n_features=None):
         raise DomainError(
             "requested dimension %d is below the dataset's %d" % (dimension, raw.n_features)
         )
+    if dimension > INDEX_MAX:
+        raise DomainError("requested dimension %d exceeds %d" % (dimension, INDEX_MAX))
     X = raw.features
     features = sp.csr_matrix((X.data, X.indices, X.indptr), shape=(raw.n_samples, dimension))
     return features, np.asarray(raw.labels, dtype=float)

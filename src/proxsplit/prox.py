@@ -1,17 +1,18 @@
 """Proximity operators and scalar margin losses.
 
-The logistic prox is the numerical core: prox of gamma*log(1+exp(-v)) has
-no elementary closed form, but its optimality condition
+The logistic prox p of gamma*log(1+exp(-.)) at v solves p - v =
+gamma/(exp(p)+1), p = v + W_{exp(-v)}(gamma*exp(-v)) with the generalized
+Lambert W of :mod:`proxsplit.lambert`.  Mirrored by v -> -v-gamma, the
+same equation gives v + gamma - p, so the kernel solves for whichever gap
+is at most gamma/2.  u = log(gap) is the root of the increasing, convex
 
-    p - v = gamma / (exp(p) + 1)
+    F(u) = u + log(1 + exp(v + e^u)) - log(gamma),
 
-pins p inside (v, v+gamma) where the left side is increasing with slope
->= 1, so a safeguarded Newton iteration converges for every finite input.
-Equivalently p = v + W_{exp(-v)}(gamma*exp(-v)) in terms of the
-generalized Lambert W branch of :mod:`proxsplit.lambert`; the Newton form
-avoids exp(-v) overflow for very negative v.  Far below zero the solution
-collapses onto v + gamma and a two-term expansion is both cheaper and
-exact to machine precision.
+so Newton started right of the root, at bounds from log(1+e^x) >=
+max(0, x), falls monotonically onto it with no bracket.  A closing Newton
+step on p + log(p - v) - log(v + gamma - p) = 0 restores the absolute
+accuracy e^u loses when the gap is large.  Far below zero the solution
+collapses onto v + gamma and a two-term expansion is exact.
 """
 
 import enum
@@ -27,14 +28,14 @@ from .errors import ConvergenceError, DomainError
 # path would see no representable curvature anyway
 V_SWITCH = -35.0
 
+# the log-space Newton stops once its step, the relative change of the
+# gap, is below this; the closing step on the log form, whose curvature
+# factor is at most 1/(2 min(1, gap)), squares it to under 1e-16
+STEP_TOL = 1e-8
+NEWTON_MAX_ITERS = 200
 
-def _sigma_neg(p):
-    """1 / (exp(p) + 1), overflow-safe for any float p."""
-    t = np.exp(-np.abs(p))
-    return np.where(p >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
 
-
-def prox_logistic(v, gamma, tol=1e-14, max_iters=200):
+def prox_logistic(v, gamma):
     """Proximity operator of gamma * log(1 + exp(-.)) at v.
 
     Parameters
@@ -43,11 +44,6 @@ def prox_logistic(v, gamma, tol=1e-14, max_iters=200):
         Evaluation point(s).
     gamma : float or array
         Positive scale, broadcastable against v.
-    tol : float
-        Newton stopping tolerance on the optimality residual, relative to
-        max(1, gamma).
-    max_iters : int
-        Safeguarded-Newton iteration cap.
 
     Returns
     -------
@@ -65,13 +61,13 @@ def prox_logistic(v, gamma, tol=1e-14, max_iters=200):
     v_arr = np.atleast_1d(v_arr)
     g_arr = np.atleast_1d(g_arr)
 
-    p = np.empty_like(v_arr)
     tail = g_arr + v_arr <= V_SWITCH
     if np.any(tail):
+        p = np.empty_like(v_arr)
         p[tail] = prox_logistic_asymptotic(v_arr[tail], g_arr[tail])
-    head = ~tail
-    if np.any(head):
-        p[head] = _prox_logistic_newton(v_arr[head], g_arr[head], tol, max_iters)
+        p[~tail] = _prox_logistic_newton(v_arr[~tail], g_arr[~tail])
+    else:
+        p = _prox_logistic_newton(v_arr, g_arr)
 
     # the exact solution is strictly interior; keep the float one interior too
     lo_open = np.nextafter(v_arr, np.inf)
@@ -82,35 +78,38 @@ def prox_logistic(v, gamma, tol=1e-14, max_iters=200):
     return p
 
 
-def _prox_logistic_newton(v, gamma, tol, max_iters):
-    """Safeguarded Newton for the logistic prox on the bracket [v, v+gamma]."""
-    lo = v.copy()
-    hi = v + gamma
-    p = v + 0.5 * gamma
-    step_old = hi - lo
-    done = np.zeros(v.shape, dtype=bool)
-    tol_abs = tol * np.maximum(1.0, gamma)
-    for _ in range(max_iters):
-        g = p - v - gamma * _sigma_neg(p)
-        t = np.exp(-np.abs(p))
-        gp = 1.0 + gamma * t / (1.0 + t) ** 2
-        hi = np.where(~done & (g > 0.0), p, hi)
-        lo = np.where(~done & (g <= 0.0), p, lo)
-        width = hi - lo
-        done |= (np.abs(g) <= tol_abs) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(p)))
+def _prox_logistic_newton(v, gamma):
+    """Monotone Newton on the log of the smaller gap, then one step in p."""
+    flip = v < -0.5 * gamma  # p < 0: v + gamma - p is the smaller gap
+    a = np.where(flip, -(v + gamma), v)
+    log_gamma = np.log(gamma)
+    c = log_gamma - a
+    # three bounds right of the root: u <= log(gamma), and from
+    # u + e^u <= c both u < c and, for c >= 1, one Newton step on that
+    # convex equation from log(c), log(c) * c/(1+c); for c < 1, where the
+    # step reads 0, u + e^u < 1 forces u < 0 as well
+    c1 = np.maximum(c, 1.0)
+    u = np.minimum(np.minimum(log_gamma, c), np.log(c1) * (c1 / (1.0 + c1)))
+    for _ in range(NEWTON_MAX_ITERS):
+        z = np.exp(u)
+        x = a + z
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        step = (u + softplus - log_gamma) / (1.0 + z * np.exp(x - softplus))
+        u_new = u - step
+        # exact Newton only decreases u, so a step that does not is
+        # rounding noise at the root
+        done = (u_new >= u) | (step <= STEP_TOL)
         if np.all(done):
             break
-        cand = p - g / gp
-        # bisect when the step leaves the bracket or fails to halve the
-        # previous one; plain in-bracket acceptance admits two-cycles that
-        # straddle the root without ever tightening it
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi) | (2.0 * np.abs(g) > step_old * gp)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        step_old = np.where(done, step_old, np.abs(cand - p))
-        p = np.where(done, p, cand)
+        u = np.where(done, u, u_new)
     else:
-        raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % max_iters)
-    return p
+        raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % NEWTON_MAX_ITERS)
+    # the gaps p - v and v + gamma - p, kept off zero for the logs
+    tiny = np.finfo(float).tiny
+    lo = np.maximum(np.where(flip, gamma - z, z), tiny)
+    hi = np.maximum(np.where(flip, z, gamma - z), tiny)
+    p = np.where(flip, (v + gamma) - z, v + z)
+    return p - (p + np.log(lo) - np.log(hi)) / (1.0 + 1.0 / lo + 1.0 / hi)
 
 
 def prox_logistic_asymptotic(v, gamma):

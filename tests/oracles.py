@@ -13,6 +13,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 import proxsplit as px
+from proxsplit.errors import ConvergenceError
 from proxsplit.prox import loss_prox, prox_group_l2, prox_l1
 
 
@@ -28,6 +29,58 @@ def prox_logistic_bisect(v, gamma, iters=200):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _sigma_neg(p):
+    """1 / (exp(p) + 1), overflow-safe for any float p."""
+    t = np.exp(-np.abs(p))
+    return np.where(p >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
+
+
+def _prox_logistic_newton(v, gamma, tol, max_iters):
+    """Safeguarded Newton for the logistic prox on the bracket [v, v+gamma]."""
+    lo = v.copy()
+    hi = v + gamma
+    p = v + 0.5 * gamma
+    step_old = hi - lo
+    done = np.zeros(v.shape, dtype=bool)
+    tol_abs = tol * np.maximum(1.0, gamma)
+    for _ in range(max_iters):
+        g = p - v - gamma * _sigma_neg(p)
+        t = np.exp(-np.abs(p))
+        gp = 1.0 + gamma * t / (1.0 + t) ** 2
+        hi = np.where(~done & (g > 0.0), p, hi)
+        lo = np.where(~done & (g <= 0.0), p, lo)
+        width = hi - lo
+        done |= (np.abs(g) <= tol_abs) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(p)))
+        if np.all(done):
+            break
+        cand = p - g / gp
+        # bisect when the step leaves the bracket or fails to halve the
+        # previous one; plain in-bracket acceptance admits two-cycles that
+        # straddle the root without ever tightening it
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi) | (2.0 * np.abs(g) > step_old * gp)
+        cand = np.where(bad, 0.5 * (lo + hi), cand)
+        step_old = np.where(done, step_old, np.abs(cand - p))
+        p = np.where(done, p, cand)
+    else:
+        raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % max_iters)
+    return p
+
+
+def prox_logistic_bracketed(v, gamma):
+    """The logistic prox by bracketed, bisection-safeguarded Newton from the
+    midpoint of (v, v+gamma), with the library's asymptotic tail and
+    open-interval clamp around it: the kernel the log-space Newton
+    replaced, kept to bound how far the two drift apart."""
+    v, gamma = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(gamma, dtype=float))
+    v = np.atleast_1d(v)
+    gamma = np.atleast_1d(gamma)
+    tail = gamma + v <= px.prox.V_SWITCH
+    p = np.empty_like(v)
+    p[tail] = px.prox_logistic_asymptotic(v[tail], gamma[tail])
+    p[~tail] = _prox_logistic_newton(v[~tail], gamma[~tail], 1e-14, 200)
+    return np.maximum(np.minimum(p, np.nextafter(v + gamma, -np.inf)), np.nextafter(v, np.inf))
 
 
 def prox_by_minimization(loss_fn, v, gamma):
@@ -63,6 +116,7 @@ PROX_LOGISTIC_10_1 = 10.00004539580797       # v=10, gamma=1
 PROX_LOGISTIC_25_05 = 2.5366637747721663     # v=2.5, gamma=0.5
 PROX_LOGISTIC_M30_1 = -29.000000000000256    # v=-30, gamma=1 (deep tail)
 PROX_LOGISTIC_M20_2 = -18.000000030459958    # v=-20, gamma=2 (deep tail)
+PROX_LOGISTIC_HUGE = -42.306755091738395     # v=-1e20, gamma=1e20
 PROX_CONJ_5_2 = -0.07332754954433252         # conjugate prox, v=5, sigma=2
 
 

@@ -62,6 +62,9 @@ def test_parse_declared_dimension():
     assert px.parse_libsvm("+1 1:1\n", n_features=10).n_features == 10
     with pytest.raises(ParseError, match="line 1: feature index 3 exceeds declared dimension 2"):
         px.parse_libsvm("+1 3:1\n", n_features=2)
+    for bad in (-1, 2**63, 2**70):
+        with pytest.raises(DomainError, match=r"n_features must be in \[0, 9223372036854775807\]"):
+            px.parse_libsvm("+1 1:1\n", n_features=bad)
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -195,6 +198,8 @@ def test_to_matrix_values():
             assert np.shares_memory(getattr(M, name), getattr(raw.features, name))
     with pytest.raises(DomainError, match="below the dataset"):
         px.to_matrix(raw, n_features=2)
+    with pytest.raises(DomainError, match="dimension 1180591620717411303424 exceeds 9223372036854775807"):
+        px.to_matrix(raw, n_features=2**70)
 
 
 # ------------------------------------------------------------------ labels

@@ -1,31 +1,60 @@
 """Tests for scalar loss proxes, regularizer proxes, and loss primitives.
 
 The logistic prox has no elementary closed form, so it is checked against
-a bisection oracle and against correctly rounded constants computed with
-60-digit arithmetic.  Tolerances are a few ulp, never bitwise.
+a bisection oracle, against the bracketed Newton kernel it replaced, and
+against correctly rounded constants computed with 60-digit arithmetic.
+Tolerances are a few ulp, never bitwise.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
 import proxsplit as px
-from proxsplit.errors import DomainError
+from proxsplit import prox
+from proxsplit.errors import ConvergenceError, DomainError
 from oracles import (
     PROX_CONJ_5_2,
     PROX_LOGISTIC_0_1,
     PROX_LOGISTIC_10_1,
     PROX_LOGISTIC_25_05,
+    PROX_LOGISTIC_HUGE,
     PROX_LOGISTIC_M20_2,
     PROX_LOGISTIC_M30_1,
     central_difference,
     prox_by_minimization,
     prox_logistic_bisect,
+    prox_logistic_bracketed,
 )
 
 LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q1,
           px.ScalarLoss.HINGE_Q2, px.ScalarLoss.HUBER)
+
+# |p - p_bracketed| / max(1, gamma) over v in [-700, 700], gamma in
+# [1e-3, 1e3].  The bracketed kernel stops once its bracket is 4 ulp of
+# max(1, |p|) wide, up to 6.2e-13 * max(1, gamma) on that domain; the
+# log-space kernel's residual, which bounds its error, stays under 2.3e-13
+# on criterion 2's 100k points.
+DEVIATION_BOUND = 1e-12
+# the prox scale of the splitting solver on the w8a-shaped benchmark:
+# B * (1 - gamma * rho) / gamma with B = 4, gamma = 0.03, rho = 0.1
+DR_SCALE = 4 * (1 - 0.03 * 0.1) / 0.03
+
+V_WIDE = st.floats(-700.0, 700.0)
+GAMMA_WIDE = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def logistic_residual(p, v, gamma):
+    return abs(p - v - gamma * expit(-p))
+
+
+def rounding_slack(v, gamma):
+    """A few ulp of the largest magnitude the logistic optimality condition
+    adds up: the attainable absolute accuracy of p."""
+    return 8.0 * np.finfo(float).eps * (1.0 + abs(v) + gamma)
 
 
 # ---------------------------------------------------------------- logistic
@@ -36,6 +65,8 @@ def test_logistic_prox_frozen_values():
     assert px.prox_logistic(2.5, 0.5) == pytest.approx(PROX_LOGISTIC_25_05, abs=5e-15)
     assert px.prox_logistic(-30.0, 1.0) == pytest.approx(PROX_LOGISTIC_M30_1, abs=1e-12)
     assert px.prox_logistic(-20.0, 2.0) == pytest.approx(PROX_LOGISTIC_M20_2, abs=1e-12)
+    # p - v and v + gamma - p near 1e20 with p far below them
+    assert px.prox_logistic(-1e20, 1e20) == pytest.approx(PROX_LOGISTIC_HUGE, abs=1e-13)
 
 
 def test_logistic_prox_against_bisection():
@@ -93,6 +124,86 @@ def test_logistic_prox_extreme_arguments():
     q = px.prox_logistic(-700.0, 1.0)
     assert -700.0 < q < -699.0
     assert q == pytest.approx(-699.0, abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=V_WIDE, gamma=GAMMA_WIDE)
+@example(v=-150.0, gamma=DR_SCALE)
+@example(v=-130.0, gamma=DR_SCALE)
+@example(v=-100.0, gamma=DR_SCALE)
+@example(v=-5.4, gamma=DR_SCALE)
+@example(v=25.0, gamma=DR_SCALE)
+def test_logistic_prox_tracks_bracketed_kernel(v, gamma):
+    with np.errstate(over="raise", invalid="raise"):
+        p = px.prox_logistic(v, gamma)
+        ref = float(prox_logistic_bracketed(v, gamma)[0])
+    assert abs(p - ref) <= DEVIATION_BOUND * max(1.0, gamma)
+    assert v < p < v + gamma
+    assert logistic_residual(p, v, gamma) <= max(logistic_residual(ref, v, gamma),
+                                                 rounding_slack(v, gamma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=st.floats(3.0, 300.0), ratio=st.floats(-1.5, 0.5))
+@example(exponent=20.0, ratio=-0.5)
+@example(exponent=300.0, ratio=-1.0)
+def test_logistic_prox_huge_scale(exponent, ratio):
+    # both gaps p - v and v + gamma - p can be far larger than p itself,
+    # so p must not be read off either one to its own precision alone
+    gamma = 10.0 ** exponent
+    v = ratio * gamma
+    with np.errstate(over="raise", invalid="raise"):
+        p = px.prox_logistic(v, gamma)
+    assert v < p < v + gamma
+    assert abs(p - prox_logistic_bisect(v, gamma, iters=1100)) <= 1e-13 * gamma
+    if ratio == -0.5:
+        assert abs(p) <= 1e-12  # the root is 0 when v = -gamma/2
+
+
+@settings(max_examples=200, deadline=None)
+@given(v1=V_WIDE, v2=V_WIDE, gamma=GAMMA_WIDE)
+@example(v1=-130.0, v2=-129.0, gamma=DR_SCALE)
+def test_logistic_prox_firmly_nonexpansive_and_monotone(v1, v2, gamma):
+    p1, p2 = px.prox_logistic(np.array([v1, v2]), gamma)
+    err = rounding_slack(max(abs(v1), abs(v2)), gamma)
+    d, dv = p1 - p2, v1 - v2
+    assert d * d <= d * dv + 2.0 * err * (2.0 * abs(d) + abs(dv)) + 4.0 * err * err
+    if v1 <= v2:
+        assert p1 <= p2 + 2.0 * err
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.floats(-50.0, 50.0), sigma=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+@example(v=5.0, sigma=2.0)
+def test_logistic_conjugate_prox_moreau_identity(v, sigma):
+    # h*(s) = (-s) log(-s) + (1+s) log(1+s) on [-1, 0], so q = prox of
+    # sigma*h* at v solves v - q = sigma * log((1+q)/(-q)), that is
+    # q = -expit((q - v)/sigma), independently of the primal prox
+    direct = px.prox_logistic(v / sigma, 1.0 / sigma)
+    q = px.prox_conjugate(px.prox_logistic, v, sigma)
+    assert -1.0 <= q <= 0.0
+    assert abs(q + sigma * direct - v) <= 4.0 * np.finfo(float).eps * (1.0 + abs(v))
+    assert abs(q + expit((q - v) / sigma)) <= 8.0 * np.finfo(float).eps * (1.0 + abs(v)) * (1.0 + 1.0 / sigma)
+
+
+def test_logistic_prox_converges_in_few_sweeps(monkeypatch):
+    # the start lies right of the root and the Newton iterates fall
+    # monotonically onto it; five sweeps cover these draws, one is spare
+    monkeypatch.setattr(prox, "NEWTON_MAX_ITERS", 6)
+    rng = np.random.Generator(np.random.PCG64(6))
+    v = rng.uniform(-700.0, 700.0, 20_000)
+    gamma = 10.0 ** rng.uniform(-3.0, 3.0, 20_000)
+    with np.errstate(over="raise", invalid="raise"):
+        px.prox_logistic(v, gamma)
+        px.prox_logistic(rng.uniform(-150.0, 25.0, 20_000), DR_SCALE)
+
+
+def test_logistic_prox_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(prox, "NEWTON_MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+        px.prox_logistic(0.0, 1.0)
+    # the asymptotic tail never enters the Newton loop
+    assert -50.0 < px.prox_logistic(-50.0, 1.0) < -49.0
 
 
 # ---------------------------------------------------------- hinge and huber
