@@ -18,7 +18,7 @@ from .errors import ConvergenceError, DomainError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_grad, loss_prox, prox_conjugate
 from .sampling import make_rng, sample_without_replacement
-from .trace import drive, float_copy
+from .trace import check_batch_size, drive, float_copy
 
 
 @dataclass
@@ -39,13 +39,6 @@ class BaselineConfig:
     trace_stride: int = 10
     plateau_window: object = None
     plateau_rtol: float = 1e-10
-
-
-def _resolve_batch(config, L):
-    batch = L if config.batch_size is None else int(config.batch_size)
-    if not 1 <= batch <= L:
-        raise DomainError("batch_size must lie in [1, %d], got %d" % (L, batch))
-    return batch
 
 
 def _seeded_start(problem, config, w0):
@@ -82,7 +75,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     if not (config.step_c > 0.0):
         raise DomainError("step_c must be positive")
     L = problem.n_samples
-    batch = _resolve_batch(config, L)
+    batch = check_batch_size(config.batch_size, L)
     rng, w = _seeded_start(problem, config, w0)
     pool_l = np.arange(L)
 
@@ -155,7 +148,7 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     L = problem.n_samples
     X = problem.data.features
     y = problem.data.labels
-    batch = _resolve_batch(config, L)
+    batch = check_batch_size(config.batch_size, L)
     nrm = operator_norm_sq(X)
     if config.sigma is None:
         sigma = 1.0 / (config.tau * nrm) if nrm > 0.0 else 1.0

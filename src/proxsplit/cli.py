@@ -33,7 +33,7 @@ from .bench import (
 )
 from .baselines import BaselineConfig
 from .data import binarize, load_libsvm, one_vs_all_tasks, predict_one_vs_all, to_matrix
-from .dr import DRConfig, resolve_config
+from .dr import ETA, DRConfig, resolve_config
 from .errors import DomainError, ParseError, ProxsplitError
 from .lambert import eval_w
 from .model import BlockPartition, Problem, RegularizerSpec, sparsity_degree, test_error
@@ -72,7 +72,7 @@ _COMMON_SPEC = {
     "seed": (int, 0, "RNG seed"),
     "gamma": (float, 1.0, "dual step size"),
     "tau": (float, 1.0, "primal step size"),
-    "mu": (float, 1.5, "relaxation parameter"),
+    "mu": (float, 1.5, "relaxation in (%g, %g)" % (ETA, 2.0 - ETA)),
     "rho": (float, None, "logistic strong-convexity shift (default 0.1, 0 for dr-simplified)"),
     "step_c": (float, 0.1, "sfb/rda step constant"),
     "trace_stride": (int, 10, "record period"),

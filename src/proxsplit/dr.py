@@ -15,7 +15,10 @@ mini-batch of samples:
     u_b <- u_b + sum_l A*_{l,b} (s_{l,b}^new - s_{l,b}) / (1 + gamma_l rho_l)
 
 with C_b = (Id + tau_b sum_l c_l x_{l,b} x_{l,b}^T)^{-1},
-c_l = gamma_l / (1 + gamma_l rho_l), factored once up front.  The printed
+c_l = gamma_l / (1 + gamma_l rho_l), factored once up front.  The maths
+allows a step per block and per sample; the code takes one tau, gamma,
+rho and mu for all of them (tau_b = tau, gamma_l = gamma, rho_l = rho),
+and custom loops vary mu per call of :func:`dr_iterate`.  The printed
 scheme reads the pre-iteration w in the v-update ("literal"); composing
 the resolvents instead reads the block value just produced ("refreshed",
 the default), which is also what the simplified single-block scheme of
@@ -33,6 +36,7 @@ record function handed to :func:`proxsplit.trace.drive`, the loop shared
 with the baselines.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -45,26 +49,25 @@ from .errors import DomainError, FactorizationError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_beta, loss_prox, prox_group_l2, prox_l1
 from .sampling import make_rng, sample_without_replacement
-from .trace import check_loop_options, drive, float_copy
+from .trace import check_batch_size, check_loop_options, drive, float_copy
 
 
 @dataclass
 class DRConfig:
     """Solver parameters.
 
-    tau, gamma, rho accept scalars or per-block / per-sample sequences.
-    mu is the relaxation: a constant in (eta, 2-eta) or a callable i -> mu_i.
-    batch_size None means every sample each iteration; primal_activation is
-    "all" or the number of blocks drawn uniformly per iteration.
+    tau, gamma, rho and mu are scalars, shared by every block and sample;
+    mu is the relaxation, in (ETA, 2 - ETA).  batch_size None means every
+    sample each iteration; primal_activation is "all" or the number of
+    blocks drawn uniformly per iteration.
     plateau_window enables early stopping when the objective moves by less
     than plateau_rtol (relative) over that many iterations.
     """
 
-    tau: object = 1.0
-    gamma: object = 1.0
-    rho: object = 0.0
-    mu: object = 1.5
-    eta: float = 0.49
+    tau: float = 1.0
+    gamma: float = 1.0
+    rho: float = 0.0
+    mu: float = 1.5
     batch_size: object = None
     primal_activation: object = "all"
     v_update_variant: str = "refreshed"
@@ -75,70 +78,57 @@ class DRConfig:
     plateau_rtol: float = 1e-10
 
 
+# the relaxation mu must lie in (ETA, 2 - ETA)
+ETA = 0.49
+
+
 @dataclass
 class _Resolved:
-    """Validated per-block / per-sample parameter arrays."""
+    """Validated step parameters."""
 
-    tau: np.ndarray
-    gamma: np.ndarray
-    rho: np.ndarray
-    inv1p: np.ndarray  # 1 / (1 + gamma * rho)
+    tau: float
+    gamma: float
+    rho: float
+    mu: float
+    inv1p: float  # 1 / (1 + gamma * rho)
     batch_size: int
     primal_k: object  # None = all blocks
     literal: bool
 
 
 def resolve_config(problem, config):
-    """Broadcast and validate a DRConfig against a problem.
+    """Validate a DRConfig against a problem.
 
-    Raises DomainError naming the violated inequality; returns the
-    resolved arrays.  rho is forced to 0 (with a warning) for losses
-    without a Lipschitz gradient.
+    Raises DomainError naming the violated inequality, or the parameter
+    that is not a real scalar; returns the resolved floats.  rho is forced
+    to 0 (with a warning) for losses without a Lipschitz gradient.
     """
     B = problem.num_blocks
-    L = problem.n_samples
-    tau = np.broadcast_to(np.asarray(config.tau, dtype=float), (B,)).copy()
-    gamma = np.broadcast_to(np.asarray(config.gamma, dtype=float), (L,)).copy()
-    rho = np.broadcast_to(np.asarray(config.rho, dtype=float), (L,)).copy()
-    if not np.all(np.isfinite(tau)) or np.any(tau <= 0.0):
-        raise DomainError("tau must be positive and finite for every block")
-    if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0.0):
-        raise DomainError("gamma must be positive and finite for every sample")
-    if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
-        raise DomainError("rho must be nonnegative and finite for every sample")
+    positive = "be positive, finite and a scalar"
+    tau = _scalar("tau", config.tau, positive, lambda x: 0.0 < x < math.inf)
+    gamma = _scalar("gamma", config.gamma, positive, lambda x: 0.0 < x < math.inf)
+    rho = _scalar("rho", config.rho, "be nonnegative, finite and a scalar",
+                  lambda x: 0.0 <= x < math.inf)
 
     beta = loss_beta(problem.loss)
     if beta is None:
-        if np.any(rho != 0.0):
+        if rho != 0.0:
             warnings.warn(
                 "rho forced to 0: loss %s has no Lipschitz gradient" % problem.loss.value,
                 stacklevel=2,
             )
-            rho[:] = 0.0
-    else:
-        worst = B * beta * float(np.max(rho))
-        if worst > 1.0:
-            raise DomainError(
-                "B*beta*rho <= 1 violated: B=%d, beta=%g, rho=%g gives %g"
-                % (B, beta, float(np.max(rho)), worst)
-            )
-    gr = gamma * rho
-    if np.any(gr >= 1.0):
-        bad = int(np.argmax(gr))
+            rho = 0.0
+    elif B * beta * rho > 1.0:
         raise DomainError(
-            "gamma*rho < 1 violated: gamma=%g, rho=%g gives %g"
-            % (gamma[bad], rho[bad], gr[bad])
+            "B*beta*rho <= 1 violated: B=%d, beta=%g, rho=%g gives %g"
+            % (B, beta, rho, B * beta * rho)
         )
-
-    eta = float(config.eta)
-    if not (0.0 < eta <= 1.0):
-        raise DomainError("eta must lie in (0, 1], got %g" % eta)
-    if not callable(config.mu):
-        _check_mu(float(config.mu), eta)
-
-    batch = L if config.batch_size is None else int(config.batch_size)
-    if not 1 <= batch <= L:
-        raise DomainError("batch_size must lie in [1, %d], got %d" % (L, batch))
+    if gamma * rho >= 1.0:
+        raise DomainError(
+            "gamma*rho < 1 violated: gamma=%g, rho=%g gives %g" % (gamma, rho, gamma * rho)
+        )
+    mu = _check_mu(config.mu)
+    batch = check_batch_size(config.batch_size, problem.n_samples)
 
     if config.primal_activation == "all":
         primal_k = None
@@ -161,30 +151,39 @@ def resolve_config(problem, config):
         tau=tau,
         gamma=gamma,
         rho=rho,
-        inv1p=1.0 / (1.0 + gr),
+        mu=mu,
+        inv1p=1.0 / (1.0 + gamma * rho),
         batch_size=batch,
         primal_k=primal_k,
         literal=config.v_update_variant == "literal",
     )
 
 
-def _check_mu(mu, eta):
-    if not (eta < mu < 2.0 - eta):
-        raise DomainError("mu must lie in (eta, 2 - eta): mu=%g, eta=%g" % (mu, eta))
-    return mu
+def _scalar(name, value, requirement, ok):
+    """float(value); DomainError naming the parameter unless value is a
+    real number (not a sequence or a callable) that passes ok."""
+    x = None
+    if not callable(value) and np.ndim(value) == 0:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+    if x is None or not ok(x):
+        raise DomainError("%s must %s, got %r" % (name, requirement, value))
+    return x
 
 
-def _mu_at(config, i):
-    mu = config.mu(i) if callable(config.mu) else config.mu
-    return _check_mu(float(mu), float(config.eta))
+def _check_mu(mu):
+    return _scalar("mu", mu, "lie in (%g, %g) and be a scalar" % (ETA, 2.0 - ETA),
+                   lambda x: ETA < x < 2.0 - ETA)
 
 
 @dataclass
 class Preconditioner:
     """Cholesky-factored block resolvent matrices plus the row data.
 
-    matrices[b] = Id + tau_b * X_b^T diag(c) X_b with
-    c_l = gamma_l/(1+gamma_l rho_l); labels cancel since y_l^2 = 1.
+    matrices[b] = Id + tau * X_b^T diag(c) X_b with
+    c = gamma/(1+gamma rho); labels cancel since y_l^2 = 1.
     features is the L x N CSR with sorted column indices that every
     iteration gathers its mini-batch rows from: the problem's own matrix
     when its indices are already sorted, otherwise one sorted copy.
@@ -219,8 +218,8 @@ def _build_preconditioner(problem, res):
     matrices, factors = [], []
     for b, sl in enumerate(slices):
         Xb = rows[:, sl]
-        gram = (Xb.T @ Xb.multiply(c[:, None])).toarray()
-        M = np.eye(sl.stop - sl.start) + res.tau[b] * gram
+        gram = (Xb.T @ Xb.multiply(c)).toarray()
+        M = np.eye(sl.stop - sl.start) + res.tau * gram
         try:
             factor = cho_factor(M, lower=True)
         except (LinAlgError, ValueError) as exc:
@@ -252,7 +251,7 @@ class DRState:
 
 
 def dual_aggregate(problem, config, s):
-    """Recompute u_b = sum_l y_l x_{l,b} s_{l,b} / (1 + gamma_l rho_l) from scratch."""
+    """Recompute u_b = sum_l y_l x_{l,b} s_{l,b} / (1 + gamma rho) from scratch."""
     res = resolve_config(problem, config)
     return _aggregate(problem, res, float_copy("s", s, (problem.n_samples, problem.num_blocks)))
 
@@ -304,7 +303,7 @@ def dr_iterate(state, problem, precond, config, epsilon, mu):
         raise DomainError("epsilon must activate at least one block or sample")
     act_b = np.flatnonzero(eps[:B])
     act_l = np.flatnonzero(eps[B:])
-    return _iterate(state, problem, precond, res, act_b, act_l, _check_mu(float(mu), float(config.eta)))
+    return _iterate(state, problem, precond, res, act_b, act_l, _check_mu(mu))
 
 
 def _iterate(state, problem, precond, res, act_b, act_l, mu):
@@ -322,33 +321,32 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
 
     for b in act_b:
         sl = slices[b]
-        wb = precond.apply(b, state.t[sl] - res.tau[b] * state.u[sl])
+        wb = precond.apply(b, state.t[sl] - res.tau * state.u[sl])
         if not np.all(np.isfinite(wb)):
             raise NumericalError("non-finite primal update in block %d" % b)
         state.w[sl] = wb
         z = 2.0 * wb - state.t[sl]
-        thresh = res.tau[b] * lam
+        thresh = res.tau * lam
         pz = prox_l1(z, thresh) if problem.kappas[b] == 1 else prox_group_l2(z, thresh)
         state.t[sl] += mu * (pz - wb)
 
     if act_l.size:
         if aw is None:
             aw = _block_products(Xa, ya, state.w, slices)
-        g = res.gamma[act_l]
-        inv1p = res.inv1p[act_l]
+        g = res.gamma
         s_rows = state.s[act_l, :]
-        v_new = (s_rows + g[:, None] * aw) * inv1p[:, None]
+        v_new = (s_rows + g * aw) * res.inv1p
         p = 2.0 * v_new.sum(axis=1) - s_rows.sum(axis=1)
         if not np.all(np.isfinite(p)):
             raise NumericalError("non-finite dual intermediate")
-        scale = B * (1.0 - g * res.rho[act_l])
+        scale = B * (1.0 - g * res.rho)
         q = loss_prox(problem.loss, p / g, scale / g)
         ds = mu * (((p - g * q) / scale)[:, None] - v_new)
         if not np.all(np.isfinite(ds)):
             raise NumericalError("non-finite dual update")
         state.v[act_l, :] = v_new
         state.s[act_l, :] = s_rows + ds
-        r = Xa.T @ ((ya * inv1p)[:, None] * ds)
+        r = Xa.T @ ((ya * res.inv1p)[:, None] * ds)
         for b, sl in enumerate(slices):
             state.u[sl] += r[sl, b]
 
@@ -416,10 +414,9 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     pool_l = np.arange(L)
 
     def step(i):
-        mu = _mu_at(config, i)
         act_b = pool_b if res.primal_k is None else sample_without_replacement(rng, pool_b, res.primal_k)
         act_l = sample_without_replacement(rng, pool_l, res.batch_size)
-        return _iterate(state, problem, precond, res, act_b, act_l, mu).w
+        return _iterate(state, problem, precond, res, act_b, act_l, res.mu).w
 
     def record(trace, iteration, seconds):
         w_hat = reg_prox(problem, 2.0 * state.w - state.t, res.tau)
@@ -448,10 +445,10 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     res = resolve_config(problem, config)
     if problem.num_blocks != 1:
         raise DomainError("run_simplified requires a single block, got B=%d" % problem.num_blocks)
-    if np.any(res.rho != 0.0):
+    if res.rho != 0.0:
         raise DomainError("run_simplified requires rho = 0")
     N, L = problem.n_features, problem.n_samples
-    tau = float(res.tau[0])
+    tau, g, mu = res.tau, res.gamma, res.mu
     rng = make_rng(config.seed)
     precond = _build_preconditioner(problem, res)
     X = problem.data.features
@@ -465,7 +462,6 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
 
     def step(i):
         nonlocal w, t, ut
-        mu = _mu_at(config, i)
         act_l = sample_without_replacement(rng, pool_l, res.batch_size)
         w_old = w
         w = precond.apply(0, t + ut)
@@ -475,7 +471,6 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         ya = y[act_l]
         Xa = X[act_l]
         aw = ya * (Xa @ (w_old if res.literal else w))
-        g = res.gamma[act_l]
         q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)
         if not np.all(np.isfinite(ds)):

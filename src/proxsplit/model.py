@@ -184,16 +184,16 @@ def smooth_gradient(problem, w):
 
 
 def reg_prox(problem, z, tau):
-    """Blockwise prox of tau_b * lambda * ||.||_{kappa_b}; exact zeros survive.
+    """Blockwise prox of tau * lambda * ||.||_{kappa_b}; exact zeros survive.
 
-    tau may be a scalar or one value per block.
+    tau is one scalar for every block; DomainError otherwise.
     """
+    if np.ndim(tau) != 0:
+        raise DomainError("tau must be a scalar, got %r" % (tau,))
     z = np.asarray(z, dtype=float)
-    B = problem.num_blocks
-    tau_b = np.broadcast_to(np.asarray(tau, dtype=float), (B,))
+    thresh = tau * problem.reg.lam
     out = np.empty_like(z)
-    for b, (sl, kappa) in enumerate(zip(problem.partition.slices(), problem.kappas)):
-        thresh = tau_b[b] * problem.reg.lam
+    for sl, kappa in zip(problem.partition.slices(), problem.kappas):
         if kappa == 1:
             out[sl] = prox_l1(z[sl], thresh)
         else:

@@ -11,8 +11,9 @@ is at most gamma/2.  u = log(gap) is the root of the increasing, convex
 so Newton started right of the root, at bounds from log(1+e^x) >=
 max(0, x), falls monotonically onto it with no bracket.  A closing Newton
 step on p + log(p - v) - log(v + gamma - p) = 0 restores the absolute
-accuracy e^u loses when the gap is large.  Far below zero the solution
-collapses onto v + gamma and a two-term expansion is exact.
+accuracy e^u loses when the gap is large.  The same kernel serves every
+finite input, gamma + v far below zero included; the two-term expansion
+:func:`prox_logistic_asymptotic` is kept only as an independent check.
 """
 
 import enum
@@ -21,12 +22,6 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConvergenceError, DomainError
-
-# delegate prox_logistic to the asymptotic expansion when gamma + v is below
-# this: the expansion parameter exp(gamma+v) is then < 6.4e-16, so the
-# neglected third-order term is far under double precision, and the Newton
-# path would see no representable curvature anyway
-V_SWITCH = -35.0
 
 # the log-space Newton stops once its step, the relative change of the
 # gap, is below this; the closing step on the log form, whose curvature
@@ -52,29 +47,17 @@ def prox_logistic(v, gamma):
         clamped to the open interval (v, v+gamma): when rounding would land
         exactly on an endpoint the nearest interior double is returned.
     """
-    v_arr, g_arr = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(gamma, dtype=float))
-    if not np.all(g_arr > 0.0):
+    v = np.asarray(v, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all(gamma > 0.0):
         raise DomainError("gamma must be positive")
-    if not (np.all(np.isfinite(v_arr)) and np.all(np.isfinite(g_arr))):
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(gamma))):
         raise DomainError("prox_logistic arguments must be finite")
-    scalar = v_arr.ndim == 0
-    v_arr = np.atleast_1d(v_arr)
-    g_arr = np.atleast_1d(g_arr)
-
-    tail = g_arr + v_arr <= V_SWITCH
-    if np.any(tail):
-        p = np.empty_like(v_arr)
-        p[tail] = prox_logistic_asymptotic(v_arr[tail], g_arr[tail])
-        p[~tail] = _prox_logistic_newton(v_arr[~tail], g_arr[~tail])
-    else:
-        p = _prox_logistic_newton(v_arr, g_arr)
-
+    p = _prox_logistic_newton(v, gamma)
     # the exact solution is strictly interior; keep the float one interior too
-    lo_open = np.nextafter(v_arr, np.inf)
-    hi_open = np.nextafter(v_arr + g_arr, -np.inf)
-    p = np.maximum(np.minimum(p, hi_open), lo_open)
-    if scalar:
-        return float(p[0])
+    p = np.maximum(np.minimum(p, np.nextafter(v + gamma, -np.inf)), np.nextafter(v, np.inf))
+    if p.ndim == 0:
+        return float(p)
     return p
 
 
@@ -115,8 +98,10 @@ def _prox_logistic_newton(v, gamma):
 def prox_logistic_asymptotic(v, gamma):
     """Two-term expansion v + gamma*(1 - e^(gamma+v) + (1+gamma)*e^(2(gamma+v))).
 
-    Intended for gamma + v well below zero (see V_SWITCH), where it agrees
-    with the exact prox to machine precision and never overflows.
+    It holds only where gamma * e^(gamma+v) is negligible: gamma + v well
+    below zero with gamma moderate.  At v = -1.0000000000000036e16,
+    gamma = 1e16 it gives -36 against the root -36.92.  prox_logistic does
+    not call it; it stays as an independent check of the far tail.
     """
     v = np.asarray(v, dtype=float)
     gamma = np.asarray(gamma, dtype=float)

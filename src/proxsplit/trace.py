@@ -171,6 +171,15 @@ def check_loop_options(config):
         raise DomainError("plateau_window must be >= 1 when set")
 
 
+def check_batch_size(batch_size, n_samples):
+    """The per-iteration sample count: n_samples when batch_size is None;
+    DomainError unless it lies in [1, n_samples]."""
+    batch = n_samples if batch_size is None else int(batch_size)
+    if not 1 <= batch <= n_samples:
+        raise DomainError("batch_size must lie in [1, %d], got %d" % (n_samples, batch))
+    return batch
+
+
 def float_copy(name, value, shape):
     """A float copy of a caller's array (a start vector, say); DomainError
     unless it has the given shape."""

@@ -68,15 +68,20 @@ def _prox_logistic_newton(v, gamma, tol, max_iters):
     return p
 
 
+# prox_logistic_bracketed hands gamma + v at or below this to the
+# asymptotic expansion, as the library did alongside the bracketed kernel
+V_SWITCH = -35.0
+
+
 def prox_logistic_bracketed(v, gamma):
     """The logistic prox by bracketed, bisection-safeguarded Newton from the
-    midpoint of (v, v+gamma), with the library's asymptotic tail and
-    open-interval clamp around it: the kernel the log-space Newton
+    midpoint of (v, v+gamma), with the asymptotic tail and open-interval
+    clamp the library had around it: the kernel the log-space Newton
     replaced, kept to bound how far the two drift apart."""
     v, gamma = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(gamma, dtype=float))
     v = np.atleast_1d(v)
     gamma = np.atleast_1d(gamma)
-    tail = gamma + v <= px.prox.V_SWITCH
+    tail = gamma + v <= V_SWITCH
     p = np.empty_like(v)
     p[tail] = px.prox_logistic_asymptotic(v[tail], gamma[tail])
     p[~tail] = _prox_logistic_newton(v[~tail], gamma[~tail], 1e-14, 200)
@@ -117,6 +122,8 @@ PROX_LOGISTIC_25_05 = 2.5366637747721663     # v=2.5, gamma=0.5
 PROX_LOGISTIC_M30_1 = -29.000000000000256    # v=-30, gamma=1 (deep tail)
 PROX_LOGISTIC_M20_2 = -18.000000030459958    # v=-20, gamma=2 (deep tail)
 PROX_LOGISTIC_HUGE = -42.306755091738395     # v=-1e20, gamma=1e20
+PROX_LOGISTIC_TAIL_16 = -36.92227419548086   # v=-1.0000000000000036e16, gamma=1e16
+PROX_LOGISTIC_TAIL_12 = -36.00023189849988   # v=-1000000000036.0, gamma=1e12
 PROX_CONJ_5_2 = -0.07332754954433252         # conjugate prox, v=5, sigma=2
 
 
@@ -169,26 +176,25 @@ def iterate_per_block(state, problem, precond, res, act_b, act_l, mu, columns):
     aw = products(state.w) if res.literal and act_l.size else None
     for b in act_b:
         sl = slices[b]
-        wb = cho_solve(precond.factors[b], state.t[sl] - res.tau[b] * state.u[sl])
+        wb = cho_solve(precond.factors[b], state.t[sl] - res.tau * state.u[sl])
         state.w[sl] = wb
         z = 2.0 * wb - state.t[sl]
-        thresh = res.tau[b] * problem.reg.lam
+        thresh = res.tau * problem.reg.lam
         pz = prox_l1(z, thresh) if problem.kappas[b] == 1 else prox_group_l2(z, thresh)
         state.t[sl] += mu * (pz - wb)
     if act_l.size:
         if aw is None:
             aw = products(state.w)
-        g = res.gamma[act_l]
-        inv1p = res.inv1p[act_l]
+        g = res.gamma
         s_rows = state.s[act_l, :]
-        v_new = (s_rows + g[:, None] * aw) * inv1p[:, None]
+        v_new = (s_rows + g * aw) * res.inv1p
         p = 2.0 * v_new.sum(axis=1) - s_rows.sum(axis=1)
-        scale = B * (1.0 - g * res.rho[act_l])
+        scale = B * (1.0 - g * res.rho)
         q = loss_prox(problem.loss, p / g, scale / g)
         ds = mu * (((p - g * q) / scale)[:, None] - v_new)
         state.v[act_l, :] = v_new
         state.s[act_l, :] = s_rows + ds
-        coef = y[act_l] * inv1p
+        coef = y[act_l] * res.inv1p
         for b in range(B):
             state.u[slices[b]] += columns[b][act_l].T @ (coef * ds[:, b])
     state.iteration += 1
@@ -208,11 +214,10 @@ def run_per_block(problem, config):
     state = px.init_state(problem, config, t0, np.zeros((L, B)))
     columns = block_columns(problem)
     pool_b, pool_l = np.arange(B), np.arange(L)
-    for i in range(int(config.max_iters)):
-        mu = config.mu(i) if callable(config.mu) else config.mu
+    for _ in range(int(config.max_iters)):
         act_b = pool_b if res.primal_k is None else sample_by_swaps(rng, pool_b, res.primal_k)
         act_l = sample_by_swaps(rng, pool_l, res.batch_size)
-        iterate_per_block(state, problem, precond, res, act_b, act_l, float(mu), columns)
+        iterate_per_block(state, problem, precond, res, act_b, act_l, res.mu, columns)
     return px.extract_solution(state, problem, config), state
 
 

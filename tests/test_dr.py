@@ -19,12 +19,10 @@ def small_problem():
 
 def test_resolve_config_broadcasts():
     prob = small_problem()
-    res = px.resolve_config(prob, px.DRConfig(tau=2.0, gamma=0.5, rho=1.0))
-    assert res.tau.shape == (3,) and np.all(res.tau == 2.0)
-    assert res.gamma.shape == (8,) and np.all(res.gamma == 0.5)
-    assert np.allclose(res.inv1p, 1.0 / 1.5)
-    res2 = px.resolve_config(prob, px.DRConfig(tau=[1.0, 2.0, 3.0]))
-    assert np.array_equal(res2.tau, [1.0, 2.0, 3.0])
+    res = px.resolve_config(prob, px.DRConfig(tau=2.0, gamma=0.5, rho=1.0, mu=np.float64(1.2)))
+    assert (res.tau, res.gamma, res.rho, res.mu) == (2.0, 0.5, 1.0, 1.2)
+    assert all(type(x) is float for x in (res.tau, res.gamma, res.rho, res.mu, res.inv1p))
+    assert res.inv1p == pytest.approx(1.0 / 1.5)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -33,8 +31,8 @@ def test_resolve_config_broadcasts():
     (dict(gamma=-2.0), "gamma must be positive"),
     (dict(rho=-0.1), "rho must be nonnegative"),
     (dict(rho=10.0), r"B\*beta\*rho <= 1 violated"),
-    (dict(eta=0.0), "eta must lie in"),
-    (dict(eta=1.2), "eta must lie in"),
+    (dict(gamma=np.ones(8)), "gamma must be positive, finite and a scalar"),
+    (dict(mu=lambda i: 1.5), r"mu must lie in \(0.49, 1.51\) and be a scalar"),
     (dict(mu=2.0), "mu must lie in"),
     (dict(mu=0.1), "mu must lie in"),
     (dict(batch_size=0), "batch_size must lie in"),
@@ -43,6 +41,9 @@ def test_resolve_config_broadcasts():
     (dict(primal_activation=4), "primal_activation"),
     (dict(v_update_variant="bogus"), "v_update_variant"),
     (dict(trace_stride=0), "trace_stride"),
+    (dict(tau=[1.0, 2.0, 3.0]), "tau must be positive, finite and a scalar"),
+    (dict(rho=(0.1,)), "rho must be nonnegative, finite and a scalar"),
+    (dict(gamma="1.0x"), "gamma must be positive, finite and a scalar"),
 ])
 def test_resolve_config_rejects(kwargs, msg):
     with pytest.raises(DomainError, match=msg):
@@ -60,13 +61,6 @@ def test_rho_forced_to_zero_for_hinge():
     with pytest.warns(UserWarning, match="rho forced to 0"):
         res = px.resolve_config(prob, px.DRConfig(rho=0.5))
     assert np.all(res.rho == 0.0)
-
-
-def test_mu_callable_checked_per_iteration():
-    prob = tiny_problem()
-    cfg = px.DRConfig(mu=lambda i: 1.0 if i < 3 else 5.0, max_iters=10)
-    with pytest.raises(DomainError, match="mu must lie in"):
-        px.run(prob, cfg)
 
 
 # -------------------------------------------------------- preconditioner
@@ -96,7 +90,7 @@ def test_preconditioner_zero_block_is_identity():
 
 def test_preconditioner_solves_its_own_matrix():
     prob = make_problem(7, 12, 3, lam=0.2, seed=21)
-    pre = px.build_preconditioner(prob, px.DRConfig(tau=[0.5, 1.0, 2.0], gamma=1.3, rho=0.2))
+    pre = px.build_preconditioner(prob, px.DRConfig(tau=2.0, gamma=1.3, rho=0.2))
     rng = np.random.Generator(np.random.PCG64(1))
     for b, sl in enumerate(prob.partition.slices()):
         z = rng.standard_normal(sl.stop - sl.start)
@@ -380,7 +374,7 @@ def test_extract_solution_exact_zeros():
     out = px.extract_solution(state, prob, cfg)
     thresh = 2.0 * 0.4
     assert np.all(out[np.abs(z) <= thresh] == 0.0)
-    assert np.array_equal(out, px.reg_prox(prob, z, np.full(3, 2.0)))
+    assert np.array_equal(out, px.reg_prox(prob, z, 2.0))
 
 
 def test_fixed_point_certificate_at_convergence():

@@ -200,11 +200,11 @@ def test_reg_prox_mixed_blocks_scalar_tau():
 
 
 def test_reg_prox_per_block_tau():
+    # one tau serves every block; a value per block is rejected by name
     prob = two_block_problem()
     z = np.array([3.0, 4.0, 0.0, 1.5, -0.5])
-    out = px.reg_prox(prob, z, np.array([1.0, 4.0]))
-    expect = np.concatenate([px.prox_group_l2(z[:3], 0.5), px.prox_l1(z[3:], 2.0)])
-    assert np.array_equal(out, expect)
+    with pytest.raises(DomainError, match="tau must be a scalar"):
+        px.reg_prox(prob, z, np.array([1.0, 4.0]))
 
 
 def test_reg_prox_zero_lambda_is_identity():

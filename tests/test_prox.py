@@ -24,6 +24,8 @@ from oracles import (
     PROX_LOGISTIC_HUGE,
     PROX_LOGISTIC_M20_2,
     PROX_LOGISTIC_M30_1,
+    PROX_LOGISTIC_TAIL_12,
+    PROX_LOGISTIC_TAIL_16,
     central_difference,
     prox_by_minimization,
     prox_logistic_bisect,
@@ -67,6 +69,12 @@ def test_logistic_prox_frozen_values():
     assert px.prox_logistic(-20.0, 2.0) == pytest.approx(PROX_LOGISTIC_M20_2, abs=1e-12)
     # p - v and v + gamma - p near 1e20 with p far below them
     assert px.prox_logistic(-1e20, 1e20) == pytest.approx(PROX_LOGISTIC_HUGE, abs=1e-13)
+    # gamma + v = -36 with gamma * e^(gamma+v) at 2.3 and 2.3e-4: the
+    # two-term expansion, summed at the scale of v, is off by 0.92 and 1.2e-5
+    assert px.prox_logistic(-1.0000000000000036e16, 1e16) == pytest.approx(
+        PROX_LOGISTIC_TAIL_16, abs=1e-13)
+    assert px.prox_logistic(-1000000000036.0, 1e12) == pytest.approx(
+        PROX_LOGISTIC_TAIL_12, abs=1e-13)
 
 
 def test_logistic_prox_against_bisection():
@@ -96,12 +104,17 @@ def test_logistic_prox_vector_matches_scalar():
     batch = px.prox_logistic(v, gamma)
     singles = np.array([px.prox_logistic(vi, gi) for vi, gi in zip(v, gamma)])
     assert np.array_equal(batch, singles)
+    # one scalar gamma, as the splitting solver passes it, and the same
+    # value broadcast to an array give the same bits
+    rng = np.random.Generator(np.random.PCG64(9))
+    v = rng.uniform(-150.0, 25.0, 10_000)
+    assert np.array_equal(px.prox_logistic(v, DR_SCALE), px.prox_logistic(v, np.full(v.size, DR_SCALE)))
     out = px.prox_logistic(0.0, 1.0)
     assert isinstance(out, float)
 
 
 def test_logistic_prox_tail_handoff_is_continuous():
-    # exact and tail branches meet near the switch without a visible seam
+    # no seam where gamma + v crosses -35, the old switch to the expansion
     for gamma in (0.5, 1.0, 2.0):
         left = px.prox_logistic(-35.2, gamma)
         right = px.prox_logistic(-34.8, gamma)
@@ -202,7 +215,8 @@ def test_logistic_prox_reports_non_convergence(monkeypatch):
     monkeypatch.setattr(prox, "NEWTON_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
         px.prox_logistic(0.0, 1.0)
-    # the asymptotic tail never enters the Newton loop
+    # deep in the tail the start already solves the equation to rounding,
+    # so the first sweep stops
     assert -50.0 < px.prox_logistic(-50.0, 1.0) < -49.0
 
 
