@@ -18,7 +18,7 @@ from .errors import ConvergenceError, DomainError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_grad, loss_prox, prox_conjugate
 from .sampling import make_rng, sample_without_replacement
-from .trace import check_batch_size, drive, float_copy
+from .trace import check_batch_size, check_positive, drive, float_copy
 
 
 @dataclass
@@ -27,7 +27,7 @@ class BaselineConfig:
 
     step_c scales the decreasing SFB/RDA steps c/sqrt(i+1).  tau and sigma
     are the BCPD steps; sigma None means 1/(tau * ||sum x x^T||), the
-    largest admissible value.
+    largest admissible value.  Each step is a positive, finite scalar.
     """
 
     step_c: float = 1.0
@@ -57,14 +57,13 @@ def _finite(w, i):
 
 def _batch_gradient(problem, w, act_l):
     """sum_{l in batch} y_l x_l h'(y_l <x_l, w>)."""
-    Xa = problem.data.features[act_l]
-    ya = problem.data.labels[act_l]
+    Xa, ya = problem.data.rows(act_l)
     hp = loss_grad(problem.loss, ya * (Xa @ w))
     return Xa.T @ (ya * hp)
 
 
-def _step_size(config, i):
-    return config.step_c / np.sqrt(i + 1.0)
+def _step_size(step_c, i):
+    return step_c / np.sqrt(i + 1.0)
 
 
 def _gradient_run(problem, config, w0, reference, callback, update):
@@ -72,8 +71,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     the step of the last iteration before each record goes to
     trace.extra["step"]."""
     start = time.perf_counter()
-    if not (config.step_c > 0.0):
-        raise DomainError("step_c must be positive")
+    step_c = check_positive("step_c", config.step_c)
     L = problem.n_samples
     batch = check_batch_size(config.batch_size, L)
     rng, w = _seeded_start(problem, config, w0)
@@ -81,7 +79,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
 
     def step(i):
         nonlocal w
-        gamma_i = _step_size(config, i)
+        gamma_i = _step_size(step_c, i)
         act_l = sample_without_replacement(rng, pool_l, batch)
         w = _finite(update(w, _batch_gradient(problem, w, act_l), gamma_i, i), i)
         return w
@@ -89,7 +87,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     def record(trace, iteration, seconds):
         trace.add(iteration, seconds, objective(problem, w), w, reference)
         if iteration:
-            trace.extra.setdefault("step", []).append(_step_size(config, iteration - 1))
+            trace.extra.setdefault("step", []).append(_step_size(step_c, iteration - 1))
 
     trace = drive(config, start, step, record, callback)
     return w, trace
@@ -143,23 +141,17 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     picks equality.
     """
     start = time.perf_counter()
-    if not (config.tau > 0.0):
-        raise DomainError("tau must be positive")
+    tau = check_positive("tau", config.tau)
+    sigma = None if config.sigma is None else check_positive("sigma", config.sigma)
     L = problem.n_samples
-    X = problem.data.features
-    y = problem.data.labels
     batch = check_batch_size(config.batch_size, L)
-    nrm = operator_norm_sq(X)
-    if config.sigma is None:
-        sigma = 1.0 / (config.tau * nrm) if nrm > 0.0 else 1.0
-    else:
-        sigma = float(config.sigma)
-        if not (sigma > 0.0):
-            raise DomainError("sigma must be positive")
-    if config.tau * sigma * nrm > 1.0 + 1e-12:
+    nrm = operator_norm_sq(problem.data.features)
+    if sigma is None:
+        sigma = 1.0 / (tau * nrm) if nrm > 0.0 else 1.0
+    if tau * sigma * nrm > 1.0 + 1e-12:
         raise DomainError(
             "tau*sigma*||sum x x^T|| <= 1 violated: tau=%g, sigma=%g, norm=%g gives %g"
-            % (config.tau, sigma, nrm, config.tau * sigma * nrm)
+            % (tau, sigma, nrm, tau * sigma * nrm)
         )
     rng, w = _seeded_start(problem, config, w0)
     v = np.zeros(L)
@@ -172,9 +164,8 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     def step(i):
         nonlocal w, u
         act_l = sample_without_replacement(rng, pool_l, batch)
-        w_new = reg_prox(problem, w - config.tau * u, config.tau)
-        Xa = X[act_l]
-        ya = y[act_l]
+        w_new = reg_prox(problem, w - tau * u, tau)
+        Xa, ya = problem.data.rows(act_l)
         arg = v[act_l] + sigma * (ya * (Xa @ (2.0 * w_new - w)))
         v_new = prox_conjugate(prox_h, arg, sigma)
         u += Xa.T @ (ya * (v_new - v[act_l]))

@@ -41,7 +41,7 @@ from .prox import ScalarLoss, prox_logistic
 
 __all__ = ["main", "entrypoint", "save_model", "load_model"]
 
-_LOSS_NAMES = ("logistic", "hinge_q1", "hinge_q2", "huber")
+_LOSS_NAMES = tuple(loss.value for loss in ScalarLoss)
 _REG_NAMES = ("l1", "group-l2")
 
 

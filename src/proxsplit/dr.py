@@ -24,12 +24,14 @@ the resolvents instead reads the block value just produced ("refreshed",
 the default), which is also what the simplified single-block scheme of
 :func:`run_simplified` does.
 
-An iteration gathers the rows of its mini-batch once from a row-sorted
-CSR (a full batch uses the matrix as it is).  All B forward products are
-one sparse-times-dense product with the N x B block-diagonal layout of w,
-and all B adjoint products are one transposed product whose column b is
-read on block b only.  Sorted column indices keep the summation order of
-a per-block product, so the iterates are the same bit for bit.
+An iteration gathers the rows of its mini-batch once, through
+:meth:`proxsplit.model.TrainingSet.rows` (a full batch uses the matrix as
+it is), from the row-sorted CSR the training set keeps.  All B forward
+products are one sparse-times-dense product with the N x B block-diagonal
+layout of w, and all B adjoint products are one transposed product whose
+column b is read on block b only.  Sorted column indices keep the
+summation order of a per-block product, so the iterates are the same bit
+for bit.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
 record function handed to :func:`proxsplit.trace.drive`, the loop shared
@@ -42,14 +44,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DomainError, FactorizationError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_beta, loss_prox, prox_group_l2, prox_l1
 from .sampling import make_rng, sample_without_replacement
-from .trace import check_batch_size, check_loop_options, drive, float_copy
+from .trace import (check_batch_size, check_count, check_loop_options, check_positive,
+                    check_scalar, drive, float_copy)
 
 
 @dataclass
@@ -100,21 +102,22 @@ def resolve_config(problem, config):
     """Validate a DRConfig against a problem.
 
     Raises DomainError naming the violated inequality, or the parameter
-    that is not a real scalar; returns the resolved floats.  rho is forced
-    to 0 (with a warning) for losses without a Lipschitz gradient.
+    that is not a real scalar; returns the resolved floats.  rho > 0 is
+    implemented for the logistic loss only; for the other losses rho is
+    forced to 0 with a warning.
     """
     B = problem.num_blocks
-    positive = "be positive, finite and a scalar"
-    tau = _scalar("tau", config.tau, positive, lambda x: 0.0 < x < math.inf)
-    gamma = _scalar("gamma", config.gamma, positive, lambda x: 0.0 < x < math.inf)
-    rho = _scalar("rho", config.rho, "be nonnegative, finite and a scalar",
-                  lambda x: 0.0 <= x < math.inf)
+    tau = check_positive("tau", config.tau)
+    gamma = check_positive("gamma", config.gamma)
+    rho = check_scalar("rho", config.rho, "be nonnegative, finite and a scalar",
+                       lambda x: 0.0 <= x < math.inf)
 
     beta = loss_beta(problem.loss)
     if beta is None:
         if rho != 0.0:
             warnings.warn(
-                "rho forced to 0: loss %s has no Lipschitz gradient" % problem.loss.value,
+                "rho forced to 0: rho > 0 is implemented for the logistic loss only, not %s"
+                % problem.loss.value,
                 stacklevel=2,
             )
             rho = 0.0
@@ -130,15 +133,10 @@ def resolve_config(problem, config):
     mu = _check_mu(config.mu)
     batch = check_batch_size(config.batch_size, problem.n_samples)
 
-    if config.primal_activation == "all":
-        primal_k = None
-    else:
-        primal_k = int(config.primal_activation)
-        if not 1 <= primal_k <= B:
-            raise DomainError(
-                "primal_activation must be 'all' or a block count in [1, %d], got %d"
-                % (B, primal_k)
-            )
+    primal_k = None
+    if config.primal_activation != "all":
+        primal_k = check_count("primal_activation ('all' or a block count)",
+                               config.primal_activation, 1, B)
 
     if config.v_update_variant not in ("literal", "refreshed"):
         raise DomainError(
@@ -159,42 +157,23 @@ def resolve_config(problem, config):
     )
 
 
-def _scalar(name, value, requirement, ok):
-    """float(value); DomainError naming the parameter unless value is a
-    real number (not a sequence or a callable) that passes ok."""
-    x = None
-    if not callable(value) and np.ndim(value) == 0:
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-    if x is None or not ok(x):
-        raise DomainError("%s must %s, got %r" % (name, requirement, value))
-    return x
-
-
 def _check_mu(mu):
-    return _scalar("mu", mu, "lie in (%g, %g) and be a scalar" % (ETA, 2.0 - ETA),
-                   lambda x: ETA < x < 2.0 - ETA)
+    return check_scalar("mu", mu, "lie in (%g, %g) and be a scalar" % (ETA, 2.0 - ETA),
+                        lambda x: ETA < x < 2.0 - ETA)
 
 
 @dataclass
 class Preconditioner:
-    """Cholesky-factored block resolvent matrices plus the row data.
+    """Cholesky-factored block resolvent matrices.
 
     matrices[b] = Id + tau * X_b^T diag(c) X_b with
     c = gamma/(1+gamma rho); labels cancel since y_l^2 = 1.
-    features is the L x N CSR with sorted column indices that every
-    iteration gathers its mini-batch rows from: the problem's own matrix
-    when its indices are already sorted, otherwise one sorted copy.
     The factors are checked finite once, when they are built, so apply
     checks only its right-hand side.
     """
 
-    block_slices: list
     matrices: list
     factors: list
-    features: sp.csr_matrix
 
     def apply(self, b, z):
         """Solve matrices[b] @ out = z; ValueError if z is not finite."""
@@ -210,14 +189,10 @@ def build_preconditioner(problem, config):
 
 def _build_preconditioner(problem, res):
     X = problem.data.features
-    # The CSC round trip is a stable sort by column, so duplicate entries
-    # keep their order.
-    rows = X if X.has_sorted_indices else X.tocsc().tocsr()
     c = res.gamma * res.inv1p
-    slices = problem.partition.slices()
     matrices, factors = [], []
-    for b, sl in enumerate(slices):
-        Xb = rows[:, sl]
+    for b, sl in enumerate(problem.partition.slices()):
+        Xb = X[:, sl]
         gram = (Xb.T @ Xb.multiply(c)).toarray()
         M = np.eye(sl.stop - sl.start) + res.tau * gram
         try:
@@ -230,12 +205,7 @@ def _build_preconditioner(problem, res):
             raise FactorizationError("block %d resolvent factor is not finite" % b)
         factors.append(factor)
         matrices.append(M)
-    return Preconditioner(
-        block_slices=slices,
-        matrices=matrices,
-        factors=factors,
-        features=rows,
-    )
+    return Preconditioner(matrices=matrices, factors=factors)
 
 
 @dataclass
@@ -257,12 +227,8 @@ def dual_aggregate(problem, config, s):
 
 
 def _aggregate(problem, res, s):
-    coef = problem.data.labels * res.inv1p
-    r = problem.data.features.T @ (coef[:, None] * s)
-    u = np.empty(problem.n_features)
-    for b, sl in enumerate(problem.partition.slices()):
-        u[sl] = r[sl, b]
-    return u
+    data = problem.data
+    return _block_adjoint(data.features, data.labels, s * res.inv1p, problem.partition.slices())
 
 
 def init_state(problem, config, t0, s0):
@@ -308,14 +274,12 @@ def dr_iterate(state, problem, precond, config, epsilon, mu):
 
 def _iterate(state, problem, precond, res, act_b, act_l, mu):
     lam = problem.reg.lam
-    slices = precond.block_slices
+    slices = problem.partition.slices()
     B = len(slices)
 
     aw = None
     if act_l.size:
-        X = precond.features
-        Xa = X if act_l.size == X.shape[0] else X[act_l]
-        ya = problem.data.labels[act_l]
+        Xa, ya = problem.data.rows(act_l)
         if res.literal:
             aw = _block_products(Xa, ya, state.w, slices)
 
@@ -346,9 +310,7 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
             raise NumericalError("non-finite dual update")
         state.v[act_l, :] = v_new
         state.s[act_l, :] = s_rows + ds
-        r = Xa.T @ ((ya * res.inv1p)[:, None] * ds)
-        for b, sl in enumerate(slices):
-            state.u[sl] += r[sl, b]
+        state.u += _block_adjoint(Xa, ya, ds * res.inv1p, slices)
 
     state.iteration += 1
     return state
@@ -363,6 +325,14 @@ def _block_products(Xa, ya, w, slices):
     out = Xa @ W
     out *= ya[:, None]
     return out
+
+
+def _block_adjoint(Xa, ya, M, slices):
+    """(sum_l y_l x_{l,b} M_{l,b})_b as a length-N vector, for the gathered
+    rows Xa with labels ya and an (m, B) array M: one transposed product
+    whose column b is read on block b only."""
+    r = Xa.T @ (ya[:, None] * M)
+    return np.concatenate([r[sl, b] for b, sl in enumerate(slices)])
 
 
 def extract_solution(state, problem, config, which="prox"):
@@ -451,12 +421,10 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     tau, g, mu = res.tau, res.gamma, res.mu
     rng = make_rng(config.seed)
     precond = _build_preconditioner(problem, res)
-    X = problem.data.features
-    y = problem.data.labels
     w_init = rng.standard_normal(N)
     t = float_copy("t0", w_init if t0 is None else t0, (N,))
     st = float_copy("st0", np.zeros(L) if st0 is None else st0, (L,))
-    ut = X.T @ (y * st)
+    ut = problem.data.features.T @ (problem.data.labels * st)
     w = np.zeros(N)
     pool_l = np.arange(L)
 
@@ -468,8 +436,7 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         if not np.all(np.isfinite(w)):
             raise NumericalError("non-finite primal update")
         t += mu * (reg_prox(problem, 2.0 * w - t, tau) - w)
-        ya = y[act_l]
-        Xa = X[act_l]
+        Xa, ya = problem.data.rows(act_l)
         aw = ya * (Xa @ (w_old if res.literal else w))
         q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)

@@ -17,11 +17,17 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 from .prox import ScalarLoss, loss_grad, loss_value, prox_group_l2, prox_l1
+from .trace import check_count
 
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Feature matrix (L x N, CSR) with labels in {-1, +1}."""
+    """Feature matrix (L x N, CSR) with labels in {-1, +1}.
+
+    features has sorted column indices, which fix the summation order of
+    every solver product: a sorted float CSR is shared, anything else is
+    sorted into one copy in which duplicate entries keep their order.
+    """
 
     features: sp.csr_matrix
     labels: np.ndarray
@@ -30,6 +36,9 @@ class TrainingSet:
         X = self.features
         if not (sp.issparse(X) and X.format == "csr" and X.dtype == np.float64):
             X = sp.csr_matrix(X, dtype=float)  # keep an already-canonical matrix shared
+        if not X.has_sorted_indices:
+            # The CSC round trip is a stable sort by column.
+            X = X.tocsc().tocsr()
         y = np.asarray(self.labels, dtype=float).ravel()
         if X.shape[0] == 0 or X.shape[1] == 0:
             raise DomainError("training set must have at least one sample and one feature")
@@ -49,6 +58,14 @@ class TrainingSet:
     @property
     def n_features(self):
         return self.features.shape[1]
+
+    def rows(self, act_l):
+        """(Xa, ya): the feature rows and labels of the distinct samples
+        act_l.  All L samples, which must come in order as the sampler
+        draws them, give features and labels themselves, without a gather."""
+        if act_l.size == self.n_samples:
+            return self.features, self.labels
+        return self.features[act_l], self.labels[act_l]
 
 
 @dataclass(frozen=True)
@@ -72,10 +89,8 @@ class BlockPartition:
         Sizes differ by at most one and the larger blocks come first:
         (5, 2) gives offsets (0, 3, 5), (10, 6) gives (0, 2, 4, 6, 8, 9, 10).
         """
-        n = int(n_features)
-        b = int(num_blocks)
-        if b < 1 or b > n:
-            raise DomainError("need 1 <= num_blocks <= n_features, got B=%d, N=%d" % (b, n))
+        n = check_count("n_features", n_features, 0)
+        b = check_count("num_blocks", num_blocks, 1, n)
         size, extra = divmod(n, b)
         offs = [0]
         for i in range(b):

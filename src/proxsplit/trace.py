@@ -8,10 +8,12 @@ reproduces the in-memory trace exactly.
 
 :func:`drive` is the iteration loop of all five solvers, with the record
 at iteration 0, the callback, the strided record and the plateau stop;
-:func:`check_loop_options` and :func:`float_copy` are their shared checks.
+:func:`float_copy` and the ``check_*`` functions are their shared checks
+of start vectors, counts and scalar parameters.
 """
 
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -160,24 +162,50 @@ def plateau_hit(trace, window, rtol):
     return False
 
 
+def check_scalar(name, value, requirement, ok):
+    """float(value); DomainError naming the parameter unless value is a
+    real number (not a sequence or a callable) that passes ok."""
+    x = None
+    if not callable(value) and np.ndim(value) == 0:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+    if x is None or not ok(x):
+        raise DomainError("%s must %s, got %r" % (name, requirement, value))
+    return x
+
+
+def check_positive(name, value):
+    """check_scalar for a step: a positive, finite real number."""
+    return check_scalar(name, value, "be positive, finite and a scalar",
+                        lambda x: 0.0 < x < math.inf)
+
+
+def check_count(name, value, low, high=math.inf):
+    """int(value); DomainError naming the parameter unless value is an
+    integer (int(value) == value) in [low, high]."""
+    bounds = "be >= %d" % low if high == math.inf else "lie in [%d, %d]" % (low, high)
+    return int(check_scalar(name, value, bounds + " and be an integer",
+                            lambda x: x.is_integer() and low <= x <= high))
+
+
 def check_loop_options(config):
-    """DomainError unless trace_stride >= 1, max_iters >= 0 and
-    plateau_window is None or >= 1."""
-    if int(config.trace_stride) < 1:
-        raise DomainError("trace_stride must be >= 1")
-    if int(config.max_iters) < 0:
-        raise DomainError("max_iters must be >= 0")
-    if config.plateau_window is not None and int(config.plateau_window) < 1:
-        raise DomainError("plateau_window must be >= 1 when set")
+    """(max_iters, trace_stride, plateau_window) as ints; DomainError unless
+    each is integral, max_iters >= 0, trace_stride >= 1 and plateau_window
+    is None or >= 1."""
+    window = config.plateau_window
+    return (
+        check_count("max_iters", config.max_iters, 0),
+        check_count("trace_stride", config.trace_stride, 1),
+        None if window is None else check_count("plateau_window", window, 1),
+    )
 
 
 def check_batch_size(batch_size, n_samples):
     """The per-iteration sample count: n_samples when batch_size is None;
-    DomainError unless it lies in [1, n_samples]."""
-    batch = n_samples if batch_size is None else int(batch_size)
-    if not 1 <= batch <= n_samples:
-        raise DomainError("batch_size must lie in [1, %d], got %d" % (n_samples, batch))
-    return batch
+    DomainError unless it is an integer in [1, n_samples]."""
+    return n_samples if batch_size is None else check_count("batch_size", batch_size, 1, n_samples)
 
 
 def float_copy(name, value, shape):
@@ -201,8 +229,7 @@ def drive(config, start, step, record, callback=None):
     trace.extra["stopped_by_plateau"] tells whether the plateau rule
     ended the run.
     """
-    check_loop_options(config)
-    max_iters, stride = int(config.max_iters), int(config.trace_stride)
+    max_iters, stride, window = check_loop_options(config)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
     record(trace, 0, time.perf_counter() - start)
     stopped = False
@@ -212,9 +239,7 @@ def drive(config, start, step, record, callback=None):
             callback(i + 1, w)
         if (i + 1) % stride == 0 or i + 1 == max_iters:
             record(trace, i + 1, time.perf_counter() - start)
-            if config.plateau_window is not None and plateau_hit(
-                trace, int(config.plateau_window), float(config.plateau_rtol)
-            ):
+            if window is not None and plateau_hit(trace, window, float(config.plateau_rtol)):
                 stopped = True
                 break
     trace.extra["stopped_by_plateau"] = stopped

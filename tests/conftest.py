@@ -53,6 +53,16 @@ def make_problem(N, L, blocks, lam, seed, density=0.4, kappa=1,
     )
 
 
+class NoRowGather(sp.csr_matrix):
+    """A CSR matrix whose row gathers (indexing by an index array) fail the
+    test; column slices still work."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            raise AssertionError("a full batch must not gather rows")
+        return super().__getitem__(key)
+
+
 def tiny_problem(lam=0.0):
     """Single sample x=1, y=1: every DR quantity is computable by hand."""
     tset = px.TrainingSet(features=sp.csr_matrix(np.array([[1.0]])),

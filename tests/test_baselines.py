@@ -5,6 +5,8 @@ full convergence comparison against the splitting solver lives in the
 acceptance tests.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -122,6 +124,25 @@ def test_baseline_config_validation():
         px.bcpd_run(tiny, px.BaselineConfig(tau=1.0, sigma=-1.0, max_iters=1))
     with pytest.raises(DomainError, match="batch_size"):
         px.sfb_run(tiny, px.BaselineConfig(step_c=1.0, batch_size=0, max_iters=1))
+
+
+@pytest.mark.parametrize("run,kwargs,name", [
+    (px.sfb_run, dict(step_c=math.inf), "step_c"),
+    (px.sfb_run, dict(step_c="x"), "step_c"),
+    (px.rda_run, dict(step_c=[0.1]), "step_c"),
+    (px.rda_run, dict(step_c=math.nan), "step_c"),
+    (px.bcpd_run, dict(tau=math.inf), "tau"),
+    (px.bcpd_run, dict(tau=[0.1]), "tau"),
+    (px.bcpd_run, dict(sigma="x"), "sigma"),
+    (px.bcpd_run, dict(sigma=math.inf), "sigma"),
+    (px.bcpd_run, dict(sigma=np.ones(2)), "sigma"),
+])
+def test_baseline_steps_are_checked_before_any_iteration(run, kwargs, name):
+    seen = []
+    with pytest.raises(DomainError, match="%s must be positive, finite and a scalar" % name):
+        run(tiny_problem(), px.BaselineConfig(max_iters=3, **kwargs),
+            callback=lambda i, w: seen.append(i))
+    assert seen == []
 
 
 # ------------------------------------------------------------ operator norm

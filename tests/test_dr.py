@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 import proxsplit as px
 from proxsplit.errors import DomainError
-from conftest import make_problem, tiny_problem
+from conftest import NoRowGather, make_problem, tiny_problem
 
 
 def small_problem():
@@ -44,6 +44,7 @@ def test_resolve_config_broadcasts():
     (dict(tau=[1.0, 2.0, 3.0]), "tau must be positive, finite and a scalar"),
     (dict(rho=(0.1,)), "rho must be nonnegative, finite and a scalar"),
     (dict(gamma="1.0x"), "gamma must be positive, finite and a scalar"),
+    (dict(primal_activation=1.7), r"primal_activation .* and be an integer, got 1.7"),
 ])
 def test_resolve_config_rejects(kwargs, msg):
     with pytest.raises(DomainError, match=msg):
@@ -239,26 +240,21 @@ def test_masked_iteration_touches_only_active_coords():
         assert np.max(np.abs(state.u - u_full)) <= 1e-8 * max(1.0, np.max(np.abs(u_full)))
 
 
-class _NoGather(sp.csr_matrix):
-    """A CSR matrix whose row gathers fail the test."""
-
-    def __getitem__(self, key):
-        raise AssertionError("a full batch must not gather rows")
-
-
 def test_full_sample_mask_uses_the_matrix_without_gather():
     # The full mask on prob takes the no-gather path.  prob_pad adds an
     # all-zero sample, which leaves the resolvents bitwise unchanged, and a
     # mask over the original samples there takes the gather path.
-    prob = small_problem()
-    X = prob.data.features
+    small = small_problem()
+    X = small.data.features
+    prob = px.Problem(data=px.TrainingSet(features=NoRowGather(X), labels=small.data.labels),
+                      partition=small.partition, reg=small.reg, loss=small.loss)
+    assert isinstance(prob.data.features, NoRowGather)
     padded = sp.vstack([X, sp.csr_matrix((1, 6))], format="csr")
     prob_pad = px.Problem(data=px.TrainingSet(features=padded,
                                               labels=np.append(prob.data.labels, 1.0)),
                           partition=prob.partition, reg=prob.reg, loss=prob.loss)
     cfg = px.DRConfig(tau=0.7, gamma=1.2, rho=0.1)
     pre = px.build_preconditioner(prob, cfg)
-    pre.features = _NoGather(pre.features)
     pre_pad = px.build_preconditioner(prob_pad, cfg)
     for M, M_pad in zip(pre.matrices, pre_pad.matrices):
         assert np.array_equal(M, M_pad)

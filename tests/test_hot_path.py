@@ -113,18 +113,26 @@ def _unsorted_copy(X, duplicate=False):
     return out
 
 
+def _stably_sorted_rows(X):
+    """Per row, the (column, value) entries sorted by column with ties in
+    stored order."""
+    return [sorted(zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()), key=lambda e: e[0])
+            for lo, hi in zip(X.indptr[:-1], X.indptr[1:])]
+
+
 def test_unsorted_csr_input_matches_sorted_and_reference():
     prob = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3)
     X = prob.data.features
     assert X.has_sorted_indices
-    unsorted = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3, features=_unsorted_copy(X))
-    assert not unsorted.data.features.has_sorted_indices
+    raw = _unsorted_copy(X)
+    assert not raw.has_sorted_indices
+    unsorted = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3, features=raw)
     cfg = px.DRConfig(rho=0.1, batch_size=9, primal_activation=2, seed=8, max_iters=40)
 
-    shared = px.build_preconditioner(prob, cfg).features
-    assert shared is X  # sorted input is shared, not copied
-    copied = px.build_preconditioner(unsorted, cfg).features
-    assert copied is not unsorted.data.features and copied.has_sorted_indices
+    # sorted input is shared, not copied
+    assert px.TrainingSet(features=X, labels=prob.data.labels).features is X
+    copied = unsorted.data.features
+    assert copied is not raw and copied.has_sorted_indices
     assert np.array_equal(copied.toarray(), X.toarray())
 
     w_sorted, _ = px.run(prob, cfg)
@@ -134,8 +142,9 @@ def test_unsorted_csr_input_matches_sorted_and_reference():
     assert np.array_equal(w_unsorted, ref_hat)
 
     # duplicate entries are summed in the order they are stored
-    dup = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3,
-                   features=_unsorted_copy(X, duplicate=True))
+    raw_dup = _unsorted_copy(X, duplicate=True)
+    dup = _problem(11, 3, 1, px.ScalarLoss.LOGISTIC, seed=3, features=raw_dup)
+    assert _stably_sorted_rows(dup.data.features) == _stably_sorted_rows(raw_dup)
     w_dup, _ = px.run(dup, cfg)
     ref_hat, _ = run_per_block(dup, cfg)
     assert np.array_equal(w_dup, ref_hat)

@@ -1,6 +1,7 @@
 """The iteration loop all five solvers share (trace.drive): loop options,
-start vectors, the record schedule, callbacks, the plateau stop,
-determinism, and the module names through which each layer is reached."""
+start vectors, the mini-batch gather, the record schedule, callbacks, the
+plateau stop, determinism, and the module names through which each layer
+is reached."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import proxsplit as px
 from proxsplit import baselines, dr
 from proxsplit.bench import SOLVERS
 from proxsplit.errors import DomainError
-from conftest import make_problem
+from conftest import NoRowGather, make_problem
 
 # keyword of each solver's start vector
 START_KW = {"dr": "t0", "dr-simplified": "t0", "sfb": "w0", "rda": "w0", "bcpd": "w0"}
@@ -20,9 +21,10 @@ def single_block_problem():
 
 
 def config_for(solver, **loop):
+    loop = {"batch_size": 4, **loop}
     if solver.startswith("dr"):
-        return px.DRConfig(rho=0.0, batch_size=4, seed=5, **loop)
-    return px.BaselineConfig(step_c=0.3, batch_size=4, seed=5, **loop)
+        return px.DRConfig(rho=0.0, seed=5, **loop)
+    return px.BaselineConfig(step_c=0.3, seed=5, **loop)
 
 
 def owner(solver):
@@ -32,7 +34,7 @@ def owner(solver):
 
 def run(solver, **kwargs):
     loop = {k: kwargs.pop(k) for k in list(kwargs) if k in
-            ("max_iters", "trace_stride", "plateau_window", "plateau_rtol")}
+            ("max_iters", "trace_stride", "plateau_window", "plateau_rtol", "batch_size")}
     return SOLVERS[solver](single_block_problem(), config_for(solver, **loop), **kwargs)
 
 
@@ -43,10 +45,32 @@ def run(solver, **kwargs):
     (dict(trace_stride=0), "trace_stride must be >= 1"),
     (dict(max_iters=-1), "max_iters must be >= 0"),
     (dict(plateau_window=0), "plateau_window must be >= 1"),
+    (dict(trace_stride=2.5), "trace_stride must be >= 1 and be an integer, got 2.5"),
+    (dict(max_iters=4.7), "max_iters must be >= 0 and be an integer, got 4.7"),
+    (dict(plateau_window=1.5), "plateau_window must be >= 1 and be an integer, got 1.5"),
+    (dict(max_iters=float("inf")), "max_iters must be >= 0 and be an integer, got inf"),
+    (dict(batch_size=2.5), r"batch_size must lie in \[1, 12\] and be an integer, got 2.5"),
 ])
 def test_every_solver_rejects_bad_loop_options(solver, loop, msg):
+    seen = []
     with pytest.raises(DomainError, match=msg):
-        run(solver, **loop)
+        run(solver, callback=lambda i, ww: seen.append(i), **loop)
+    assert seen == []
+
+
+# ------------------------------------------------------ mini-batch gather
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_full_batch_gathers_no_rows(solver):
+    # a full batch works on the training set's matrix itself; a smaller one
+    # reaches the row gather, which NoRowGather turns into a failure
+    base = single_block_problem()
+    prob = px.Problem(data=px.TrainingSet(features=NoRowGather(base.data.features),
+                                          labels=base.data.labels),
+                      partition=base.partition, reg=base.reg, loss=base.loss)
+    SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=None))
+    with pytest.raises(AssertionError, match="must not gather rows"):
+        SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=prob.n_samples - 1))
 
 
 # ----------------------------------------------------------- start vectors

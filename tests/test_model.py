@@ -48,6 +48,8 @@ def test_contiguous_partition():
         px.BlockPartition.contiguous(3, 5)
     with pytest.raises(DomainError, match="num_blocks"):
         px.BlockPartition.contiguous(3, 0)
+    with pytest.raises(DomainError, match="num_blocks must lie in .* and be an integer, got 2.5"):
+        px.BlockPartition.contiguous(10, 2.5)
 
 
 @pytest.mark.parametrize("n,b,offsets", [
