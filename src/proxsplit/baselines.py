@@ -18,7 +18,7 @@ from .errors import ConvergenceError, DomainError, NumericalError
 from .model import objective, reg_prox
 from .prox import loss_grad, loss_prox, prox_conjugate
 from .sampling import make_rng, sample_without_replacement
-from .trace import check_batch_size, check_positive, drive, float_copy
+from .trace import check_batch_size, check_count, check_positive, drive, float_copy
 
 
 @dataclass
@@ -185,8 +185,10 @@ def operator_norm_sq(features, rtol=1e-6, max_iters=1000, seed=0):
 
     Stops when the eigen-residual ||X^T X z - lam z|| drops below
     rtol * lam, which bounds the eigenvalue error by the same amount.
-    Raises ConvergenceError at the iteration cap.
+    Raises ConvergenceError at the iteration cap, DomainError on an rtol
+    that is not positive and finite or a max_iters or seed out of range.
     """
+    rtol = check_positive("rtol", rtol)
     X = sp.csr_matrix(features, dtype=float)
     n = X.shape[1]
     if n == 0:
@@ -194,7 +196,7 @@ def operator_norm_sq(features, rtol=1e-6, max_iters=1000, seed=0):
     rng = make_rng(seed)
     z = rng.standard_normal(n)
     z /= np.linalg.norm(z)
-    for _ in range(int(max_iters)):
+    for _ in range(check_count("max_iters", max_iters, 1)):
         mz = X.T @ (X @ z)
         lam = float(z @ mz)
         if np.linalg.norm(mz - lam * z) <= rtol * max(lam, np.finfo(float).tiny):

@@ -17,6 +17,7 @@ from .baselines import bcpd_run, rda_run, sfb_run
 from .dr import run, run_simplified
 from .errors import DomainError, NonConvergenceError
 from .model import kkt_residual, sparsity_degree, test_error
+from .trace import check_count
 
 __all__ = [
     "SOLVERS",
@@ -113,18 +114,17 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
     Raises
     ------
     DomainError
-        If `solver` names no SOLVERS entry.
+        If `solver` names no SOLVERS entry or a count is out of range.
     NonConvergenceError
         If the run exhausted its budget without plateauing and the KKT
         residual of the result still exceeds `kkt_tol`.
     """
     solver_fn = solver_named(solver) if isinstance(solver, str) else solver
-    if long_run_factor < 1:
-        raise DomainError("long_run_factor must be >= 1, got %r" % (long_run_factor,))
+    factor = check_count("long_run_factor", long_run_factor, 1)
     window = config.plateau_window if config.plateau_window is not None else 50
     long_config = dataclasses.replace(
         config,
-        max_iters=int(config.max_iters) * int(long_run_factor),
+        max_iters=check_count("max_iters", config.max_iters, 0) * factor,
         plateau_window=window,
     )
     w, trace = solver_fn(problem, long_config)

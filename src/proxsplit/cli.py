@@ -140,7 +140,7 @@ def save_model(path, w, problem):
         handle.write("n_features %d\n" % problem.n_features)
         handle.write("blocks %d\n" % problem.num_blocks)
         handle.write("lambda %s\n" % format(problem.reg.lam, ".17g"))
-        handle.write("kappa %s\n" % " ".join(str(int(k)) for k in problem.kappas))
+        handle.write("kappa %s\n" % " ".join(map(str, problem.kappas)))
         handle.write("loss %s\n" % problem.loss.value)
         for value in w:
             handle.write(format(value, ".17g") + "\n")
@@ -211,8 +211,6 @@ def _solver_config(merged, solver, n_samples):
     rho defaults to 0.1, or to 0 for dr-simplified, which needs rho = 0; an
     explicit rho is passed on as given so the runner can reject it by name.
     """
-    if merged["batch"] < 1:
-        raise DomainError("batch must be >= 1, got %d" % merged["batch"])
     batch = min(merged["batch"], n_samples)
     common = dict(
         batch_size=batch,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .trace import check_count, check_positive, check_scalar
 
 # below this parameter value the forward map loses monotonicity and only
 # the nonnegative part of the increasing branch is kept
@@ -50,15 +51,15 @@ def eval_w(r, v, tol=1e-12, max_iters=200):
 
     Parameters
     ----------
-    r : float
+    r : real number (not a bool, a string or an array)
         Branch parameter, must be > 0.  For r < exp(-2) only v >= 0 is
         admissible (the retained branch covers [0, inf)).
-    v : float
+    v : real number
         Right-hand side, must be finite.
-    tol : float
-        Residual tolerance, relative to max(1, |v|).
+    tol : real number
+        Residual tolerance, relative to max(1, |v|); positive and finite.
     max_iters : int
-        Iteration cap; exceeding it raises ConvergenceError.
+        Iteration cap, at least 1; exceeding it raises ConvergenceError.
 
     Returns
     -------
@@ -66,12 +67,10 @@ def eval_w(r, v, tol=1e-12, max_iters=200):
         value w with |w*(exp(w)+r) - v| <= tol * max(1, |v|), the achieved
         residual and the number of iterations spent.
     """
-    r = float(r)
-    v = float(v)
-    if not (r > 0.0) or not math.isfinite(r):
-        raise DomainError("branch parameter r must be positive and finite, got %r" % r)
-    if not math.isfinite(v):
-        raise DomainError("v must be finite, got %r" % v)
+    r = check_scalar("branch parameter r", r, "be positive and finite", lambda x: 0.0 < x < math.inf)
+    v = check_scalar("v", v, "be finite", math.isfinite)
+    tol = check_positive("tol", tol)
+    max_iters = check_count("max_iters", max_iters, 1)
     if r < R_MONOTONE and v < 0.0:
         raise DomainError(
             "for r < exp(-2) the retained branch only covers v >= 0, got v=%r" % v

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 from .prox import ScalarLoss, loss_grad, loss_value, prox_group_l2, prox_l1
-from .trace import check_count
+from .trace import check_count, check_scalar
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class BlockPartition:
     offsets: tuple
 
     def __post_init__(self):
-        offs = tuple(int(o) for o in self.offsets)
+        offs = tuple(check_count("offset", o, 0) for o in self.offsets)
         if len(offs) < 2 or offs[0] != 0:
             raise DomainError("offsets must start at 0 and contain at least one block")
         if any(b <= a for a, b in zip(offs, offs[1:])):
@@ -111,23 +111,20 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Weight lam >= 0 and per-block norm exponent kappa (1 or 2, scalar or per block)."""
+    """Weight lam >= 0 and norm exponent kappa: 1 or 2, an int or a tuple per block."""
 
     lam: float
     kappa: object = 1
 
     def __post_init__(self):
-        if not (self.lam >= 0.0) or not math.isfinite(self.lam):
-            raise DomainError("lambda must be nonnegative and finite")
+        object.__setattr__(self, "lam", check_scalar("lam", self.lam, "be nonnegative and finite",
+                                                     lambda x: 0.0 <= x < math.inf))
         kappa = self.kappa
-        if np.isscalar(kappa):
-            if kappa not in (1, 2):
-                raise DomainError("kappa must be 1 or 2, got %r" % (kappa,))
+        if np.ndim(kappa) == 0:
+            kappa = check_count("kappa", kappa, 1, 2)
         else:
-            kappa = tuple(int(k) for k in kappa)
-            if any(k not in (1, 2) for k in kappa):
-                raise DomainError("every block kappa must be 1 or 2")
-            object.__setattr__(self, "kappa", kappa)
+            kappa = tuple(check_count("block kappa", k, 1, 2) for k in kappa)
+        object.__setattr__(self, "kappa", kappa)
 
 
 @dataclass(frozen=True)
@@ -147,15 +144,11 @@ class Problem:
                 % (self.partition.n_features, self.data.n_features)
             )
         B = self.partition.num_blocks
-        kappa = self.reg.kappa
-        if np.isscalar(kappa):
-            kappas = (int(kappa),) * B
-        else:
-            if len(kappa) != B:
-                raise DomainError(
-                    "kappa has %d entries for %d blocks" % (len(kappa), B)
-                )
-            kappas = tuple(kappa)
+        kappas = self.reg.kappa
+        if isinstance(kappas, int):
+            kappas = (kappas,) * B
+        elif len(kappas) != B:
+            raise DomainError("kappa has %d entries for %d blocks" % (len(kappas), B))
         object.__setattr__(self, "kappas", kappas)
 
     @property
@@ -232,8 +225,7 @@ def test_error(w, test_set):
 
 def sparsity_degree(w, tol=1e-8):
     """Fraction of coordinates with |w_j| <= tol (tol=0 counts exact zeros)."""
-    if tol < 0.0:
-        raise DomainError("tolerance must be nonnegative")
+    check_scalar("tol", tol, "be nonnegative", lambda x: x >= 0.0)
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise DomainError("empty weight vector")

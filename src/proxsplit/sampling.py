@@ -8,10 +8,12 @@ simplified-scheme equivalence checks).
 
 import numpy as np
 
+from .trace import check_count
+
 
 def make_rng(seed):
-    """A named, seedable generator with a platform-independent stream."""
-    return np.random.Generator(np.random.PCG64(seed))
+    """A generator with a platform-independent stream from seed, an integer >= 0."""
+    return np.random.Generator(np.random.PCG64(check_count("seed", seed, 0)))
 
 
 def sample_without_replacement(rng, pool, k):

@@ -8,12 +8,13 @@ reproduces the in-memory trace exactly.
 
 :func:`drive` is the iteration loop of all five solvers, with the record
 at iteration 0, the callback, the strided record and the plateau stop;
-:func:`float_copy` and the ``check_*`` functions are their shared checks
-of start vectors, counts and scalar parameters.
+:func:`float_copy` checks their start vectors, and :func:`check_scalar`
+and :func:`check_count` decide every number a caller passes, in any module.
 """
 
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -163,17 +164,12 @@ def plateau_hit(trace, window, rtol):
 
 
 def check_scalar(name, value, requirement, ok):
-    """float(value); DomainError naming the parameter unless value is a
-    real number (not a sequence or a callable) that passes ok."""
-    x = None
-    if not callable(value) and np.ndim(value) == 0:
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-    if x is None or not ok(x):
+    """float(value); DomainError naming the parameter unless value is a real
+    number that passes ok: a numbers.Real other than a bool, such as a Python
+    or numpy int or float, but not a string, a sequence or a 0-d array."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(float(value)):
         raise DomainError("%s must %s, got %r" % (name, requirement, value))
-    return x
+    return float(value)
 
 
 def check_positive(name, value):
@@ -184,21 +180,29 @@ def check_positive(name, value):
 
 def check_count(name, value, low, high=math.inf):
     """int(value); DomainError naming the parameter unless value is an
-    integer (int(value) == value) in [low, high]."""
+    integer in [low, high].  Python and numpy ints are compared exactly; an
+    integral float such as 5.0 also counts; a bool does not."""
     bounds = "be >= %d" % low if high == math.inf else "lie in [%d, %d]" % (low, high)
-    return int(check_scalar(name, value, bounds + " and be an integer",
-                            lambda x: x.is_integer() and low <= x <= high))
+    requirement = bounds + " and be an integer"
+    exact = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    n = value if exact else check_scalar(name, value, requirement, float.is_integer)
+    if not low <= n <= high:
+        raise DomainError("%s must %s, got %r" % (name, requirement, value))
+    return int(n)
 
 
 def check_loop_options(config):
-    """(max_iters, trace_stride, plateau_window) as ints; DomainError unless
-    each is integral, max_iters >= 0, trace_stride >= 1 and plateau_window
-    is None or >= 1."""
+    """(max_iters, trace_stride, plateau_window, plateau_rtol); DomainError
+    unless the counts are integers with max_iters >= 0, trace_stride >= 1
+    and plateau_window None or >= 1, and plateau_rtol is a nonnegative,
+    finite real number."""
     window = config.plateau_window
     return (
         check_count("max_iters", config.max_iters, 0),
         check_count("trace_stride", config.trace_stride, 1),
         None if window is None else check_count("plateau_window", window, 1),
+        check_scalar("plateau_rtol", config.plateau_rtol, "be nonnegative and finite",
+                     lambda x: 0.0 <= x < math.inf),
     )
 
 
@@ -229,7 +233,7 @@ def drive(config, start, step, record, callback=None):
     trace.extra["stopped_by_plateau"] tells whether the plateau rule
     ended the run.
     """
-    max_iters, stride, window = check_loop_options(config)
+    max_iters, stride, window, rtol = check_loop_options(config)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
     record(trace, 0, time.perf_counter() - start)
     stopped = False
@@ -239,7 +243,7 @@ def drive(config, start, step, record, callback=None):
             callback(i + 1, w)
         if (i + 1) % stride == 0 or i + 1 == max_iters:
             record(trace, i + 1, time.perf_counter() - start)
-            if window is not None and plateau_hit(trace, window, float(config.plateau_rtol)):
+            if window is not None and plateau_hit(trace, window, rtol):
                 stopped = True
                 break
     trace.extra["stopped_by_plateau"] = stopped

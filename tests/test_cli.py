@@ -71,6 +71,18 @@ def test_bad_loop_option_returns_two_for_every_solver(binary_file, tmp_path, sol
     assert "error: trace_stride must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options,message", [
+    (["--seed", "-1"], "error: seed must be >= 0 and be an integer, got -1\n"),
+    (["--plateau-window", "2", "--plateau-rtol", "-1"],
+     "error: plateau_rtol must be nonnegative and finite, got -1.0\n"),
+    (["--batch", "0"], "error: batch_size must lie in [1, 12] and be an integer, got 0\n"),
+])
+def test_bad_numbers_exit_two_with_an_error_line(binary_file, tmp_path, options, message, capsys):
+    args = ["train", "--data", binary_file, "--iters", "5", "--out", str(tmp_path / "out")]
+    assert cli.main(args + options) == 2
+    assert capsys.readouterr().err == message  # one error line, no traceback
+
+
 def test_missing_and_malformed_data_return_one(tmp_path, capsys):
     assert cli.main(["train", "--data", str(tmp_path / "nope.txt")]) == 1
     bad = tmp_path / "bad.txt"

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit.errors import ConvergenceError, DomainError
@@ -47,6 +48,20 @@ def test_round_trip_negative_w():
             assert v < 0.0
             res = px.eval_w(r, v)
             assert abs(res.value - w) <= 1e-10 * max(1.0, abs(w)), (r, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e),
+       v=st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)),
+       negative=st.booleans())
+@example(r=math.exp(-2.0), v=1e6, negative=True)
+def test_round_trip_on_random_r_and_v(r, v, negative):
+    # below r = e^-2 only v >= 0 is admissible
+    if negative and r >= px.R_MONOTONE:
+        v = -v
+    res = px.eval_w(r, v)
+    assert abs(res.residual) <= 1e-12 * max(1.0, abs(v))
+    assert abs(px.forward_map(r, res.value) - v) <= 2e-12 * max(1.0, abs(v))
 
 
 def test_monotone_in_v():

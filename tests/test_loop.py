@@ -21,10 +21,10 @@ def single_block_problem():
 
 
 def config_for(solver, **loop):
-    loop = {"batch_size": 4, **loop}
+    loop = {"batch_size": 4, "seed": 5, **loop}
     if solver.startswith("dr"):
-        return px.DRConfig(rho=0.0, seed=5, **loop)
-    return px.BaselineConfig(step_c=0.3, seed=5, **loop)
+        return px.DRConfig(rho=0.0, **loop)
+    return px.BaselineConfig(step_c=0.3, **loop)
 
 
 def owner(solver):
@@ -34,7 +34,8 @@ def owner(solver):
 
 def run(solver, **kwargs):
     loop = {k: kwargs.pop(k) for k in list(kwargs) if k in
-            ("max_iters", "trace_stride", "plateau_window", "plateau_rtol", "batch_size")}
+            ("max_iters", "trace_stride", "plateau_window", "plateau_rtol", "batch_size",
+             "seed")}
     return SOLVERS[solver](single_block_problem(), config_for(solver, **loop), **kwargs)
 
 
@@ -50,6 +51,13 @@ def run(solver, **kwargs):
     (dict(plateau_window=1.5), "plateau_window must be >= 1 and be an integer, got 1.5"),
     (dict(max_iters=float("inf")), "max_iters must be >= 0 and be an integer, got inf"),
     (dict(batch_size=2.5), r"batch_size must lie in \[1, 12\] and be an integer, got 2.5"),
+    (dict(plateau_rtol=-1), "plateau_rtol must be nonnegative and finite, got -1"),
+    (dict(plateau_rtol=float("nan")), "plateau_rtol must be nonnegative and finite, got nan"),
+    (dict(plateau_rtol="1e-3"), "plateau_rtol must be nonnegative and finite, got '1e-3'"),
+    (dict(seed=-1), "seed must be >= 0 and be an integer, got -1"),
+    (dict(seed=2.5), "seed must be >= 0 and be an integer, got 2.5"),
+    (dict(seed="3"), "seed must be >= 0 and be an integer, got '3'"),
+    (dict(seed=True), "seed must be >= 0 and be an integer, got True"),
 ])
 def test_every_solver_rejects_bad_loop_options(solver, loop, msg):
     seen = []

@@ -283,6 +283,38 @@ def test_prox_group_l2_shrinks_by_norm():
     assert np.array_equal(px.prox_group_l2(np.zeros(3), 1.0), np.zeros(3))
 
 
+# Vectors of up to 8 entries, zero or of magnitude in [1e-100, 1e6]: their
+# squares neither overflow nor underflow, so the norm and the inner products
+# below are accurate to a few ulp.
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+VECTOR_PAIRS = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(ENTRY, min_size=n, max_size=n).map(np.array)] * 2))
+THRESH = st.one_of(st.just(0.0), st.floats(1e-100, 1e6))
+EPS = np.finfo(float).eps
+
+
+def dual_ball_projection(prox, w, t):
+    """The projection onto the dual-norm ball of radius t, which the Moreau
+    identity w = prox(w, t) + proj(w) gives: clip for l1, radial for l2."""
+    if prox is px.prox_l1:
+        return np.clip(w, -t, t)
+    nrm = np.linalg.norm(w)
+    return w if nrm <= t else w * (t / nrm)
+
+
+@pytest.mark.parametrize("prox", [px.prox_l1, px.prox_group_l2])
+@settings(max_examples=300, deadline=None)
+@given(pair=VECTOR_PAIRS, t=THRESH)
+@example(pair=(np.array([3.0, 4.0]), np.zeros(2)), t=2.5)
+def test_regularizer_prox_moreau_identity_and_firm_nonexpansiveness(prox, pair, t):
+    w1, w2 = pair
+    p1, p2 = prox(w1, t), prox(w2, t)
+    scale = max(np.linalg.norm(w1), np.linalg.norm(w2), t)
+    assert np.linalg.norm((w1 - p1) - dual_ball_projection(prox, w1, t)) <= 2.0 * EPS * scale
+    d, dw = p1 - p2, w1 - w2
+    assert d @ d <= d @ dw + 4.0 * EPS * (scale + t) * np.linalg.norm(dw)
+
+
 # ------------------------------------------------------- conjugate prox
 
 def test_prox_conjugate_frozen_values():
