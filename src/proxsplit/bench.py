@@ -9,6 +9,7 @@ execute on a thread pool; the pool size is capped by the
 """
 
 import dataclasses
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from .baselines import bcpd_run, rda_run, sfb_run
 from .dr import run, run_simplified
 from .errors import DomainError, NonConvergenceError
 from .model import kkt_residual, sparsity_degree, test_error
-from .trace import check_count
+from .trace import check_count, check_scalar
 
 __all__ = [
     "SOLVERS",
@@ -114,13 +115,17 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
     Raises
     ------
     DomainError
-        If `solver` names no SOLVERS entry or a count is out of range.
+        If `solver` names no SOLVERS entry, a count is out of range or
+        `kkt_tol` is not a nonnegative, finite real number; all checked
+        before the run.
     NonConvergenceError
         If the run exhausted its budget without plateauing and the KKT
         residual of the result still exceeds `kkt_tol`.
     """
     solver_fn = solver_named(solver) if isinstance(solver, str) else solver
     factor = check_count("long_run_factor", long_run_factor, 1)
+    kkt_tol = check_scalar("kkt_tol", kkt_tol, "be nonnegative and finite",
+                           lambda x: 0.0 <= x < math.inf)
     window = config.plateau_window if config.plateau_window is not None else 50
     long_config = dataclasses.replace(
         config,

@@ -6,12 +6,26 @@ one sample per line, a numeric label followed by whitespace-separated
 lines and lines starting with ``#`` are skipped.  Gzip-compressed files
 are handled transparently by their ``.gz`` extension.
 
+Text is parsed by one of two paths that return the same dataset bit for
+bit.  The vectorized path (``_parse_text``) reads a string in chunks of
+about 32 KB with numpy byte classes: it checks the grammar
+``label (index:value)*`` on every line, reads tokens of the form
+``[+-]?[0-9]{1,15}`` by int64 Horner and every other number by Python
+``float()``.  It never raises: on any byte outside ``0-9 + - . e E :``,
+space, tab and newline, on non-ASCII text, a misplaced colon, an empty
+token, a signed index or one of more than 15 digits, an index out of
+range or out of order, or a non-finite number, it gives up.  The line
+loop (``_parse_lines``) then parses the whole input, as it does every
+iterable of lines; it is the only code that raises ParseError, so every
+error carries its message and 1-based line number.
+
 A parsed dataset is its labels plus one CSR matrix, built once from flat
 typed buffers of 0-based column indices, values and row ends, so no
 per-entry Python object outlives its line.  The solvers train on it.
 """
 
 import gzip
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -21,10 +35,31 @@ import scipy.sparse as sp
 
 from .errors import DegenerateDatasetError, DomainError, ParseError, UnknownClassError
 from .model import TrainingSet
+from .trace import check_count
 
 # the widest dimension, and so the largest feature index, that scipy's
 # int64 index arrays can hold
 INDEX_MAX = int(np.iinfo(np.int64).max)
+
+# Byte classes of the vectorized parse.  Class 0 is every byte it leaves to
+# the line loop (``#``, ``\r``, ``_``, letters other than e and E, ...);
+# classes from _COLON up separate tokens.
+_DIGIT, _SIGN, _NUMBER, _COLON, _BLANK, _NEWLINE = range(1, 7)
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[list(b"0123456789")] = _DIGIT
+_CLASS[list(b"+-")] = _SIGN
+_CLASS[list(b".eE")] = _NUMBER
+_CLASS[list(b":")] = _COLON
+_CLASS[list(b" \t")] = _BLANK
+_CLASS[list(b"\n")] = _NEWLINE
+_COLON_BYTE, _MINUS_BYTE, _ZERO_BYTE = b":-0"
+
+# Characters per chunk of the vectorized parse; a chunk's temporaries are
+# a few hundred KB.
+_CHUNK = 1 << 15
+
+# Integers of up to 15 digits are exact in int64 Horner and in a double.
+_EXACT_DIGITS = 15
 
 __all__ = [
     "RawDataset",
@@ -71,10 +106,17 @@ class RawDataset:
 def parse_libsvm(source, n_features=None):
     """Parse sparse ``label idx:val ...`` text into a RawDataset.
 
+    A ``str`` goes to the vectorized path first; when that path meets
+    anything it does not handle, the line loop parses the whole text, as
+    it does every iterable of lines.  Only the loop raises ParseError, so
+    every error carries the loop's message and line number, and both paths
+    return the same dataset bit for bit.
+
     Parameters
     ----------
     source : str or iterable of str
-        Full text, or an iterable of lines (an open file works).
+        Full text, or an iterable of lines (an open file works).  A string
+        is split into lines by ``str.splitlines``.
     n_features : int, optional
         Declared dimension.  Indices beyond it are an error; without it
         the dimension is the largest index seen.
@@ -82,16 +124,52 @@ def parse_libsvm(source, n_features=None):
     Raises
     ------
     DomainError
-        If the declared dimension is negative or beyond the int64 range.
+        If the declared dimension is not an integer in [0, INDEX_MAX].
     ParseError
         On a malformed token, a non-finite number, a non-increasing
         feature index, or an index exceeding the declared dimension or
         the int64 range.  The message carries the 1-based line number.
     """
-    if n_features is not None and not 0 <= n_features <= INDEX_MAX:
-        raise DomainError("declared n_features must be in [0, %d]" % INDEX_MAX)
+    n_features = _declared(n_features)
+    if not isinstance(source, str):
+        return _parse_lines(source, n_features)
+    raw = _parse_text(source, n_features)
+    return raw if raw is not None else _parse_lines(source.splitlines(), n_features)
+
+
+def load_libsvm(path, n_features=None):
+    """parse_libsvm on a file's text; `.gz` paths are decompressed on the fly.
+
+    Lines end at newlines only (after universal-newline translation), as
+    when iterating the open file; ``str.splitlines`` would also break them
+    at \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029.
+    """
+    n_features = _declared(n_features)
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as handle:
+        text = handle.read()
+    raw = _parse_text(text, n_features)
+    return raw if raw is not None else _parse_lines(io.StringIO(text), n_features)
+
+
+def _declared(n_features):
+    """The declared dimension checked as an integer in [0, INDEX_MAX], or None."""
+    return None if n_features is None else check_count("n_features", n_features, 0, INDEX_MAX)
+
+
+def _dataset(labels, values, indices, indptr, n_features):
+    """RawDataset of typed label, value, 0-based index and row-end buffers."""
+    dimension = int(np.max(indices, initial=-1)) + 1 if n_features is None else n_features
+    # scipy wraps the buffers without a copy (then downcasts the index
+    # arrays to int32 when they fit).
+    features = sp.csr_matrix((values, indices, indptr), shape=(len(labels), dimension))
+    return RawDataset(labels=tuple(labels), features=features)
+
+
+def _parse_lines(lines, n_features):
+    """The line loop: the only parser that raises ParseError.  n_features is
+    None or already checked."""
     limit = INDEX_MAX if n_features is None else n_features
-    lines = source.splitlines() if isinstance(source, str) else source
     labels = []
     indptr = array("q", [0])
     indices = array("q")
@@ -133,18 +211,112 @@ def parse_libsvm(source, n_features=None):
             previous = index
         labels.append(label)
         indptr.append(len(indices))
-    dimension = int(np.max(indices, initial=-1)) + 1 if n_features is None else n_features
-    # scipy wraps the typed buffers without a copy (then downcasts the
-    # index arrays to int32 when they fit).
-    features = sp.csr_matrix((values, indices, indptr), shape=(len(labels), dimension))
-    return RawDataset(labels=tuple(labels), features=features)
+    return _dataset(labels, values, indices, indptr, n_features)
 
 
-def load_libsvm(path, n_features=None):
-    """parse_libsvm on a file; `.gz` paths are decompressed on the fly."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        return parse_libsvm(handle, n_features=n_features)
+def _parse_text(text, n_features):
+    """The vectorized path: the RawDataset of `text`, or None when the text
+    holds anything this path leaves to the line loop.  n_features is None
+    or already checked.
+
+    The text is read in chunks of about _CHUNK characters that end at a
+    newline; the outputs are allocated once, one entry per ``:``.
+    """
+    if not text.isascii():
+        return None
+    limit = INDEX_MAX if n_features is None else n_features
+    entries = text.count(":")
+    # scipy keeps int32 indices when they fit, so int32 spares it a copy
+    indices = np.empty(entries, dtype=np.int32)
+    values = np.empty(entries, dtype=np.float64)
+    labels = np.empty(text.count("\n") + 1, dtype=np.float64)
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    rows = stored = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK - 1) + 1
+        stop = stop if stop > 0 else len(text)
+        parsed = _parse_chunk(text[start:stop], limit)
+        if parsed is None:
+            return None
+        chunk_labels, row_ends, chunk_indices, chunk_values = parsed
+        n, k = len(chunk_labels), len(chunk_indices)
+        if np.max(chunk_indices, initial=0) > np.iinfo(indices.dtype).max:
+            indices = indices.astype(np.int64)
+        labels[rows:rows + n] = chunk_labels
+        indptr[rows + 1:rows + n + 1] = row_ends + stored
+        indices[stored:stored + k] = chunk_indices - 1
+        values[stored:stored + k] = chunk_values
+        rows, stored, start = rows + n, stored + k, stop
+    return _dataset(labels[:rows].tolist(), values, indices, indptr[:rows + 1], n_features)
+
+
+def _parse_chunk(chunk, limit):
+    """(labels, row ends, 1-based indices, values) of whole lines of text, or
+    None when they hold anything the vectorized path leaves to the loop."""
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    b = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+    kind = _CLASS.take(b)
+    if not kind.all():
+        return None
+    # Tokens are the runs between blanks, colons and newlines; token t is
+    # b[starts[t]:ends[t]].  The chunk ends in a newline, so edges pair up.
+    edges = np.flatnonzero(np.diff(kind >= _COLON, prepend=True))
+    starts, ends = edges[0::2], edges[1::2]
+    tokens = len(starts)
+    # An index token ends at a colon, a value token starts after one; every
+    # colon must do both, and a label must be exactly a line's first token.
+    index = b[ends] == _COLON_BYTE
+    value = b[starts - 1] == _COLON_BYTE
+    colons = np.count_nonzero(kind == _COLON)
+    if np.count_nonzero(index) != colons or np.count_nonzero(value) != colons:
+        return None
+    first = np.zeros(tokens, dtype=bool)
+    first[:1] = True
+    after_newline = np.searchsorted(starts, np.flatnonzero(kind == _NEWLINE))
+    first[after_newline[after_newline < tokens]] = True
+    label = ~(index | value)
+    if np.any(index & value) or np.any(label != first):
+        return None
+    # Exact tokens, [+-]?[0-9]{1,15}, are read by Horner in int64, where they
+    # cannot overflow, and the sign is applied afterwards so -0 stays -0.0.
+    sign = kind[starts] == _SIGN
+    odd = np.flatnonzero((kind == _SIGN) | (kind == _NUMBER))
+    odd_per_token = np.bincount(np.searchsorted(starts, odd, "right") - 1, minlength=tokens)
+    digits = ends - starts - sign
+    exact = (odd_per_token == sign) & (digits >= 1) & (digits <= _EXACT_DIGITS)
+    if np.any(index & (sign | ~exact)):
+        return None
+    magnitude = np.zeros(tokens, dtype=np.int64)
+    position, scale = ends - 1, 1
+    for place in range(int(np.max(digits[exact], initial=0))):
+        digit = b[position].astype(np.int64)
+        digit -= _ZERO_BYTE
+        digit *= digits > place
+        digit *= scale
+        magnitude += digit
+        position -= 1
+        scale *= 10
+    number = magnitude.astype(np.float64)
+    np.negative(number, out=number, where=exact & (b[starts] == _MINUS_BYTE))
+    other = np.flatnonzero(~(exact | index))
+    try:
+        number[other] = [float(chunk[a:z]) for a, z in zip(starts[other].tolist(),
+                                                            ends[other].tolist())]
+    except ValueError:
+        return None
+    if not np.isfinite(number).all():
+        return None
+    chunk_indices = magnitude[index]
+    # entries before each row; a row's first index is compared with 0
+    row_starts = np.cumsum(index)[label]
+    previous = np.zeros(len(chunk_indices) + 1, dtype=np.int64)
+    previous[1:] = chunk_indices
+    previous[row_starts] = 0
+    if np.any(chunk_indices <= previous[:-1]) or np.max(chunk_indices, initial=0) > limit:
+        return None
+    row_ends = np.append(row_starts, len(chunk_indices))[1:]
+    return number[label], row_ends, chunk_indices, number[value]
 
 
 def serialize_libsvm(raw, sink=None):
@@ -179,13 +351,13 @@ def to_matrix(raw, n_features=None):
     shares `raw.features`' arrays, unless a width beyond int32 needs
     int64 index copies.
     """
-    dimension = raw.n_features if n_features is None else n_features
+    dimension = _declared(n_features)
+    if dimension is None:
+        dimension = raw.n_features
     if dimension < raw.n_features:
         raise DomainError(
             "requested dimension %d is below the dataset's %d" % (dimension, raw.n_features)
         )
-    if dimension > INDEX_MAX:
-        raise DomainError("requested dimension %d exceeds %d" % (dimension, INDEX_MAX))
     X = raw.features
     features = sp.csr_matrix((X.data, X.indices, X.indptr), shape=(raw.n_samples, dimension))
     return features, np.asarray(raw.labels, dtype=float)

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: solver registry, reference computation,
 summary table, and the trace files it writes."""
 
+import math
 import os
 
 import numpy as np
@@ -56,6 +57,20 @@ def test_compute_reference_rejects_unknown_solver():
     prob = make_problem(8, 25, 2, lam=0.6, seed=9)
     with pytest.raises(DomainError, match="unknown solver 'bogus'; known: bcpd, dr, "):
         px.compute_reference(prob, "bogus", px.DRConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("bad", [-1, -1e-300, math.inf, math.nan, "x", "1e-4", True, [1e-4]])
+def test_compute_reference_checks_kkt_tol_before_the_run(bad):
+    prob = make_problem(8, 25, 2, lam=0.6, seed=9)
+    calls = []
+
+    def solver(problem, config):
+        calls.append(config)
+        return px.sfb_run(problem, config)
+
+    with pytest.raises(DomainError, match=r"^kkt_tol must be nonnegative and finite, got "):
+        px.compute_reference(prob, solver, px.BaselineConfig(max_iters=3), kkt_tol=bad)
+    assert calls == []
 
 
 def test_references_from_different_solvers_agree():

@@ -2,6 +2,7 @@
 
 import gzip
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
+from proxsplit import data
 from proxsplit.errors import (
     DegenerateDatasetError,
     DomainError,
@@ -58,13 +60,19 @@ def test_parse_empty_text():
     assert px.serialize_libsvm(raw) == ""
 
 
-def test_parse_declared_dimension():
+def test_parse_declared_dimension(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("+1 1:1\n")
     assert px.parse_libsvm("+1 1:1\n", n_features=10).n_features == 10
     with pytest.raises(ParseError, match="line 1: feature index 3 exceeds declared dimension 2"):
         px.parse_libsvm("+1 3:1\n", n_features=2)
-    for bad in (-1, 2**63, 2**70):
-        with pytest.raises(DomainError, match=r"n_features must be in \[0, 9223372036854775807\]"):
+    assert px.parse_libsvm("+1 1:1\n", n_features=3.0).n_features == 3
+    for bad in (-1, 2**63, 2**70, True, 2.5, "3"):
+        with pytest.raises(DomainError, match=r"^n_features must lie in \[0, 9223372036854775807\] "
+                                              r"and be an integer, got "):
             px.parse_libsvm("+1 1:1\n", n_features=bad)
+        with pytest.raises(DomainError, match="^n_features must lie in"):
+            px.load_libsvm(path, n_features=bad)
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -161,6 +169,111 @@ def test_parse_and_binarize_keep_no_per_entry_objects(tmp_path):
     assert peak / stored <= 48
 
 
+def outcome(parse):
+    """What a parse gives, bit for bit: the labels (as Python floats), the
+    shape and the CSR arrays with their dtypes, or the ParseError's message
+    and line number."""
+    try:
+        raw = parse()
+    except ParseError as exc:
+        return str(exc), exc.line_number
+    X = raw.features
+    assert all(type(label) is float for label in raw.labels)
+    return ([label.hex() for label in raw.labels], X.shape,
+            [(a.dtype.str, a.tobytes()) for a in (X.data, X.indices, X.indptr)])
+
+
+def both_paths(text, n_features=None):
+    """Outcomes of parse_libsvm on the text and of the line loop alone."""
+    return (outcome(lambda: px.parse_libsvm(text, n_features=n_features)),
+            outcome(lambda: data._parse_lines(text.splitlines(), n_features)))
+
+
+BLANKS = st.text(" \t", min_size=1, max_size=3)
+# label and value tokens: serialize_libsvm's and repr's forms, signed
+# integers with leading zeros (16 and more digits too), and hand-picked forms
+NUMBERS = st.one_of(
+    FINITE_FLOATS.map(lambda x: format(x, ".17g")),
+    FINITE_FLOATS.map(repr),
+    st.builds(lambda sign, zeros, n: sign + zeros + str(n), st.sampled_from(("", "+", "-")),
+              st.text("0", max_size=2), st.integers(0, 10**40)),
+    st.sampled_from(("-0", "+0", "-0.0", "0e0", ".5", "5.", "-1E-3", "1e308", "2.5e-320",
+                     "9999999999999999999", "-9223372036854775809")),
+)
+# index tokens the vectorized path reads itself: up to 15 unsigned digits
+INDEXES = st.builds(lambda zeros, n: (zeros + str(n))[-15:], st.text("0", max_size=3),
+                    st.integers(1, 10**15 - 1))
+# one inserted line, or a rewrite of the whole text, that the vectorized
+# path must leave to the loop
+LINE_MUTATIONS = ("# comment", "1 1:2:3", "1 3: 4", "1 3 :4", "1 :4", "1 4:", "1 +3:1", "1 1_0:1",
+                  "1_0 1:1", "1 1:\u0661", "\u0661 1:1", "1 1:1\u00a0", "1 3:1 2:1", "1 0:1",
+                  "1 2:1 2:1", "1 -3:1", "1 1.0:1", "1 1e2:1", "1 1:inf", "1 1:nan", "nan 1:1",
+                  "inf", "1 1:1e999", "1e999 1:1", "1 123456789012345678:1", "1:1", "1 2", "1 1:1 3",
+                  "1 2 3:1", "+", "1 1:-", "1 1:e", "1 1:.")
+TEXT_MUTATIONS = (lambda t: t.replace("\n", "\r\n"), lambda t: t.replace("\n", "\r"),
+                  lambda t: t.replace("\n", "\f", 1), lambda t: t.replace(" ", "\x0b", 1),
+                  lambda t: t.replace(" ", "\x1c", 1))
+
+
+@st.composite
+def libsvm_texts(draw):
+    """(text, declared n_features, canonical): canonical texts follow the
+    grammar with every index within the declared dimension."""
+    lines, largest = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(("", " ", "\t ", "  "))))
+        width = draw(st.integers(0, 6))
+        indices = sorted(draw(st.lists(INDEXES, max_size=width, unique_by=int)), key=int)
+        entries = ["%s:%s" % (j, draw(NUMBERS)) for j in indices]
+        largest = max([largest] + [int(j) for j in indices])
+        parts = [draw(NUMBERS)]
+        for entry in entries:
+            parts += [draw(BLANKS), entry]
+        if draw(st.booleans()):
+            parts.append(draw(BLANKS))
+        lines.append("".join(parts))
+    text = "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+    declared = draw(st.none() | st.integers(max(largest - 2, 0), largest + 2))
+    canonical = declared is None or declared >= largest
+    if lines and draw(st.booleans()):
+        canonical = False
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(TEXT_MUTATIONS))(text)
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(LINE_MUTATIONS)))
+            text = "\n".join(lines) + "\n"
+    return text, declared, canonical
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=libsvm_texts())
+@example(case=("+1 1:2.5 3:-1 \n\n-1\t\t2:-0\n 0 \n-1 007:1e5", None, True))
+@example(case=("1 2:1\n1 5:1\n", 4, False))
+@example(case=("1 1:1\n# c\n1 2:1\n", None, False))
+def test_parse_paths_agree_bit_for_bit(case):
+    text, declared, canonical = case
+    fast, loop = both_paths(text, declared)
+    assert fast == loop
+    if canonical:
+        assert data._parse_text(text, declared) is not None
+        again = px.serialize_libsvm(px.parse_libsvm(text, n_features=declared))
+        assert data._parse_text(again, None) is not None
+        fast, loop = both_paths(again)
+        assert fast == loop
+
+
+@pytest.mark.parametrize("line", LINE_MUTATIONS)
+def test_every_line_the_vectorized_path_leaves_to_the_loop(line):
+    lines = ["+1 1:2.5 3:-1", "", "-1 2:-0 007:9999999999999999999", "0", "2 1:+5 4:-0.5e-3"]
+    for position in (0, 3, len(lines)):
+        text = "\n".join(lines[:position] + [line] + lines[position:]) + "\n"
+        assert data._parse_text(text, 8) is None
+        fast, loop = both_paths(text, 8)
+        assert fast == loop
+    assert data._parse_text("\n".join(lines), 8) is not None
+
+
 def test_serialize_shape():
     raw = px.parse_libsvm("+1 1:2.5 3:-1\n-1 2:0.5\n")
     assert px.serialize_libsvm(raw) == "1 1:2.5 3:-1\n-1 2:0.5\n"
@@ -177,6 +290,55 @@ def test_load_plain_and_gzip(tmp_path):
     with gzip.open(gz, "wt") as f:
         f.write(px.serialize_libsvm(raw))
     assert_same_csr(px.load_libsvm(str(gz)).features, raw.features)
+
+
+def test_chunked_parse_matches_the_loop_and_reports_true_lines(tmp_path):
+    rng = np.random.default_rng(7)
+    lines = []
+    while sum(len(line) + 1 for line in lines) < 6 * data._CHUNK:
+        columns = np.sort(rng.choice(5000, rng.integers(0, 40), replace=False)) + 1
+        values = rng.choice(["1", "-0", "0.25", "-3e-2", "17", "000123456789012345"], len(columns))
+        lines.append(" ".join([str(rng.choice(["+1", "-1", "2"]))]
+                              + ["%d:%s" % entry for entry in zip(columns, values)]))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "  ", "\t"]))
+    # one line longer than a chunk, in the middle of the file
+    middle = len(lines) // 2
+    lines.insert(middle, "1 " + " ".join("%d:%d" % (j, j % 7) for j in range(1, 8000)))
+    assert len(lines[middle]) > data._CHUNK
+    text = "\n".join(lines) + "\n"
+    assert data._parse_text(text, None) is not None
+    fast, loop = both_paths(text)
+    assert fast == loop and len(fast[0]) == sum(1 for line in lines if line.strip())
+
+    plain, gz = tmp_path / "data.txt", tmp_path / "data.txt.gz"
+    plain.write_text(text)
+    with gzip.open(gz, "wt") as f:
+        f.write(text)
+    assert outcome(lambda: px.load_libsvm(str(plain))) == fast
+    assert outcome(lambda: px.load_libsvm(str(gz))) == fast
+
+    # an error planted in the fifth chunk keeps its true line number
+    offsets = np.cumsum([len(line) + 1 for line in lines])
+    bad = int(np.searchsorted(offsets, 4 * data._CHUNK + 100))
+    lines[bad] += " 0:1"
+    text = "\n".join(lines) + "\n"
+    fast, loop = both_paths(text)
+    assert fast == loop and fast[1] == bad + 1
+    assert fast[0].startswith("line %d: feature index 0 after " % (bad + 1))
+    plain.write_text(text)
+    assert outcome(lambda: px.load_libsvm(str(plain))) == fast
+
+
+def test_load_breaks_lines_at_newlines_only(tmp_path):
+    # Iterating the open file keeps a form feed or a vertical tab inside its
+    # line, where str.splitlines would break the line there.
+    path = tmp_path / "data.txt"
+    for text in ("1 1:1\f2:3\n-1 1:2\x0b\n", "1 1:1\r\n-1 2:1\r\n", "1 1:1\f0:3\n"):
+        path.write_text(text, newline="")
+        with open(path) as handle:
+            expected = outcome(lambda: data._parse_lines(handle, None))
+        assert outcome(lambda: px.load_libsvm(str(path))) == expected
 
 
 def test_load_missing_file_raises_oserror(tmp_path):
@@ -198,8 +360,13 @@ def test_to_matrix_values():
             assert np.shares_memory(getattr(M, name), getattr(raw.features, name))
     with pytest.raises(DomainError, match="below the dataset"):
         px.to_matrix(raw, n_features=2)
-    with pytest.raises(DomainError, match="dimension 1180591620717411303424 exceeds 9223372036854775807"):
-        px.to_matrix(raw, n_features=2**70)
+    assert px.to_matrix(raw, n_features=4.0)[0].shape == (2, 4)
+    for bad in (2**70, -1, True, 2.5, "3"):
+        message = r"^n_features must lie in \[0, 9223372036854775807\] and be an integer, got %s$"
+        for call in (px.to_matrix, px.one_vs_all_tasks, lambda r, n_features: px.binarize(
+                r, None, n_features=n_features)):
+            with pytest.raises(DomainError, match=message % re.escape(repr(bad))):
+                call(raw, n_features=bad)
 
 
 # ------------------------------------------------------------------ labels
