@@ -11,7 +11,7 @@ One table per command declares the options of ``train`` and ``bench``
 ``key = value`` config-file keys and their defaults.  Options resolve as
 flags > config file > defaults; a file value passes the flag's converter.
 Exit codes: 0 success, 1 runtime failure, 2 bad arguments or an invalid
-parameter combination.
+parameter combination.  An error in one option's value names its flag.
 """
 
 import argparse
@@ -93,6 +93,24 @@ _BENCH_SPEC = dict(
     ref_factor=(int, 20, "reference budget multiplier"),
     out=(str, None, "directory for trace + summary CSVs"),
 )
+
+
+# library parameter -> the option that sets it, where the two names differ
+_OPTION_OF = {"batch_size": "batch", "max_iters": "iters", "long_run_factor": "ref_factor",
+              "num_blocks": "blocks"}
+
+
+def _flag(dest):
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
+def _error_text(exc):
+    """The message of a DomainError, with the flag in place of the library
+    parameter when the check of one option's value failed."""
+    dest = _OPTION_OF.get(exc.parameter, exc.parameter)
+    if dest in _TRAIN_SPEC or dest in _BENCH_SPEC:
+        return "%s %s" % (_flag(dest), exc.detail)
+    return str(exc)
 
 
 def _read_config(path, spec):
@@ -375,7 +393,7 @@ def build_parser():
         for dest, (convert, _, option_help) in spec.items():
             choices = getattr(convert, "options", None)
             command.add_argument(
-                "--lambda" if dest == "lam" else "--" + dest.replace("_", "-"),
+                _flag(dest),
                 dest=dest,
                 type=None if choices else convert,
                 choices=choices,
@@ -406,7 +424,7 @@ def main(argv=None):
     try:
         return args.handler(args)
     except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % _error_text(exc), file=sys.stderr)
         return 2
     except (ProxsplitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -25,13 +25,16 @@ the default), which is also what the simplified single-block scheme of
 :func:`run_simplified` does.
 
 An iteration gathers the rows of its mini-batch once, through
-:meth:`proxsplit.model.TrainingSet.rows` (a full batch uses the matrix as
-it is), from the row-sorted CSR the training set keeps.  All B forward
-products are one sparse-times-dense product with the N x B block-diagonal
-layout of w, and all B adjoint products are one transposed product whose
-column b is read on block b only.  Sorted column indices keep the
-summation order of a per-block product, so the iterates are the same bit
-for bit.
+:meth:`proxsplit.model.TrainingSet.rows` (a full batch uses the matrix's
+arrays as they are), from the row-sorted CSR the training set keeps.  All
+B forward products are one multi-vector product with the N x B
+block-diagonal layout of w, and all B adjoint products are one adjoint
+product whose column b is read on block b only.  Gather and products run
+scipy's own sparsetools kernels on the CSR arrays, with no scipy matrix
+object per step; when that private module is missing they fall back to
+the public ``X[rows]``, ``@`` and ``.T @`` calls, which run the same
+kernels and give the same bits.  Sorted column indices keep the summation
+order of a per-block product, so the iterates are the same bit for bit.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
 record function handed to :func:`proxsplit.trace.drive`, the loop shared
@@ -227,8 +230,7 @@ def dual_aggregate(problem, config, s):
 
 
 def _aggregate(problem, res, s):
-    data = problem.data
-    return _block_adjoint(data.features, data.labels, s * res.inv1p, problem.partition.slices())
+    return _block_adjoint(problem.data.rows(), s * res.inv1p, problem.partition.slices())
 
 
 def init_state(problem, config, t0, s0):
@@ -279,9 +281,9 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
 
     aw = None
     if act_l.size:
-        Xa, ya = problem.data.rows(act_l)
+        rows = problem.data.rows(act_l)
         if res.literal:
-            aw = _block_products(Xa, ya, state.w, slices)
+            aw = _block_products(rows, state.w, slices)
 
     for b in act_b:
         sl = slices[b]
@@ -296,7 +298,7 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
 
     if act_l.size:
         if aw is None:
-            aw = _block_products(Xa, ya, state.w, slices)
+            aw = _block_products(rows, state.w, slices)
         g = res.gamma
         s_rows = state.s[act_l, :]
         v_new = (s_rows + g * aw) * res.inv1p
@@ -310,28 +312,28 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
             raise NumericalError("non-finite dual update")
         state.v[act_l, :] = v_new
         state.s[act_l, :] = s_rows + ds
-        state.u += _block_adjoint(Xa, ya, ds * res.inv1p, slices)
+        state.u += _block_adjoint(rows, ds * res.inv1p, slices)
 
     state.iteration += 1
     return state
 
 
-def _block_products(Xa, ya, w, slices):
+def _block_products(rows, w, slices):
     """(A_{l,b} w_b)_{l,b} = y_l <x_{l,b}, w_b> as an (m, B) array, for the
-    gathered rows Xa with labels ya."""
+    gathered rows (a :class:`proxsplit.model.Rows`)."""
     W = np.zeros((w.size, len(slices)))
     for b, sl in enumerate(slices):
         W[sl, b] = w[sl]
-    out = Xa @ W
-    out *= ya[:, None]
+    out = rows.dot(W)
+    out *= rows.labels[:, None]
     return out
 
 
-def _block_adjoint(Xa, ya, M, slices):
+def _block_adjoint(rows, M, slices):
     """(sum_l y_l x_{l,b} M_{l,b})_b as a length-N vector, for the gathered
-    rows Xa with labels ya and an (m, B) array M: one transposed product
-    whose column b is read on block b only."""
-    r = Xa.T @ (ya[:, None] * M)
+    rows and an (m, B) array M: one adjoint product whose column b is read
+    on block b only."""
+    r = rows.adjoint(rows.labels[:, None] * M)
     return np.concatenate([r[sl, b] for b, sl in enumerate(slices)])
 
 
@@ -424,7 +426,8 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     w_init = rng.standard_normal(N)
     t = float_copy("t0", w_init if t0 is None else t0, (N,))
     st = float_copy("st0", np.zeros(L) if st0 is None else st0, (L,))
-    ut = problem.data.features.T @ (problem.data.labels * st)
+    every = problem.data.rows()
+    ut = every.adjoint(every.labels * st)
     w = np.zeros(N)
     pool_l = np.arange(L)
 
@@ -436,14 +439,14 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         if not np.all(np.isfinite(w)):
             raise NumericalError("non-finite primal update")
         t += mu * (reg_prox(problem, 2.0 * w - t, tau) - w)
-        Xa, ya = problem.data.rows(act_l)
-        aw = ya * (Xa @ (w_old if res.literal else w))
+        rows = problem.data.rows(act_l)
+        aw = rows.labels * rows.dot(w_old if res.literal else w)
         q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)
         if not np.all(np.isfinite(ds)):
             raise NumericalError("non-finite dual update")
         st[act_l] += ds
-        ut += Xa.T @ (ya * ds)
+        ut += rows.adjoint(rows.labels * ds)
         return w
 
     def record(trace, iteration, seconds):

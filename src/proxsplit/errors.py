@@ -6,7 +6,16 @@ class ProxsplitError(Exception):
 
 
 class DomainError(ProxsplitError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    parameter names the argument when one check decided it; the message
+    then reads "<parameter> <detail>".
+    """
+
+    def __init__(self, message, parameter=None):
+        super().__init__(message if parameter is None else "%s %s" % (parameter, message))
+        self.parameter = parameter
+        self.detail = message
 
 
 class ConvergenceError(ProxsplitError, RuntimeError):

@@ -19,6 +19,11 @@ from .errors import DomainError
 from .prox import ScalarLoss, loss_grad, loss_value, prox_group_l2, prox_l1
 from .trace import check_count, check_scalar
 
+try:  # scipy's private kernels, the ones behind X[rows], X @ M and X.T @ M
+    from scipy.sparse import _sparsetools
+except ImportError:  # then Rows makes the same public scipy calls
+    _sparsetools = None
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -59,13 +64,81 @@ class TrainingSet:
     def n_features(self):
         return self.features.shape[1]
 
-    def rows(self, act_l):
-        """(Xa, ya): the feature rows and labels of the distinct samples
-        act_l.  All L samples, which must come in order as the sampler
-        draws them, give features and labels themselves, without a gather."""
-        if act_l.size == self.n_samples:
-            return self.features, self.labels
-        return self.features[act_l], self.labels[act_l]
+    def rows(self, act_l=None):
+        """Rows of the distinct samples act_l, indices in [0, L): the
+        mini-batch a solver step works on.  act_l None, or all L samples in
+        order as the sampler draws them, gives every row without a gather.
+
+        The gather is scipy's own row-index kernel, run on the arrays of
+        features; without that kernel it is the public features[act_l].
+        """
+        X = self.features
+        if act_l is None or act_l.size == self.n_samples:
+            return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1],
+                        X if _sparsetools is None else None)
+        if act_l.size and act_l.min() < 0:  # the kernel reads indptr at act_l unchecked
+            raise DomainError("row indices must be nonnegative")
+        labels = self.labels[act_l]
+        if _sparsetools is None:
+            Xa = X[act_l]
+            return Rows(labels, Xa.indptr, Xa.indices, Xa.data, X.shape[1], Xa)
+        idx = act_l.astype(X.indptr.dtype, copy=False)
+        indptr = np.empty(idx.size + 1, dtype=idx.dtype)
+        indptr[0] = 0
+        np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=idx.dtype)
+        data = np.empty(indptr[-1])
+        _sparsetools.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
+        return Rows(labels, indptr, indices, data, X.shape[1])
+
+
+class Rows:
+    """Feature rows X_a, as CSR arrays (indptr, indices, data), and labels
+    y_a of a mini-batch, with the products dot(M) = X_a @ M and
+    adjoint(M) = X_a^T @ M for a float vector or 2-D array M.
+
+    The products call, on the arrays directly, the sparsetools kernel that
+    scipy's own product would pick (one vector kernel for a vector or a
+    single column, the multi-vector kernel otherwise).  So they give
+    scipy's bits without its per-call overhead, and the adjoint builds no
+    transpose object.  When scipy's private kernels are missing, matrix is
+    the rows' scipy CSR and the products are the public ``@`` calls.
+    """
+
+    __slots__ = ("labels", "indptr", "indices", "data", "shape", "matrix")
+
+    def __init__(self, labels, indptr, indices, data, n_features, matrix=None):
+        self.labels = labels
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = (indptr.size - 1, n_features)
+        self.matrix = matrix
+
+    def dot(self, M):
+        """X_a @ M for M of shape (N,) or (N, k)."""
+        if self.matrix is not None:
+            return self.matrix @ M
+        m, n = self.shape
+        return self._product(_sparsetools.csr_matvec, _sparsetools.csr_matvecs, m, n, M)
+
+    def adjoint(self, M):
+        """X_a^T @ M for M of shape (m,) or (m, k)."""
+        if self.matrix is not None:
+            return self.matrix.T @ M
+        m, n = self.shape
+        return self._product(_sparsetools.csc_matvec, _sparsetools.csc_matvecs, n, m, M)
+
+    def _product(self, vec, vecs, n_out, n_in, M):
+        if M.shape[0] != n_in:
+            raise DomainError("operand has %d rows, the product needs %d" % (M.shape[0], n_in))
+        if M.ndim == 1 or M.shape[1] == 1:
+            out = np.zeros(n_out)
+            vec(n_out, n_in, self.indptr, self.indices, self.data, M.ravel(), out)
+            return out if M.ndim == 1 else out[:, None]
+        out = np.zeros((n_out, M.shape[1]))
+        vecs(n_out, n_in, M.shape[1], self.indptr, self.indices, self.data, M.ravel(), out.ravel())
+        return out
 
 
 @dataclass(frozen=True)
@@ -194,10 +267,11 @@ def smooth_gradient(problem, w):
 def reg_prox(problem, z, tau):
     """Blockwise prox of tau * lambda * ||.||_{kappa_b}; exact zeros survive.
 
-    tau is one scalar for every block; DomainError otherwise.
+    tau is one nonnegative, finite real number for every block;
+    DomainError otherwise.
     """
-    if np.ndim(tau) != 0:
-        raise DomainError("tau must be a scalar, got %r" % (tau,))
+    tau = check_scalar("tau", tau, "be a scalar, nonnegative and finite",
+                       lambda x: 0.0 <= x < math.inf)
     z = np.asarray(z, dtype=float)
     thresh = tau * problem.reg.lam
     out = np.empty_like(z)

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConvergenceError, DomainError
+from .trace import check_scalar
 
 # the log-space Newton stops once its step, the relative change of the
 # gap, is below this; the closing step on the log form, whose curvature
@@ -144,18 +145,26 @@ def prox_huber(v, gamma):
     return out
 
 
+def _check_threshold(thresh):
+    return check_scalar("threshold", thresh, "be nonnegative and a scalar", lambda x: x >= 0.0)
+
+
 def prox_l1(w, thresh):
-    """Soft thresholding: sign(w) * max(|w| - thresh, 0), with exact zeros."""
-    if thresh < 0.0:
-        raise DomainError("threshold must be nonnegative")
+    """Soft thresholding: sign(w) * max(|w| - thresh, 0), with exact zeros.
+
+    thresh is one real number >= 0; DomainError otherwise.
+    """
+    thresh = _check_threshold(thresh)
     w = np.asarray(w, dtype=float)
     return np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
 
 
 def prox_group_l2(w, thresh):
-    """Block shrinkage (1 - thresh/||w||_2)_+ * w; the zero vector when ||w|| <= thresh."""
-    if thresh < 0.0:
-        raise DomainError("threshold must be nonnegative")
+    """Block shrinkage (1 - thresh/||w||_2)_+ * w; the zero vector when ||w|| <= thresh.
+
+    thresh is one real number >= 0; DomainError otherwise.
+    """
+    thresh = _check_threshold(thresh)
     w = np.asarray(w, dtype=float)
     nrm = np.linalg.norm(w)
     if nrm <= thresh:

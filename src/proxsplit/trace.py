@@ -168,7 +168,7 @@ def check_scalar(name, value, requirement, ok):
     number that passes ok: a numbers.Real other than a bool, such as a Python
     or numpy int or float, but not a string, a sequence or a 0-d array."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(float(value)):
-        raise DomainError("%s must %s, got %r" % (name, requirement, value))
+        raise DomainError("must %s, got %r" % (requirement, value), name)
     return float(value)
 
 
@@ -187,7 +187,7 @@ def check_count(name, value, low, high=math.inf):
     exact = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     n = value if exact else check_scalar(name, value, requirement, float.is_integer)
     if not low <= n <= high:
-        raise DomainError("%s must %s, got %r" % (name, requirement, value))
+        raise DomainError("must %s, got %r" % (requirement, value), name)
     return int(n)
 
 

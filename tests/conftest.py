@@ -63,6 +63,20 @@ class NoRowGather(sp.csr_matrix):
         return super().__getitem__(key)
 
 
+class NoRowGatherKernels:
+    """scipy's private sparse kernels with a row-index kernel that fails the
+    test: NoRowGather for the gather that model.TrainingSet.rows runs."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+
+    def __getattr__(self, name):
+        return getattr(self.kernels, name)
+
+    def csr_row_index(self, *args):
+        raise AssertionError("a full batch must not gather rows")
+
+
 def tiny_problem(lam=0.0):
     """Single sample x=1, y=1: every DR quantity is computable by hand."""
     tset = px.TrainingSet(features=sp.csr_matrix(np.array([[1.0]])),

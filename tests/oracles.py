@@ -129,10 +129,10 @@ PROX_CONJ_5_2 = -0.07332754954433252         # conjugate prox, v=5, sigma=2
 
 # ------------------------------------------------------------------------
 # Naive references for the splitting solver's hot path.  The production
-# sampler walks a dict of displaced slots and the production iteration
-# gathers the mini-batch rows once; these do the textbook versions (numpy
-# scalar swaps, one row gather per block and product) and must agree with
-# them bit for bit.
+# sampler replays only its colliding steps through a dict of displaced
+# slots and the production iteration gathers the mini-batch rows once;
+# these do the textbook versions (numpy scalar swaps, one row gather per
+# block and product) and must agree with them bit for bit.
 
 def sample_by_swaps(rng, pool, k):
     """Partial Fisher-Yates by in-place swaps on pool, undone afterwards."""

@@ -68,19 +68,32 @@ def test_bad_loop_option_returns_two_for_every_solver(binary_file, tmp_path, sol
     args = ["train", "--data", binary_file, "--solver", solver, "--trace-stride", "0",
             "--out", str(tmp_path / "out")]
     assert cli.main(args) == 2
-    assert "error: trace_stride must be >= 1" in capsys.readouterr().err
+    assert "error: --trace-stride must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("options,message", [
-    (["--seed", "-1"], "error: seed must be >= 0 and be an integer, got -1\n"),
+    (["--seed", "-1"], "error: --seed must be >= 0 and be an integer, got -1\n"),
     (["--plateau-window", "2", "--plateau-rtol", "-1"],
-     "error: plateau_rtol must be nonnegative and finite, got -1.0\n"),
-    (["--batch", "0"], "error: batch_size must lie in [1, 12] and be an integer, got 0\n"),
+     "error: --plateau-rtol must be nonnegative and finite, got -1.0\n"),
+    (["--batch", "0"], "error: --batch must lie in [1, 12] and be an integer, got 0\n"),
+    (["--lambda", "-1"], "error: --lambda must be nonnegative and finite, got -1.0\n"),
+    (["--blocks", "0"], "error: --blocks must lie in [1, 4] and be an integer, got 0\n"),
+    (["--iters", "-1"], "error: --iters must be >= 0 and be an integer, got -1\n"),
 ])
 def test_bad_numbers_exit_two_with_an_error_line(binary_file, tmp_path, options, message, capsys):
     args = ["train", "--data", binary_file, "--iters", "5", "--out", str(tmp_path / "out")]
     assert cli.main(args + options) == 2
     assert capsys.readouterr().err == message  # one error line, no traceback
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--ref-factor", "0"], "error: --ref-factor must be >= 1 and be an integer, got 0\n"),
+    (["--iters", "-1"], "error: --iters must be >= 0 and be an integer, got -1\n"),
+])
+def test_bench_error_lines_name_the_flag(binary_file, options, message, capsys):
+    # the library parameters are long_run_factor and max_iters
+    assert cli.main(["bench", "--data", binary_file] + options) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_missing_and_malformed_data_return_one(tmp_path, capsys):

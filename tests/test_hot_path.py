@@ -1,13 +1,18 @@
-"""Bitwise equivalence of the splitting solver's hot path with the naive
-references in oracles.py: the dict-walk sampler against in-place scalar
-swaps, and the one-gather iteration against a row gather per block."""
+"""Bitwise equivalence of the solvers' hot path with the naive references
+in oracles.py: the collision-replay sampler against in-place scalar swaps,
+and the one-gather iteration against a row gather per block.  The row
+gather and products on scipy's private kernels must also match the
+public scipy calls they fall back to."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
-from proxsplit import dr
+from proxsplit import dr, model
+from proxsplit.bench import SOLVERS
+from proxsplit.errors import DomainError
 from conftest import make_problem
 from oracles import block_columns, iterate_per_block, run_per_block, sample_by_swaps
 
@@ -16,10 +21,23 @@ LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q2)
 
 # ----------------------------------------------------------------- sampler
 
+@st.composite
+def pool_and_count(draw):
+    n = draw(st.integers(1, 5000))
+    return n, draw(st.integers(1, n))
+
+
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 400), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_sampler_matches_swap_reference(n, frac, seed):
-    k = 1 + int(frac * (n - 1))
+@given(nk=pool_and_count(), seed=st.integers(0, 2**32 - 1))
+# tiny pools, where most steps hit a slot an earlier step moved
+@example(nk=(2, 1), seed=0)
+@example(nk=(3, 2), seed=1)
+@example(nk=(5, 4), seed=2)
+@example(nk=(10, 9), seed=3)
+@example(nk=(10, 3), seed=4)
+@example(nk=(6, 5), seed=2**32 - 1)
+def test_sampler_matches_swap_reference(nk, seed):
+    n, k = nk
     pool = np.arange(n) * 3 + 7
     ref_pool = pool.copy()
     rng, ref_rng = px.make_rng(seed), px.make_rng(seed)
@@ -27,8 +45,23 @@ def test_sampler_matches_swap_reference(n, frac, seed):
         got = px.sample_without_replacement(rng, pool, k)
         want = sample_by_swaps(ref_rng, ref_pool, k)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # same stream consumed
     assert np.array_equal(pool, np.arange(n) * 3 + 7)  # pool is never written
-    assert rng.random() == ref_rng.random()  # same stream consumed
+
+
+@pytest.mark.parametrize("k", [0, 11, 2.5, True, "3", None])
+def test_sampler_rejects_a_bad_count(k):
+    rng = px.make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=r"k must lie in \[1, 10\] and be an integer"):
+        px.sample_without_replacement(rng, np.arange(10), k)
+    assert rng.bit_generator.state == state
+
+
+def test_sampler_takes_an_integral_float_count():
+    rng, ref_rng = px.make_rng(9), px.make_rng(9)
+    got = px.sample_without_replacement(rng, np.arange(10), 2.0)
+    assert np.array_equal(got, px.sample_without_replacement(ref_rng, np.arange(10), 2))
 
 
 def test_sampler_edge_sizes():
@@ -148,3 +181,57 @@ def test_unsorted_csr_input_matches_sorted_and_reference():
     w_dup, _ = px.run(dup, cfg)
     ref_hat, _ = run_per_block(dup, cfg)
     assert np.array_equal(w_dup, ref_hat)
+
+
+# ------------------------------------------- sparse kernels and fallback
+
+def _both_paths(monkeypatch, make):
+    """(make() with scipy's private kernels, make() with the public calls)."""
+    with_kernels = make()
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_sparsetools", None)
+        return with_kernels, make()
+
+
+def test_rows_kernels_match_the_public_scipy_calls(monkeypatch):
+    if model._sparsetools is None:
+        pytest.skip("scipy has no private sparse kernels here; rows uses the public calls")
+    rng = np.random.Generator(np.random.PCG64(12))
+    X = sp.random(300, 40, density=0.1, format="csr", random_state=3)
+    data = px.TrainingSet(features=X, labels=np.where(rng.random(300) < 0.3, 1.0, -1.0))
+    for step in range(50):
+        m = (1, 37, 299, 300)[step % 4]
+        act_l = rng.permutation(300)[:m] if m < 300 else np.arange(300)
+        fast, public = _both_paths(monkeypatch, lambda: data.rows(act_l))
+        assert fast.matrix is None and public.matrix is not None
+        for name in ("labels", "indptr", "indices", "data"):
+            a, b = getattr(fast, name), getattr(public, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (step, name)
+        for cols in (None, 1, 4):
+            shape = (40,) if cols is None else (40, cols)
+            W, M = rng.standard_normal(shape), rng.standard_normal((m,) + shape[1:])
+            a, b = fast.dot(W), public.dot(W)
+            assert a.shape == b.shape and np.array_equal(a, b), (step, cols)
+            a, b = fast.adjoint(M), public.adjoint(M)
+            assert a.shape == b.shape and np.array_equal(a, b), (step, cols)
+
+
+def test_rows_rejects_a_negative_index_on_both_paths(monkeypatch):
+    data = _problem(5, 1, 1, px.ScalarLoss.LOGISTIC, seed=1).data
+    for kernels in (model._sparsetools, None):
+        monkeypatch.setattr(model, "_sparsetools", kernels)
+        with pytest.raises(DomainError, match="row indices must be nonnegative"):
+            data.rows(np.array([0, -1]))
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_solver_gives_the_same_bits_without_the_kernels(monkeypatch, solver):
+    prob = _problem(11, 1 if solver == "dr-simplified" else 3, 1, px.ScalarLoss.LOGISTIC, seed=4)
+    if solver.startswith("dr"):
+        cfg = px.DRConfig(rho=0.0 if solver == "dr-simplified" else 0.1, batch_size=9, seed=2,
+                          max_iters=30, trace_stride=5)
+    else:
+        cfg = px.BaselineConfig(step_c=0.3, batch_size=9, seed=2, max_iters=30, trace_stride=5)
+    fast, public = _both_paths(monkeypatch, lambda: SOLVERS[solver](prob, cfg))
+    assert np.array_equal(fast[0], public[0])
+    assert [r.objective for r in fast[1].records] == [r.objective for r in public[1].records]

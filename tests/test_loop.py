@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import proxsplit as px
-from proxsplit import baselines, dr
+from proxsplit import baselines, dr, model
 from proxsplit.bench import SOLVERS
 from proxsplit.errors import DomainError
-from conftest import NoRowGather, make_problem
+from conftest import NoRowGather, NoRowGatherKernels, make_problem
 
 # keyword of each solver's start vector
 START_KW = {"dr": "t0", "dr-simplified": "t0", "sfb": "w0", "rda": "w0", "bcpd": "w0"}
@@ -69,16 +69,20 @@ def test_every_solver_rejects_bad_loop_options(solver, loop, msg):
 # ------------------------------------------------------ mini-batch gather
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_full_batch_gathers_no_rows(solver):
+def test_full_batch_gathers_no_rows(solver, monkeypatch):
     # a full batch works on the training set's matrix itself; a smaller one
-    # reaches the row gather, which NoRowGather turns into a failure
+    # reaches the row gather, which NoRowGatherKernels (scipy's kernels) and
+    # NoRowGather (the public fallback, kernels None) turn into a failure
     base = single_block_problem()
     prob = px.Problem(data=px.TrainingSet(features=NoRowGather(base.data.features),
                                           labels=base.data.labels),
                       partition=base.partition, reg=base.reg, loss=base.loss)
-    SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=None))
-    with pytest.raises(AssertionError, match="must not gather rows"):
-        SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=prob.n_samples - 1))
+    kernels = model._sparsetools
+    for path in ((None,) if kernels is None else (NoRowGatherKernels(kernels), None)):
+        monkeypatch.setattr(model, "_sparsetools", path)
+        SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=None))
+        with pytest.raises(AssertionError, match="must not gather rows"):
+            SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=prob.n_samples - 1))
 
 
 # ----------------------------------------------------------- start vectors

@@ -209,6 +209,13 @@ def test_reg_prox_per_block_tau():
         px.reg_prox(prob, z, np.array([1.0, 4.0]))
 
 
+@pytest.mark.parametrize("tau", [True, "2", -1.0, math.inf, math.nan])
+def test_reg_prox_tau_must_be_a_nonnegative_finite_real_number(tau):
+    prob = two_block_problem()
+    with pytest.raises(DomainError, match="tau must be a scalar, nonnegative and finite"):
+        px.reg_prox(prob, np.ones(5), tau)
+
+
 def test_reg_prox_zero_lambda_is_identity():
     prob = make_problem(5, 4, 2, lam=0.0, seed=6)
     z = np.arange(5.0) - 2.0

@@ -399,10 +399,11 @@ def test_rejects_bad_hinge_exponent():
 
 
 def test_rejects_negative_threshold():
-    with pytest.raises(DomainError):
-        px.prox_l1(np.ones(2), -0.5)
-    with pytest.raises(DomainError):
-        px.prox_group_l2(np.ones(2), -0.5)
+    # and any threshold that is not one real number
+    for thresh in (-0.5, "1", True, math.nan, np.array([0.5, 0.5]), None):
+        for shrink in (px.prox_l1, px.prox_group_l2):
+            with pytest.raises(DomainError, match="threshold must be nonnegative and a scalar"):
+                shrink(np.ones(2), thresh)
 
 
 def test_rejects_nonfinite_v():
