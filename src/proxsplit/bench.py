@@ -3,15 +3,14 @@
 A benchmark run takes a list of named solver configurations, runs each one
 on the same problem (optionally against a shared reference solution so the
 traces carry a distance column), writes one trace CSV per run plus a
-summary CSV, and returns the summary rows.  Runs are independent and may
-execute on a thread pool; the pool size is capped by the
-``PROXSPLIT_THREADS`` environment variable (default 1).
+summary CSV, and returns the summary rows.  The entries run one after
+another in the order given, so each trace's ``seconds`` column times that
+solver alone.
 """
 
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .baselines import bcpd_run, rda_run, sfb_run
@@ -27,7 +26,6 @@ __all__ = [
     "compute_reference",
     "run_benchmark",
     "format_summary",
-    "thread_count",
 ]
 
 # Every solver shares the calling convention
@@ -73,35 +71,11 @@ class SummaryRow:
         )
 
 
-def thread_count():
-    """Worker cap from PROXSPLIT_THREADS; 1 when unset."""
-    raw = os.environ.get("PROXSPLIT_THREADS")
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError("PROXSPLIT_THREADS must be an integer, got %r" % raw) from None
-    if value < 1:
-        raise DomainError("PROXSPLIT_THREADS must be >= 1, got %d" % value)
-    return value
-
-
 def solver_named(name):
     """The SOLVERS entry for `name`; DomainError listing the known names."""
     if name not in SOLVERS:
         raise DomainError("unknown solver %r; known: %s" % (name, ", ".join(sorted(SOLVERS))))
     return SOLVERS[name]
-
-
-def map_workers(fn, items):
-    """[fn(item) for item in items] on up to PROXSPLIT_THREADS threads;
-    no pool for one worker or one item."""
-    workers = min(thread_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4):
@@ -162,7 +136,8 @@ def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None)
     Parameters
     ----------
     entries : sequence of BenchmarkEntry
-        Row order of the summary follows this order exactly.
+        The entries run one after another in this order, and the summary
+        rows follow it exactly.
     reference : ndarray, optional
         Shared solution for the dist_ref trace column.
     out_dir : str, optional
@@ -170,24 +145,17 @@ def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None)
         if missing.  No files are written when omitted.
     test_set : TrainingSet, optional
         Held-out data for the test-error column.
-
-    The entries run on up to PROXSPLIT_THREADS threads.
     """
     entries = list(entries)
     check_entries(entries)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    def _one(entry):
+    rows = []
+    for entry in entries:
         w, trace = SOLVERS[entry.solver](problem, entry.config, reference=reference)
         if out_dir is not None:
             trace.write_csv(os.path.join(out_dir, entry.name + ".csv"))
-        return w, trace
-
-    results = map_workers(_one, entries)
-
-    rows = []
-    for entry, (w, trace) in zip(entries, results):
         final = trace.final
         err_pct = None if test_set is None else 100.0 * test_error(w, test_set)
         rows.append(

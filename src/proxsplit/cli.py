@@ -27,7 +27,6 @@ from .bench import (
     check_entries,
     compute_reference,
     format_summary,
-    map_workers,
     run_benchmark,
     solver_named,
 )
@@ -312,28 +311,24 @@ def _cmd_train(args):
     out_dir = merged["out"]
     os.makedirs(out_dir, exist_ok=True)
 
-    def _train_one(item):
-        label, tset = item
+    weights = []
+    for label, tset in tasks:
         problem = _make_problem(tset, n_features, merged)
         w, trace = run_solver(problem, config)
         suffix = "" if label is None else "_" + _label_text(label)
         save_model(os.path.join(out_dir, "model%s.txt" % suffix), w, problem)
         trace.write_csv(os.path.join(out_dir, "trace%s.csv" % suffix))
-        return label, w, trace
-
-    results = map_workers(_train_one, tasks)
-    for label, w, trace in results:
         tag = "" if label is None else "class %s: " % _label_text(label)
         print(
             "%sobjective %.6e, zeros %.2f%%"
             % (tag, trace.final.objective, 100.0 * sparsity_degree(w, tol=0.0))
         )
+        weights.append((label, w))
 
     if raw_test is not None:
         if not one_vs_all:
-            print("test error %.2f%%" % (100.0 * test_error(results[0][1], test_set)))
+            print("test error %.2f%%" % (100.0 * test_error(weights[0][1], test_set)))
         else:
-            weights = [(label, w) for label, w, _ in results]
             features, labels = to_matrix(raw_test, n_features=n_features)
             predicted = predict_one_vs_all(weights, features)
             print("test error %.2f%%" % (100.0 * float(np.mean(predicted != labels))))

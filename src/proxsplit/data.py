@@ -2,7 +2,8 @@
 
 Reads the plain-text sparse format used by the LIBSVM dataset collection:
 one sample per line, a numeric label followed by whitespace-separated
-``index:value`` pairs with strictly increasing 1-based indices.  Blank
+``index:value`` pairs with strictly increasing 1-based indices.  Lines end
+at ``\\n``, ``\\r\\n`` or a lone ``\\r``, in a string as in a file.  Blank
 lines and lines starting with ``#`` are skipped.  Gzip-compressed files
 are handled transparently by their ``.gz`` extension.
 
@@ -116,7 +117,9 @@ def parse_libsvm(source, n_features=None):
     ----------
     source : str or iterable of str
         Full text, or an iterable of lines (an open file works).  A string
-        is split into lines by ``str.splitlines``.
+        is split into lines at ``\\n``, ``\\r\\n`` and lone ``\\r``, as a
+        file opened in text mode is; other line separators such as ``\\f``
+        or ``\\u2028`` are whitespace inside a line.
     n_features : int, optional
         Declared dimension.  Indices beyond it are an error; without it
         the dimension is the largest index seen.
@@ -134,22 +137,15 @@ def parse_libsvm(source, n_features=None):
     if not isinstance(source, str):
         return _parse_lines(source, n_features)
     raw = _parse_text(source, n_features)
-    return raw if raw is not None else _parse_lines(source.splitlines(), n_features)
+    return raw if raw is not None else _parse_lines(io.StringIO(source, newline=None), n_features)
 
 
 def load_libsvm(path, n_features=None):
-    """parse_libsvm on a file's text; `.gz` paths are decompressed on the fly.
-
-    Lines end at newlines only (after universal-newline translation), as
-    when iterating the open file; ``str.splitlines`` would also break them
-    at \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029.
-    """
+    """parse_libsvm on a file's text; `.gz` paths are decompressed on the fly."""
     n_features = _declared(n_features)
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as handle:
-        text = handle.read()
-    raw = _parse_text(text, n_features)
-    return raw if raw is not None else _parse_lines(io.StringIO(text), n_features)
+        return parse_libsvm(handle.read(), n_features)
 
 
 def _declared(n_features):

@@ -337,18 +337,11 @@ def _block_adjoint(rows, M, slices):
     return np.concatenate([r[sl, b] for b, sl in enumerate(slices)])
 
 
-def extract_solution(state, problem, config, which="prox"):
-    """Solution candidate from the state.
-
-    "prox" (default) returns prox_{tau_b f_b}(2 w_b - t_b) per block, which
-    carries exact zeros under l1/group-l2; "iterate" returns w itself.
-    """
-    if which == "iterate":
-        return state.w.copy()
-    if which == "prox":
-        res = resolve_config(problem, config)
-        return reg_prox(problem, 2.0 * state.w - state.t, res.tau)
-    raise DomainError("which must be 'prox' or 'iterate', got %r" % (which,))
+def extract_solution(state, problem, config):
+    """Solution candidate prox_{tau_b f_b}(2 w_b - t_b) per block, which
+    carries exact zeros under l1/group-l2."""
+    res = resolve_config(problem, config)
+    return reg_prox(problem, 2.0 * state.w - state.t, res.tau)
 
 
 def run(problem, config, t0=None, s0=None, reference=None, callback=None):

@@ -25,19 +25,6 @@ def test_solver_registry_names():
     assert sorted(px.SOLVERS) == ["bcpd", "dr", "dr-simplified", "rda", "sfb"]
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("PROXSPLIT_THREADS", raising=False)
-    assert px.thread_count() == 1
-    monkeypatch.setenv("PROXSPLIT_THREADS", "3")
-    assert px.thread_count() == 3
-    monkeypatch.setenv("PROXSPLIT_THREADS", "0")
-    with pytest.raises(DomainError):
-        px.thread_count()
-    monkeypatch.setenv("PROXSPLIT_THREADS", "x")
-    with pytest.raises(DomainError):
-        px.thread_count()
-
-
 def test_compute_reference_certifies_kkt():
     prob = make_problem(8, 25, 2, lam=0.6, seed=9)
     w_ref = px.compute_reference(prob, "dr", px.DRConfig(rho=0.1, max_iters=300,
@@ -108,16 +95,6 @@ def test_run_benchmark_with_test_set():
     rows = px.run_benchmark(prob, bench_entries()[:1], test_set=holdout)
     assert rows[0].test_error_pct is not None
     assert 0.0 <= rows[0].test_error_pct <= 100.0
-
-
-def test_run_benchmark_parallel_matches_sequential(tmp_path, monkeypatch):
-    prob = make_problem(8, 25, 2, lam=0.6, seed=9)
-    monkeypatch.setenv("PROXSPLIT_THREADS", "1")
-    seq = px.run_benchmark(prob, bench_entries())
-    monkeypatch.setenv("PROXSPLIT_THREADS", "3")
-    par = px.run_benchmark(prob, bench_entries())
-    assert [(r.name, r.objective, r.zeros_pct) for r in seq] == \
-           [(r.name, r.objective, r.zeros_pct) for r in par]
 
 
 def test_run_benchmark_validates_entries():

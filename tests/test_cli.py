@@ -3,6 +3,7 @@
 import argparse
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -256,8 +257,7 @@ def test_bench_rejects_duplicate_solvers_before_the_reference_run(binary_file, c
     assert "duplicate benchmark entry name 'dr'" in capsys.readouterr().err
 
 
-def test_train_one_vs_all(multiclass_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PROXSPLIT_THREADS", "2")
+def test_train_one_vs_all(multiclass_file, tmp_path, capsys):
     out = tmp_path / "ova"
     rc = cli.main(["train", "--data", multiclass_file, "--iters", "30",
                    "--out", str(out)])
@@ -268,6 +268,49 @@ def test_train_one_vs_all(multiclass_file, tmp_path, capsys, monkeypatch):
     stdout = capsys.readouterr().out
     for cls in (0, 1, 2):
         assert ("class %d:" % cls) in stdout
+
+
+def stamp_solver_runs(monkeypatch, keys):
+    """Wrap SOLVERS[key] for each key so that every solver call appends a
+    fresh list, which collects the perf_counter reading of each of the
+    call's callbacks."""
+    runs = []
+    for key in keys:
+        def timed(problem, config, solver=px.SOLVERS[key], **kwargs):
+            stamps = []
+            runs.append(stamps)
+            return solver(problem, config, **kwargs,
+                          callback=lambda iteration, w: stamps.append(time.perf_counter()))
+
+        monkeypatch.setitem(px.SOLVERS, key, timed)
+    return runs
+
+
+def assert_one_after_another(runs, count):
+    assert len(runs) == count and all(runs)
+    for earlier, later in zip(runs, runs[1:]):
+        assert earlier[-1] < later[0]
+
+
+def test_solver_runs_follow_one_another(multiclass_file, tmp_path, monkeypatch):
+    runs = stamp_solver_runs(monkeypatch, ["dr", "sfb", "rda", "bcpd"])
+    problem = px.Problem(
+        data=px.binarize(px.load_libsvm(multiclass_file), positive_class=1),
+        partition=px.BlockPartition.contiguous(4, 2),
+        reg=px.RegularizerSpec(lam=0.1, kappa=1),
+        loss=px.ScalarLoss.LOGISTIC,
+    )
+    baseline = px.BaselineConfig(tau=0.05, max_iters=20)
+    entries = [px.BenchmarkEntry(name=key, solver=key, config=config) for key, config in
+               [("bcpd", baseline), ("dr", px.DRConfig(max_iters=20)), ("rda", baseline),
+                ("sfb", baseline)]]
+    px.run_benchmark(problem, entries)
+    assert_one_after_another(runs, len(entries))
+
+    runs.clear()
+    assert cli.main(["train", "--data", multiclass_file, "--iters", "20",
+                     "--out", str(tmp_path / "ova")]) == 0
+    assert_one_after_another(runs, 3)
 
 
 def test_train_binarizes_with_positive_class(multiclass_file, tmp_path):

@@ -184,9 +184,11 @@ def outcome(parse):
 
 
 def both_paths(text, n_features=None):
-    """Outcomes of parse_libsvm on the text and of the line loop alone."""
+    """Outcomes of parse_libsvm on the text and of the line loop alone on
+    the text's lines, which end at \\n, \\r\\n or a lone \\r."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return (outcome(lambda: px.parse_libsvm(text, n_features=n_features)),
-            outcome(lambda: data._parse_lines(text.splitlines(), n_features)))
+            outcome(lambda: data._parse_lines(lines, n_features)))
 
 
 BLANKS = st.text(" \t", min_size=1, max_size=3)
@@ -331,14 +333,16 @@ def test_chunked_parse_matches_the_loop_and_reports_true_lines(tmp_path):
 
 
 def test_load_breaks_lines_at_newlines_only(tmp_path):
-    # Iterating the open file keeps a form feed or a vertical tab inside its
-    # line, where str.splitlines would break the line there.
+    # A string and a file break lines at \n, \r\n and a lone \r only; a
+    # form feed, a vertical tab or U+2028 stays inside its line.
     path = tmp_path / "data.txt"
-    for text in ("1 1:1\f2:3\n-1 1:2\x0b\n", "1 1:1\r\n-1 2:1\r\n", "1 1:1\f0:3\n"):
-        path.write_text(text, newline="")
-        with open(path) as handle:
+    for text in ("1 1:1\f2:3\n-1 1:2\x0b\n", "1 1:1\r\n-1 2:1\r\n", "1 1:1\f0:3\n",
+                 "1 1:1\r-1 2:1\r", "1 1:1\u20282:3\x85\n-1 1:2\x1c3:1\n"):
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as handle:
             expected = outcome(lambda: data._parse_lines(handle, None))
         assert outcome(lambda: px.load_libsvm(str(path))) == expected
+        assert outcome(lambda: px.parse_libsvm(text)) == expected
 
 
 def test_load_missing_file_raises_oserror(tmp_path):

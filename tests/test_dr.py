@@ -357,8 +357,6 @@ def test_extract_solution_zero_lambda():
     state.w[:] = np.array([0.3, 1.0, -0.2, 0.1, 0.0, 2.0])
     assert np.array_equal(px.extract_solution(state, prob0, cfg),
                           2.0 * state.w - state.t)
-    assert px.extract_solution(state, prob0, cfg, which="iterate") is not state.w
-    assert np.array_equal(px.extract_solution(state, prob0, cfg, which="iterate"), state.w)
 
 
 def test_extract_solution_exact_zeros():

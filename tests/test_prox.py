@@ -34,6 +34,7 @@ from oracles import (
 
 LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q1,
           px.ScalarLoss.HINGE_Q2, px.ScalarLoss.HUBER)
+CLOSED_FORM_LOSSES = LOSSES[1:]
 
 # |p - p_bracketed| / max(1, gamma) over v in [-700, 700], gamma in
 # [1e-3, 1e3].  The bracketed kernel stops once its bracket is 4 ulp of
@@ -266,6 +267,17 @@ def test_prox_firmly_nonexpansive(loss):
         assert np.all(lhs <= rhs + 1e-12)
 
 
+@pytest.mark.parametrize("loss", CLOSED_FORM_LOSSES)
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-15.0, 15.0), b=st.floats(-15.0, 15.0), gamma=st.floats(0.2, 7.0))
+@example(a=1.0, b=0.8, gamma=0.2)  # both sides of a hinge kink
+@example(a=-1.2, b=-1.25, gamma=0.2)  # both sides of the Huber kink at -1 - gamma
+def test_closed_form_prox_firmly_nonexpansive_property(loss, a, b, gamma):
+    pa, pb = px.loss_prox(loss, np.array([a, b]), gamma)
+    d = pa - pb
+    assert d * d <= d * (a - b) + 1e-12
+
+
 # ----------------------------------------------------- regularizer proxes
 
 def test_prox_l1_soft_threshold():
@@ -332,6 +344,17 @@ def test_moreau_identity(loss):
         direct = px.loss_prox(loss, v / sigma, 1.0 / sigma)
         conj = px.prox_conjugate(lambda z, g: px.loss_prox(loss, z, g), v, sigma)
         assert np.max(np.abs(conj + sigma * direct - v)) <= 1e-13
+
+
+@pytest.mark.parametrize("loss", CLOSED_FORM_LOSSES)
+@settings(max_examples=300, deadline=None)
+@given(v=st.floats(-10.0, 10.0), sigma=st.floats(0.1, 4.0))
+@example(v=1.0, sigma=1.0)
+@example(v=-2.0, sigma=1.0)
+def test_closed_form_moreau_identity_property(loss, v, sigma):
+    direct = px.loss_prox(loss, v / sigma, 1.0 / sigma)
+    conj = px.prox_conjugate(lambda z, g: px.loss_prox(loss, z, g), v, sigma)
+    assert abs(conj + sigma * direct - v) <= 1e-13
 
 
 # --------------------------------------------------------- loss primitives
