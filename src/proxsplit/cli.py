@@ -35,7 +35,14 @@ from .data import binarize, load_libsvm, one_vs_all_tasks, predict_one_vs_all, t
 from .dr import ETA, DRConfig, resolve_config
 from .errors import DomainError, ParseError, ProxsplitError
 from .lambert import eval_w
-from .model import BlockPartition, Problem, RegularizerSpec, sparsity_degree, test_error
+from .model import (
+    BlockPartition,
+    Problem,
+    RegularizerSpec,
+    TrainingSet,
+    sparsity_degree,
+    test_error,
+)
 from .prox import ScalarLoss, prox_logistic
 
 __all__ = ["main", "entrypoint", "save_model", "load_model"]
@@ -264,7 +271,8 @@ def _load_datasets(merged):
 
 def _binary_task(merged, raw, raw_test, n_features):
     """Train and test sets (test None without --test) with y = +1 on
-    --positive-class, by default the larger of the two labels."""
+    --positive-class, by default the larger of the two training labels.
+    The training set must hold that class; the test set need not."""
     positive = merged["positive_class"]
     if positive is None:
         classes = raw.class_labels()
@@ -275,8 +283,10 @@ def _binary_task(merged, raw, raw_test, n_features):
             )
         positive = classes[1]
     tset = binarize(raw, positive, n_features=n_features)
-    test_set = None if raw_test is None else binarize(raw_test, positive, n_features=n_features)
-    return tset, test_set
+    if raw_test is None:
+        return tset, None
+    features, labels = to_matrix(raw_test, n_features=n_features)
+    return tset, TrainingSet(features=features, labels=np.where(labels == positive, 1.0, -1.0))
 
 
 def _make_problem(tset, n_features, merged):

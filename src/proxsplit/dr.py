@@ -31,10 +31,9 @@ B forward products are one multi-vector product with the N x B
 block-diagonal layout of w, and all B adjoint products are one adjoint
 product whose column b is read on block b only.  Gather and products run
 scipy's own sparsetools kernels on the CSR arrays, with no scipy matrix
-object per step; when that private module is missing they fall back to
-the public ``X[rows]``, ``@`` and ``.T @`` calls, which run the same
-kernels and give the same bits.  Sorted column indices keep the summation
-order of a per-block product, so the iterates are the same bit for bit.
+object per step, and give the bits of the public ``X[rows]``, ``@`` and
+``.T @`` calls.  Sorted column indices keep the summation order of a
+per-block product, so the iterates are the same bit for bit.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
 record function handed to :func:`proxsplit.trace.drive`, the loop shared
@@ -196,8 +195,9 @@ def _build_preconditioner(problem, res):
     matrices, factors = [], []
     for b, sl in enumerate(problem.partition.slices()):
         Xb = X[:, sl]
-        gram = (Xb.T @ Xb.multiply(c)).toarray()
-        M = np.eye(sl.stop - sl.start) + res.tau * gram
+        M = (Xb.T @ Xb.multiply(c)).toarray()  # Id + tau * gram, built in place: one n x n array
+        M *= res.tau
+        M.flat[::M.shape[0] + 1] += 1.0
         try:
             factor = cho_factor(M, lower=True)
         except (LinAlgError, ValueError) as exc:

@@ -14,15 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # the kernels behind X[rows], X @ M and X.T @ M
 
 from .errors import DomainError
 from .prox import ScalarLoss, loss_grad, loss_value, prox_group_l2, prox_l1
 from .trace import check_count, check_scalar
-
-try:  # scipy's private kernels, the ones behind X[rows], X @ M and X.T @ M
-    from scipy.sparse import _sparsetools
-except ImportError:  # then Rows makes the same public scipy calls
-    _sparsetools = None
 
 
 @dataclass(frozen=True)
@@ -65,23 +61,19 @@ class TrainingSet:
         return self.features.shape[1]
 
     def rows(self, act_l=None):
-        """Rows of the distinct samples act_l, indices in [0, L): the
-        mini-batch a solver step works on.  act_l None, or all L samples in
-        order as the sampler draws them, gives every row without a gather.
-
+        """Rows of the samples act_l, indices in [0, L): the mini-batch a
+        solver step works on.  act_l None, or exactly 0, ..., L-1 in order
+        as the sampler draws a full batch, gives every row without a gather;
+        any other index array is gathered in its order, repeats included.
         The gather is scipy's own row-index kernel, run on the arrays of
-        features; without that kernel it is the public features[act_l].
+        features.
         """
         X = self.features
-        if act_l is None or act_l.size == self.n_samples:
-            return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1],
-                        X if _sparsetools is None else None)
+        L = self.n_samples
+        if act_l is None or (act_l.size == L and np.array_equal(act_l, np.arange(L))):
+            return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1])
         if act_l.size and act_l.min() < 0:  # the kernel reads indptr at act_l unchecked
             raise DomainError("row indices must be nonnegative")
-        labels = self.labels[act_l]
-        if _sparsetools is None:
-            Xa = X[act_l]
-            return Rows(labels, Xa.indptr, Xa.indices, Xa.data, X.shape[1], Xa)
         idx = act_l.astype(X.indptr.dtype, copy=False)
         indptr = np.empty(idx.size + 1, dtype=idx.dtype)
         indptr[0] = 0
@@ -89,7 +81,7 @@ class TrainingSet:
         indices = np.empty(indptr[-1], dtype=idx.dtype)
         data = np.empty(indptr[-1])
         _sparsetools.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
-        return Rows(labels, indptr, indices, data, X.shape[1])
+        return Rows(self.labels[act_l], indptr, indices, data, X.shape[1])
 
 
 class Rows:
@@ -101,31 +93,25 @@ class Rows:
     scipy's own product would pick (one vector kernel for a vector or a
     single column, the multi-vector kernel otherwise).  So they give
     scipy's bits without its per-call overhead, and the adjoint builds no
-    transpose object.  When scipy's private kernels are missing, matrix is
-    the rows' scipy CSR and the products are the public ``@`` calls.
+    transpose object.
     """
 
-    __slots__ = ("labels", "indptr", "indices", "data", "shape", "matrix")
+    __slots__ = ("labels", "indptr", "indices", "data", "shape")
 
-    def __init__(self, labels, indptr, indices, data, n_features, matrix=None):
+    def __init__(self, labels, indptr, indices, data, n_features):
         self.labels = labels
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self.shape = (indptr.size - 1, n_features)
-        self.matrix = matrix
 
     def dot(self, M):
         """X_a @ M for M of shape (N,) or (N, k)."""
-        if self.matrix is not None:
-            return self.matrix @ M
         m, n = self.shape
         return self._product(_sparsetools.csr_matvec, _sparsetools.csr_matvecs, m, n, M)
 
     def adjoint(self, M):
         """X_a^T @ M for M of shape (m,) or (m, k)."""
-        if self.matrix is not None:
-            return self.matrix.T @ M
         m, n = self.shape
         return self._product(_sparsetools.csc_matvec, _sparsetools.csc_matvecs, n, m, M)
 

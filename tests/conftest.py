@@ -53,19 +53,10 @@ def make_problem(N, L, blocks, lam, seed, density=0.4, kappa=1,
     )
 
 
-class NoRowGather(sp.csr_matrix):
-    """A CSR matrix whose row gathers (indexing by an index array) fail the
-    test; column slices still work."""
-
-    def __getitem__(self, key):
-        if isinstance(key, np.ndarray):
-            raise AssertionError("a full batch must not gather rows")
-        return super().__getitem__(key)
-
-
 class NoRowGatherKernels:
     """scipy's private sparse kernels with a row-index kernel that fails the
-    test: NoRowGather for the gather that model.TrainingSet.rows runs."""
+    test: set as model._sparsetools, it fails every gather that
+    model.TrainingSet.rows runs."""
 
     def __init__(self, kernels):
         self.kernels = kernels

@@ -160,6 +160,29 @@ def block_columns(problem):
     return [Xc[:, sl].tocsr() for sl in problem.partition.slices()]
 
 
+class ScipyRows:
+    """The rows X[act_l] and labels y[act_l] of a training set (act_l None:
+    every row, still gathered), with the products through scipy's public
+    operators: the reference for model.Rows."""
+
+    def __init__(self, tset, act_l=None):
+        act_l = np.arange(tset.n_samples) if act_l is None else act_l
+        self.matrix = tset.features[act_l]
+        self.labels = tset.labels[act_l]
+        self.shape = self.matrix.shape
+
+    def dot(self, M):
+        return self.matrix @ M
+
+    def adjoint(self, M):
+        return self.matrix.T @ M
+
+
+def scipy_rows(tset, act_l=None):
+    """A stand-in for TrainingSet.rows that returns ScipyRows."""
+    return ScipyRows(tset, act_l)
+
+
 def iterate_per_block(state, problem, precond, res, act_b, act_l, mu, columns):
     """One splitting iteration with a row gather per block and product."""
     y = problem.data.labels

@@ -143,6 +143,27 @@ def test_train_reports_test_error(binary_file, tmp_path, capsys):
     assert "test error" in capsys.readouterr().out
 
 
+@pytest.fixture
+def negatives_file(tmp_path):
+    """A held-out file whose samples all have the label -1."""
+    path = tmp_path / "negatives.txt"
+    path.write_text("-1 1:0.5 4:1\n-1 2:3.5 4:1\n-1 3:-2 4:-1\n")
+    return str(path)
+
+
+def test_train_test_set_needs_no_positive_sample(binary_file, negatives_file, tmp_path,
+                                                 capsys):
+    # the held-out labels are mapped against the training set's positive
+    # class (1), which the held-out file does not hold
+    out = tmp_path / "fit"
+    assert cli.main(["train", "--data", binary_file, "--test", negatives_file,
+                     "--iters", "30", "--out", str(out)]) == 0
+    w, _ = cli.load_model(out / "model.txt")
+    features, _ = px.to_matrix(px.load_libsvm(negatives_file), n_features=4)
+    error = 100.0 * float(np.mean(px.predict(w, features) == 1.0))
+    assert capsys.readouterr().out.splitlines()[-1] == "test error %.2f%%" % error
+
+
 def test_config_file_precedence(binary_file, tmp_path):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("lam = 0.25\niters = 30\n")
@@ -352,6 +373,16 @@ def test_bench_reports_test_error_with_the_positive_class(multiclass_file, tmp_p
                    "--ref-factor", "2", "--plateau-window", "5", "--out", str(tmp_path / "b")])
     assert rc == 0
     row = (tmp_path / "b" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[:2] == ["sfb", "sfb"] and row[4] != ""
+
+
+def test_bench_test_set_needs_no_positive_sample(binary_file, negatives_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "b"
+    assert cli.main(["bench", "--data", binary_file, "--test", negatives_file,
+                     "--iters", "40", "--solvers", "sfb", "--ref-factor", "5",
+                     "--out", str(out)]) == 0
+    row = (out / "summary.csv").read_text().splitlines()[1].split(",")
     assert row[:2] == ["sfb", "sfb"] and row[4] != ""
 
 

@@ -5,10 +5,12 @@ convergence behavior, and the simplified single-block variant."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import proxsplit as px
+from proxsplit import model
 from proxsplit.errors import DomainError
-from conftest import NoRowGather, make_problem, tiny_problem
+from conftest import NoRowGatherKernels, make_problem, tiny_problem
 
 
 def small_problem():
@@ -240,15 +242,52 @@ def test_masked_iteration_touches_only_active_coords():
         assert np.max(np.abs(state.u - u_full)) <= 1e-8 * max(1.0, np.max(np.abs(u_full)))
 
 
-def test_full_sample_mask_uses_the_matrix_without_gather():
+@st.composite
+def masked_runs(draw):
+    """A small problem, a DR config and a list of non-empty masks for it."""
+    B = draw(st.integers(1, 4))
+    N, L = draw(st.integers(B, 8)), draw(st.integers(1, 10))
+    loss = draw(st.sampled_from(list(px.ScalarLoss)))
+    rho = draw(st.floats(0.01, 0.6)) if loss is px.ScalarLoss.LOGISTIC else 0.0
+    prob = make_problem(N, L, B, lam=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 99)),
+                        kappa=draw(st.sampled_from((1, 2))), loss=loss)
+    cfg = px.DRConfig(tau=draw(st.floats(0.2, 2.0)), gamma=draw(st.floats(0.3, 1.5)), rho=rho,
+                      v_update_variant=draw(st.sampled_from(("literal", "refreshed"))))
+    mask = st.lists(st.booleans(), min_size=B + L, max_size=B + L).filter(any)
+    masks = draw(st.lists(mask.map(lambda m: np.array(m, dtype=float)), min_size=1, max_size=6))
+    return prob, cfg, masks, draw(st.floats(0.5, 1.5)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=masked_runs())
+def test_masked_iteration_invariants_property(case):
+    # criterion 11 on random problems, losses, variants and masks
+    prob, cfg, masks, mu, seed = case
+    B, L = prob.num_blocks, prob.n_samples
+    pre = px.build_preconditioner(prob, cfg)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = px.init_state(prob, cfg, rng.standard_normal(prob.n_features),
+                          rng.standard_normal((L, B)))
+    for eps in masks:
+        before = (state.w.copy(), state.t.copy(), state.v.copy(), state.s.copy())
+        px.dr_iterate(state, prob, pre, cfg, eps, mu)
+        for b, sl in enumerate(prob.partition.slices()):
+            if eps[b] == 0.0:
+                assert np.array_equal(state.w[sl], before[0][sl])
+                assert np.array_equal(state.t[sl], before[1][sl])
+        idle = eps[B:] == 0.0
+        assert np.array_equal(state.v[idle], before[2][idle])
+        assert np.array_equal(state.s[idle], before[3][idle])
+        u_full = px.dual_aggregate(prob, cfg, state.s)
+        assert np.max(np.abs(state.u - u_full)) <= 1e-8 * max(1.0, np.max(np.abs(u_full)))
+
+
+def test_full_sample_mask_uses_the_matrix_without_gather(monkeypatch):
     # The full mask on prob takes the no-gather path.  prob_pad adds an
     # all-zero sample, which leaves the resolvents bitwise unchanged, and a
     # mask over the original samples there takes the gather path.
-    small = small_problem()
-    X = small.data.features
-    prob = px.Problem(data=px.TrainingSet(features=NoRowGather(X), labels=small.data.labels),
-                      partition=small.partition, reg=small.reg, loss=small.loss)
-    assert isinstance(prob.data.features, NoRowGather)
+    prob = small_problem()
+    X = prob.data.features
     padded = sp.vstack([X, sp.csr_matrix((1, 6))], format="csr")
     prob_pad = px.Problem(data=px.TrainingSet(features=padded,
                                               labels=np.append(prob.data.labels, 1.0)),
@@ -264,8 +303,11 @@ def test_full_sample_mask_uses_the_matrix_without_gather():
     part = px.init_state(prob_pad, cfg, t0, np.vstack([s0, np.zeros((1, 3))]))
     eps_full = np.ones(3 + 8)
     eps_part = np.append(eps_full, 0.0)
+    kernels = model._sparsetools
     for _ in range(5):
+        monkeypatch.setattr(model, "_sparsetools", NoRowGatherKernels(kernels))
         px.dr_iterate(full, prob, pre, cfg, eps_full, 1.5)
+        monkeypatch.setattr(model, "_sparsetools", kernels)
         px.dr_iterate(part, prob_pad, pre_pad, cfg, eps_part, 1.5)
         assert np.array_equal(full.w, part.w)
         assert np.array_equal(full.t, part.t)

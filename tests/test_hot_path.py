@@ -2,7 +2,7 @@
 in oracles.py: the collision-replay sampler against in-place scalar swaps,
 and the one-gather iteration against a row gather per block.  The row
 gather and products on scipy's private kernels must also match the
-public scipy calls they fall back to."""
+public scipy calls that run the same kernels."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
-from proxsplit import dr, model
+from proxsplit import dr
 from proxsplit.bench import SOLVERS
 from proxsplit.errors import DomainError
 from conftest import make_problem
-from oracles import block_columns, iterate_per_block, run_per_block, sample_by_swaps
+from oracles import (ScipyRows, block_columns, iterate_per_block, run_per_block, sample_by_swaps,
+                     scipy_rows)
 
 LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q2)
 
@@ -183,45 +184,57 @@ def test_unsorted_csr_input_matches_sorted_and_reference():
     assert np.array_equal(w_dup, ref_hat)
 
 
-# ------------------------------------------- sparse kernels and fallback
+# ------------------------------------------- sparse kernels against scipy
 
-def _both_paths(monkeypatch, make):
-    """(make() with scipy's private kernels, make() with the public calls)."""
-    with_kernels = make()
-    with monkeypatch.context() as patch:
-        patch.setattr(model, "_sparsetools", None)
-        return with_kernels, make()
+def _index_sets(rng, L):
+    """Index sets of every kind TrainingSet.rows takes: a single row, a
+    mini-batch, a batch one short, the full batch 0..L-1 (no gather), a
+    full-size permutation and draws with repeats."""
+    for step in range(60):
+        kind = step % 6
+        if kind == 3:
+            yield np.arange(L)
+        elif kind == 4:
+            yield rng.permutation(L)
+        elif kind == 5:
+            yield rng.integers(0, L, size=rng.integers(1, 2 * L))
+        else:
+            yield rng.permutation(L)[:(1, 37, L - 1)[kind]]
 
 
-def test_rows_kernels_match_the_public_scipy_calls(monkeypatch):
-    if model._sparsetools is None:
-        pytest.skip("scipy has no private sparse kernels here; rows uses the public calls")
+def test_rows_match_the_public_scipy_calls():
     rng = np.random.Generator(np.random.PCG64(12))
     X = sp.random(300, 40, density=0.1, format="csr", random_state=3)
     data = px.TrainingSet(features=X, labels=np.where(rng.random(300) < 0.3, 1.0, -1.0))
-    for step in range(50):
-        m = (1, 37, 299, 300)[step % 4]
-        act_l = rng.permutation(300)[:m] if m < 300 else np.arange(300)
-        fast, public = _both_paths(monkeypatch, lambda: data.rows(act_l))
-        assert fast.matrix is None and public.matrix is not None
-        for name in ("labels", "indptr", "indices", "data"):
-            a, b = getattr(fast, name), getattr(public, name)
+    for step, act_l in enumerate(_index_sets(rng, 300)):
+        rows, ref = data.rows(act_l), ScipyRows(data, act_l)
+        assert rows.shape == ref.shape and np.array_equal(rows.labels, ref.labels), step
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(rows, name), getattr(ref.matrix, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (step, name)
         for cols in (None, 1, 4):
             shape = (40,) if cols is None else (40, cols)
-            W, M = rng.standard_normal(shape), rng.standard_normal((m,) + shape[1:])
-            a, b = fast.dot(W), public.dot(W)
+            W, M = rng.standard_normal(shape), rng.standard_normal((act_l.size,) + shape[1:])
+            a, b = rows.dot(W), ref.dot(W)
             assert a.shape == b.shape and np.array_equal(a, b), (step, cols)
-            a, b = fast.adjoint(M), public.adjoint(M)
+            a, b = rows.adjoint(M), ref.adjoint(M)
             assert a.shape == b.shape and np.array_equal(a, b), (step, cols)
 
 
-def test_rows_rejects_a_negative_index_on_both_paths(monkeypatch):
+@pytest.mark.parametrize("act_l", [[2, 1, 0], [0, 0, 1]])
+def test_rows_of_a_full_size_index_set_follow_its_order(act_l):
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    data = px.TrainingSet(features=sp.csr_matrix(X), labels=np.array([1.0, -1.0, -1.0]))
+    rows = data.rows(np.array(act_l))
+    assert np.array_equal(rows.labels, data.labels[act_l])
+    assert np.array_equal(rows.dot(np.eye(2)), X[act_l])
+
+
+def test_rows_rejects_a_negative_index():
     data = _problem(5, 1, 1, px.ScalarLoss.LOGISTIC, seed=1).data
-    for kernels in (model._sparsetools, None):
-        monkeypatch.setattr(model, "_sparsetools", kernels)
+    for act_l in (np.array([0, -1]), np.r_[np.arange(23), -1]):  # a batch and a full-size set
         with pytest.raises(DomainError, match="row indices must be nonnegative"):
-            data.rows(np.array([0, -1]))
+            data.rows(act_l)
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -232,6 +245,8 @@ def test_every_solver_gives_the_same_bits_without_the_kernels(monkeypatch, solve
                           max_iters=30, trace_stride=5)
     else:
         cfg = px.BaselineConfig(step_c=0.3, batch_size=9, seed=2, max_iters=30, trace_stride=5)
-    fast, public = _both_paths(monkeypatch, lambda: SOLVERS[solver](prob, cfg))
+    fast = SOLVERS[solver](prob, cfg)
+    monkeypatch.setattr(px.TrainingSet, "rows", scipy_rows)
+    public = SOLVERS[solver](prob, cfg)
     assert np.array_equal(fast[0], public[0])
     assert [r.objective for r in fast[1].records] == [r.objective for r in public[1].records]

@@ -10,7 +10,7 @@ import proxsplit as px
 from proxsplit import baselines, dr, model
 from proxsplit.bench import SOLVERS
 from proxsplit.errors import DomainError
-from conftest import NoRowGather, NoRowGatherKernels, make_problem
+from conftest import NoRowGatherKernels, make_problem
 
 # keyword of each solver's start vector
 START_KW = {"dr": "t0", "dr-simplified": "t0", "sfb": "w0", "rda": "w0", "bcpd": "w0"}
@@ -70,19 +70,13 @@ def test_every_solver_rejects_bad_loop_options(solver, loop, msg):
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_full_batch_gathers_no_rows(solver, monkeypatch):
-    # a full batch works on the training set's matrix itself; a smaller one
-    # reaches the row gather, which NoRowGatherKernels (scipy's kernels) and
-    # NoRowGather (the public fallback, kernels None) turn into a failure
-    base = single_block_problem()
-    prob = px.Problem(data=px.TrainingSet(features=NoRowGather(base.data.features),
-                                          labels=base.data.labels),
-                      partition=base.partition, reg=base.reg, loss=base.loss)
-    kernels = model._sparsetools
-    for path in ((None,) if kernels is None else (NoRowGatherKernels(kernels), None)):
-        monkeypatch.setattr(model, "_sparsetools", path)
-        SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=None))
-        with pytest.raises(AssertionError, match="must not gather rows"):
-            SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=prob.n_samples - 1))
+    # a full batch works on the training set's arrays themselves; a smaller
+    # one reaches the row gather, which NoRowGatherKernels turns into a failure
+    prob = single_block_problem()
+    monkeypatch.setattr(model, "_sparsetools", NoRowGatherKernels(model._sparsetools))
+    SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=None))
+    with pytest.raises(AssertionError, match="must not gather rows"):
+        SOLVERS[solver](prob, config_for(solver, max_iters=3, batch_size=prob.n_samples - 1))
 
 
 # ----------------------------------------------------------- start vectors
