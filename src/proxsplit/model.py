@@ -66,14 +66,24 @@ class TrainingSet:
         as the sampler draws a full batch, gives every row without a gather;
         any other index array is gathered in its order, repeats included.
         The gather is scipy's own row-index kernel, run on the arrays of
-        features.
+        features.  act_l must be a 1-D integer array; a boolean mask, a
+        float array or an index outside [0, L) is a DomainError.
         """
         X = self.features
         L = self.n_samples
-        if act_l is None or (act_l.size == L and np.array_equal(act_l, np.arange(L))):
+        if act_l is not None:
+            if act_l.dtype.kind not in "iu" or act_l.ndim != 1:
+                raise DomainError("row indices must be a 1-D integer array, got %d-D %s"
+                                  % (act_l.ndim, act_l.dtype))
+            if act_l.size == L and np.array_equal(act_l, np.arange(L)):
+                act_l = None
+        if act_l is None:
             return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1])
-        if act_l.size and act_l.min() < 0:  # the kernel reads indptr at act_l unchecked
+        # the kernel reads indptr at act_l unchecked
+        if act_l.size and act_l.min() < 0:
             raise DomainError("row indices must be nonnegative")
+        if act_l.size and act_l.max() >= L:
+            raise DomainError("row indices must be below the sample count %d" % L)
         idx = act_l.astype(X.indptr.dtype, copy=False)
         indptr = np.empty(idx.size + 1, dtype=idx.dtype)
         indptr[0] = 0
@@ -225,7 +235,10 @@ class Problem:
 
 def margins(problem, w):
     """y_l * <x_l, w> for all samples."""
-    return problem.data.labels * (problem.data.features @ np.asarray(w, dtype=float))
+    every = problem.data.rows()
+    out = every.dot(np.asarray(w, dtype=float))
+    out *= every.labels
+    return out
 
 
 def regularizer_value(problem, w):
@@ -245,9 +258,9 @@ def objective(problem, w):
 
 def smooth_gradient(problem, w):
     """Gradient of the data-fit term: sum_l y_l x_l h'(y_l <x_l, w>)."""
-    y = problem.data.labels
     g = loss_grad(problem.loss, margins(problem, w))
-    return problem.data.features.T @ (y * g)
+    g *= problem.data.labels
+    return problem.data.rows().adjoint(g)
 
 
 def reg_prox(problem, z, tau):

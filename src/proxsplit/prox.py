@@ -193,10 +193,19 @@ class ScalarLoss(enum.Enum):
 
 
 def loss_value(loss, v):
-    """Evaluate the loss elementwise, overflow-safe for extreme margins."""
+    """Evaluate the loss elementwise, overflow-safe for extreme margins.
+
+    The logistic loss is log1p(exp(-|v|)) - min(v, 0), the split
+    np.logaddexp(0, -v) makes, on numpy's vectorised exp and log1p loops:
+    within a few ulps of logaddexp, exact at +-inf, NaN for NaN.
+    """
     v = np.asarray(v, dtype=float)
     if loss is ScalarLoss.LOGISTIC:
-        return np.logaddexp(0.0, -v)
+        out = np.copysign(v, -1.0, out=np.empty_like(v))  # -|v|
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out -= np.minimum(v, 0.0)
+        return out[()] if out.ndim == 0 else out
     if loss is ScalarLoss.HINGE_Q1:
         return np.maximum(0.0, 1.0 - v)
     if loss is ScalarLoss.HINGE_Q2:

@@ -88,6 +88,23 @@ def prox_logistic_bracketed(v, gamma):
     return np.maximum(np.minimum(p, np.nextafter(v + gamma, -np.inf)), np.nextafter(v, np.inf))
 
 
+def logistic_loss_logaddexp(v):
+    """log(1 + exp(-v)) as np.logaddexp(0, -v): the formula loss_value used
+    before it moved to numpy's vectorised exp and log1p loops."""
+    return np.logaddexp(0.0, -np.asarray(v, dtype=float))
+
+
+def objective_logaddexp(problem, w):
+    """The full criterion through the public X @ w and, for the logistic
+    loss, logaddexp: the record value before both changed."""
+    m = problem.data.labels * (problem.data.features @ np.asarray(w, dtype=float))
+    if problem.loss is px.ScalarLoss.LOGISTIC:
+        losses = logistic_loss_logaddexp(m)
+    else:
+        losses = px.loss_value(problem.loss, m)
+    return float(np.sum(losses) + px.regularizer_value(problem, w))
+
+
 def prox_by_minimization(loss_fn, v, gamma):
     """argmin_p 0.5*(p - v)^2 + gamma*loss_fn(p) by bounded scalar search."""
     v = float(v)

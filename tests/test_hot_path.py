@@ -10,12 +10,12 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import proxsplit as px
-from proxsplit import dr
+from proxsplit import baselines, dr
 from proxsplit.bench import SOLVERS
 from proxsplit.errors import DomainError
 from conftest import make_problem
-from oracles import (ScipyRows, block_columns, iterate_per_block, run_per_block, sample_by_swaps,
-                     scipy_rows)
+from oracles import (ScipyRows, block_columns, iterate_per_block, objective_logaddexp, run_per_block,
+                     sample_by_swaps, scipy_rows)
 
 LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q2)
 
@@ -237,6 +237,43 @@ def test_rows_rejects_a_negative_index():
             data.rows(act_l)
 
 
+@pytest.mark.parametrize("act_l, message", [
+    (np.array([0, 24]), "row indices must be below the sample count 24"),
+    (np.r_[np.arange(23), 24], "row indices must be below the sample count 24"),
+    (np.array([2**40], dtype=np.uint64), "row indices must be below the sample count 24"),
+    # cast to 0/1 row indices, a mask used to gather 24 rows with 12 labels
+    (np.arange(24) % 2 == 0, "row indices must be a 1-D integer array, got 1-D bool"),
+    (np.ones(24, dtype=bool), "row indices must be a 1-D integer array, got 1-D bool"),
+    (np.array([0.0, 2.0]), "row indices must be a 1-D integer array, got 1-D float64"),
+    (np.arange(24.0), "row indices must be a 1-D integer array, got 1-D float64"),
+    (np.array([]), "row indices must be a 1-D integer array, got 1-D float64"),
+    (np.arange(24).reshape(4, 6), "row indices must be a 1-D integer array, got 2-D int64"),
+], ids=["past-end", "past-end-full-size", "huge-unsigned", "mask", "all-true-mask", "float",
+        "float-full-size", "empty-float", "2-d"])
+def test_rows_rejects_an_index_array_it_cannot_gather(act_l, message):
+    data = _problem(5, 1, 1, px.ScalarLoss.LOGISTIC, seed=1).data
+    with pytest.raises(DomainError, match=message):
+        data.rows(act_l)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_margins_and_gradient_match_the_public_scipy_products(loss):
+    rng = np.random.Generator(np.random.PCG64(21))
+    for seed in range(6):
+        prob = _problem(11, 3, 1, loss, seed=seed)
+        X, y = prob.data.features, prob.data.labels
+        every = ScipyRows(prob.data)
+        for w in (rng.standard_normal(11), np.where(rng.random(11) < 0.5, 0.0, rng.standard_normal(11)),
+                  -np.zeros(11)):
+            m = px.margins(prob, w)
+            assert np.array_equal(m, y * (X @ w)) and np.array_equal(m, every.labels * every.dot(w))
+            g = px.loss_grad(loss, y * (X @ w))
+            want = X.T @ (y * g)
+            got = px.smooth_gradient(prob, w)
+            assert np.array_equal(got, want) and np.array_equal(got, every.adjoint(y * g))
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_every_solver_gives_the_same_bits_without_the_kernels(monkeypatch, solver):
     prob = _problem(11, 1 if solver == "dr-simplified" else 3, 1, px.ScalarLoss.LOGISTIC, seed=4)
@@ -250,3 +287,30 @@ def test_every_solver_gives_the_same_bits_without_the_kernels(monkeypatch, solve
     public = SOLVERS[solver](prob, cfg)
     assert np.array_equal(fast[0], public[0])
     assert [r.objective for r in fast[1].records] == [r.objective for r in public[1].records]
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("loss", LOSSES)
+def test_records_do_not_feed_the_iterates(monkeypatch, solver, loss):
+    # every record through the public X @ w and the logaddexp loss instead
+    prob = _problem(11, 1 if solver == "dr-simplified" else 3, 1, loss, seed=4)
+    if solver.startswith("dr"):
+        rho = 0.1 if solver == "dr" and loss is px.ScalarLoss.LOGISTIC else 0.0
+        cfg = px.DRConfig(rho=rho, batch_size=9, seed=2, max_iters=30, trace_stride=5)
+    else:
+        cfg = px.BaselineConfig(step_c=0.3, batch_size=9, seed=2, max_iters=30, trace_stride=5)
+    fast = SOLVERS[solver](prob, cfg)
+    calls = []
+
+    def counted(problem, w):
+        calls.append(None)
+        return objective_logaddexp(problem, w)
+
+    monkeypatch.setattr(dr, "objective", counted)
+    monkeypatch.setattr(baselines, "objective", counted)
+    old = SOLVERS[solver](prob, cfg)
+    assert len(calls) == len(old[1].records) == 7
+    assert np.array_equal(fast[0], old[0])
+    assert [r.iteration for r in fast[1].records] == [r.iteration for r in old[1].records]
+    for a, b in zip(fast[1].records, old[1].records):
+        assert a.objective == pytest.approx(b.objective, rel=1e-14)

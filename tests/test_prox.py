@@ -16,6 +16,7 @@ from scipy.special import expit
 import proxsplit as px
 from proxsplit import prox
 from proxsplit.errors import ConvergenceError, DomainError
+from conftest import FINITE_FLOATS
 from oracles import (
     PROX_CONJ_5_2,
     PROX_LOGISTIC_0_1,
@@ -27,6 +28,7 @@ from oracles import (
     PROX_LOGISTIC_TAIL_12,
     PROX_LOGISTIC_TAIL_16,
     central_difference,
+    logistic_loss_logaddexp,
     prox_by_minimization,
     prox_logistic_bisect,
     prox_logistic_bracketed,
@@ -369,6 +371,39 @@ def test_loss_values():
     assert px.loss_value(px.ScalarLoss.HUBER, 0.0) == 0.25
     assert px.loss_value(px.ScalarLoss.HUBER, -5.0) == 5.0
     assert px.loss_value(px.ScalarLoss.HUBER, 1.5) == 0.0
+
+
+# loss_value(LOGISTIC) runs numpy's vectorised exp and log1p where
+# logaddexp calls libm per element; ~1.5e8 draws on an AVX-512 Xeon put
+# them at most 3 ulp apart (worst near v = 4.15)
+LOSS_ULPS = 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(FINITE_FLOATS, min_size=1, max_size=40))
+@example(v=[-800.0, 0.0, -0.0, 4.1534897929721435, 745.0, 709.8, -709.8, 37.0])
+def test_logistic_loss_matches_logaddexp_property(v):
+    # lists up to 40 long run the vector loops' full-width body and their tail
+    v = np.array(v)
+    want = logistic_loss_logaddexp(v)
+    with np.errstate(over="raise", invalid="raise"):
+        got = px.loss_value(px.ScalarLoss.LOGISTIC, v)
+    assert got.shape == v.shape and np.all(got >= 0.0) and np.all(want >= 0.0)
+    # for nonnegative doubles the distance of the bit patterns counts ulps
+    assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= LOSS_ULPS)
+
+
+def test_logistic_loss_non_finite_and_extreme_margins():
+    v = np.array([np.inf, -np.inf, np.nan, -800.0, 800.0])
+    with np.errstate(over="raise", invalid="raise"):
+        got = px.loss_value(px.ScalarLoss.LOGISTIC, v)
+        one = px.loss_value(px.ScalarLoss.LOGISTIC, -800.0)
+    with np.errstate(invalid="ignore"):  # logaddexp itself flags inf - inf
+        want = logistic_loss_logaddexp(v)
+    assert got[0] == want[0] == 0.0 and got[1] == want[1] == np.inf
+    assert np.isnan(got[2]) and np.isnan(want[2])
+    assert got[3] == 800.0 and one == 800.0 and isinstance(one, float)
+    assert 0.0 <= got[4] <= 1e-300
 
 
 def test_loss_grads():
