@@ -15,7 +15,8 @@ mini-batch of samples:
     u_b <- u_b + sum_l A*_{l,b} (s_{l,b}^new - s_{l,b}) / (1 + gamma_l rho_l)
 
 with C_b = (Id + tau_b sum_l c_l x_{l,b} x_{l,b}^T)^{-1},
-c_l = gamma_l / (1 + gamma_l rho_l), factored once up front.  The maths
+c_l = gamma_l / (1 + gamma_l rho_l), Cholesky-factored once up front, so
+applying C_b costs two triangular solves with the factor.  The maths
 allows a step per block and per sample; the code takes one tau, gamma,
 rho and mu for all of them (tau_b = tau, gamma_l = gamma, rho_l = rho),
 and custom loops vary mu per call of :func:`dr_iterate`.  The printed
@@ -46,7 +47,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.blas import dtrsv
 
 from .errors import DomainError, FactorizationError, NumericalError
 from .model import objective, reg_prox
@@ -169,19 +171,30 @@ class Preconditioner:
     """Cholesky-factored block resolvent matrices.
 
     matrices[b] = Id + tau * X_b^T diag(c) X_b with
-    c = gamma/(1+gamma rho); labels cancel since y_l^2 = 1.
-    The factors are checked finite once, when they are built, so apply
-    checks only its right-hand side.
+    c = gamma/(1+gamma rho); labels cancel since y_l^2 = 1.  factors[b]
+    is the ``cho_factor`` pair (F, True): the lower factor L_b sits in
+    the lower triangle of the Fortran-ordered array F, which BLAS reads
+    without a copy.  The factors are checked finite once, when they are
+    built, so apply checks only its right-hand side.
     """
 
     matrices: list
     factors: list
 
     def apply(self, b, z):
-        """Solve matrices[b] @ out = z; ValueError if z is not finite."""
+        """Solve matrices[b] @ out = z for a vector z of block b's length,
+        by two BLAS triangular solves, L_b y = z and L_b^T out = y.
+
+        DomainError if z is not of shape (n_b,), ValueError if it is not
+        finite.
+        """
+        F = self.factors[b][0]
+        if np.shape(z) != (F.shape[0],):
+            raise DomainError("block %d solve needs a vector of shape (%d,), got shape %s"
+                              % (b, F.shape[0], np.shape(z)))
         if not np.all(np.isfinite(z)):
             raise ValueError("array must not contain infs or NaNs")
-        return cho_solve(self.factors[b], z, check_finite=False)
+        return dtrsv(F, dtrsv(F, z, lower=1), lower=1, trans=1, overwrite_x=1)
 
 
 def build_preconditioner(problem, config):

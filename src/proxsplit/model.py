@@ -66,12 +66,14 @@ class TrainingSet:
         as the sampler draws a full batch, gives every row without a gather;
         any other index array is gathered in its order, repeats included.
         The gather is scipy's own row-index kernel, run on the arrays of
-        features.  act_l must be a 1-D integer array; a boolean mask, a
-        float array or an index outside [0, L) is a DomainError.
+        features.  act_l must be a 1-D integer array or sequence; a boolean
+        mask, floats (an empty list included) or an index outside [0, L) is
+        a DomainError.
         """
         X = self.features
         L = self.n_samples
         if act_l is not None:
+            act_l = np.asarray(act_l)
             if act_l.dtype.kind not in "iu" or act_l.ndim != 1:
                 raise DomainError("row indices must be a 1-D integer array, got %d-D %s"
                                   % (act_l.ndim, act_l.dtype))

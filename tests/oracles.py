@@ -8,7 +8,7 @@ implementations can be checked against these.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrsv
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
@@ -201,7 +201,8 @@ def scipy_rows(tset, act_l=None):
 
 
 def iterate_per_block(state, problem, precond, res, act_b, act_l, mu, columns):
-    """One splitting iteration with a row gather per block and product."""
+    """One splitting iteration with a row gather per block and product, and
+    the block solve written out as its two BLAS triangular solves."""
     y = problem.data.labels
     slices = problem.partition.slices()
     B = len(slices)
@@ -216,7 +217,9 @@ def iterate_per_block(state, problem, precond, res, act_b, act_l, mu, columns):
     aw = products(state.w) if res.literal and act_l.size else None
     for b in act_b:
         sl = slices[b]
-        wb = cho_solve(precond.factors[b], state.t[sl] - res.tau * state.u[sl])
+        F = precond.factors[b][0]
+        wb = dtrsv(F, dtrsv(F, state.t[sl] - res.tau * state.u[sl], lower=1),
+                   lower=1, trans=1, overwrite_x=1)
         state.w[sl] = wb
         z = 2.0 * wb - state.t[sl]
         thresh = res.tau * problem.reg.lam

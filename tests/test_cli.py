@@ -239,6 +239,30 @@ def test_readme_option_list_matches_the_parsers():
     assert documented == parsed
 
 
+def test_readme_quick_start_shows_what_the_commands_print(tmp_path, capsys):
+    # the quick start runs train and bench on the tiny.txt it writes out
+    # and shows their output, run1/model.txt and the head of run1/trace.csv
+    text = README.read_text()
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text(text.split("saved as\n`tiny.txt`:\n\n```\n", 1)[1].split("```", 1)[0])
+    run1, bench1 = tmp_path / "run1", tmp_path / "bench1"
+    assert cli.main(["train", "--data", str(tiny), "--lambda", "0.1", "--iters", "200", "--out", str(run1)]) == 0
+    assert cli.main(["bench", "--data", str(tiny), "--lambda", "0.1", "--iters", "100", "--solvers", "dr,sfb",
+                     "--out", str(bench1)]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        assert "\n%s\n" % line.rstrip() in text
+    # full-precision values within 1e-12 relative: another BLAS build may
+    # move their last bits
+    model = (run1 / "model.txt").read_text().splitlines()
+    shown = text.split("\n" + model[0] + "\n", 1)[1].splitlines()[:len(model) - 1]
+    assert shown[:4] == model[1:5]
+    assert np.allclose([float(v) for v in shown[4:]], [float(v) for v in model[5:]], rtol=1e-12, atol=0)
+    for row in (run1 / "trace.csv").read_text().splitlines()[2:4]:
+        iteration, _, objective, rest = row.split(",", 3)
+        found = re.search(r"^%s,[0-9.e-]+,([0-9.e-]+),%s$" % (iteration, re.escape(rest)), text, re.M)
+        assert found and float(found.group(1)) == pytest.approx(float(objective), rel=1e-12, abs=0)
+
+
 def test_rho_defaults_per_solver_and_an_explicit_rho_is_kept(binary_file, tmp_path, capsys):
     merged = dict(COMMON_DEFAULTS)
     assert cli._solver_config(merged, "dr", 12).rho == 0.1

@@ -2,9 +2,13 @@
 single iterations against hand-computed values, masking, determinism,
 convergence behavior, and the simplified single-block variant."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 from hypothesis import given, settings, strategies as st
 
 import proxsplit as px
@@ -97,8 +101,85 @@ def test_preconditioner_solves_its_own_matrix():
     rng = np.random.Generator(np.random.PCG64(1))
     for b, sl in enumerate(prob.partition.slices()):
         z = rng.standard_normal(sl.stop - sl.start)
+        z_in = z.copy()
         back = pre.matrices[b] @ pre.apply(b, z)
+        assert np.array_equal(z, z_in)  # the solve works on its own copy
         assert np.max(np.abs(back - z)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
+
+
+def _bench_inputs():
+    """perfbench's seeded input generators, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("shape", ["w8a", "wide"])
+def test_preconditioner_apply_matches_cho_solve_on_bench_blocks(shape):
+    # the seed-1 blocks of the w8a-train (4 x 75^2) and wide-fullbatch
+    # (2000^2) benchmark problems, with their step parameters
+    inputs = _bench_inputs()
+    if shape == "w8a":
+        X, y = inputs.w8a_like(1)
+        blocks, loss, cfg = 4, px.ScalarLoss.LOGISTIC, px.DRConfig(gamma=0.03, rho=0.1)
+    else:
+        X, y = inputs.wide_gaussian(1)
+        blocks, loss, cfg = 1, px.ScalarLoss.HINGE_Q2, px.DRConfig()
+    prob = px.Problem(data=px.TrainingSet(features=X, labels=y),
+                      partition=px.BlockPartition.contiguous(X.shape[1], blocks),
+                      reg=px.RegularizerSpec(lam=1.0), loss=loss)
+    pre = px.build_preconditioner(prob, cfg)
+    rng = np.random.Generator(np.random.PCG64(2))
+    for b in range(blocks):
+        for _ in range(3):
+            z = rng.standard_normal(pre.matrices[b].shape[0])
+            x = pre.apply(b, z)
+            ref = cho_solve(pre.factors[b], z)
+            assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(1e-3, 1e3), gamma=st.floats(1e-3, 1e3), rho=st.floats(0.0, 0.9),
+       scale=st.floats(1e-3, 1e3))
+def test_preconditioner_apply_is_backward_stable(n, m, seed, tau, gamma, rho, scale):
+    # M = I + tau X^T diag(c) X; the residual of a backward stable solve
+    # is a small multiple of n eps (|M| |x| + |z|)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    X = scale * rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    prob = px.Problem(data=px.TrainingSet(features=sp.csr_matrix(X), labels=y),
+                      partition=px.BlockPartition.contiguous(n, 1),
+                      reg=px.RegularizerSpec(lam=0.1), loss=px.ScalarLoss.LOGISTIC)
+    pre = px.build_preconditioner(prob, px.DRConfig(tau=tau, gamma=gamma, rho=min(rho, 0.9 / gamma)))
+    M = pre.matrices[0]
+    z = rng.standard_normal(n)
+    x = pre.apply(0, z)
+    norm = np.linalg.norm
+    eps = np.finfo(float).eps
+    assert norm(M @ x - z, np.inf) <= 8 * n * eps * (norm(M, np.inf) * norm(x, np.inf) + norm(z, np.inf))
+
+
+def test_preconditioner_factors_are_fortran_ordered():
+    # BLAS reads a Fortran-ordered factor in place; a C-ordered one would
+    # be copied on every solve
+    prob = make_problem(7, 12, 3, lam=0.2, seed=21)
+    pre = px.build_preconditioner(prob, px.DRConfig())
+    for F, lower in pre.factors:
+        assert F.flags.f_contiguous and lower
+
+
+@pytest.mark.parametrize("z", [np.ones(4), np.ones(2), np.ones((3, 1)), np.ones((1, 3)),
+                               np.ones((3, 3)), np.float64(1.0), np.ones(0)])
+def test_preconditioner_apply_rejects_a_right_hand_side_of_another_shape(z):
+    # block 0 has 3 coordinates; the BLAS solve would read only a prefix
+    # of a longer vector without a word
+    prob = make_problem(7, 12, 3, lam=0.2, seed=21)
+    pre = px.build_preconditioner(prob, px.DRConfig())
+    with pytest.raises(DomainError, match=r"block 0 solve needs a vector of shape \(3,\)"):
+        pre.apply(0, z)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -256,6 +256,18 @@ def test_rows_rejects_an_index_array_it_cannot_gather(act_l, message):
         data.rows(act_l)
 
 
+def test_rows_takes_a_list_of_indices_as_an_array():
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    data = px.TrainingSet(features=sp.csr_matrix(X), labels=np.array([1.0, -1.0, -1.0]))
+    rows = data.rows([0, 2])
+    assert np.array_equal(rows.labels, data.labels[[0, 2]])
+    assert np.array_equal(rows.dot(np.eye(2)), X[[0, 2]])
+    # an empty list and a list of floats are float arrays, as np.asarray makes them
+    for act_l in ([], [0.0, 2.0]):
+        with pytest.raises(DomainError, match="row indices must be a 1-D integer array, got 1-D float64"):
+            data.rows(act_l)
+
+
 @pytest.mark.parametrize("loss", LOSSES)
 def test_margins_and_gradient_match_the_public_scipy_products(loss):
     rng = np.random.Generator(np.random.PCG64(21))
