@@ -27,14 +27,17 @@ the default), which is also what the simplified single-block scheme of
 
 An iteration gathers the rows of its mini-batch once, through
 :meth:`proxsplit.model.TrainingSet.rows` (a full batch uses the matrix's
-arrays as they are), from the row-sorted CSR the training set keeps.  All
-B forward products are one multi-vector product with the N x B
-block-diagonal layout of w, and all B adjoint products are one adjoint
-product whose column b is read on block b only.  Gather and products run
-scipy's own sparsetools kernels on the CSR arrays, with no scipy matrix
-object per step, and give the bits of the public ``X[rows]``, ``@`` and
-``.T @`` calls.  Sorted column indices keep the summation order of a
-per-block product, so the iterates are the same bit for bit.
+arrays as they are), from the row-sorted CSR the training set keeps.  It
+reads the mini-batch's dual rows of s with ``np.take`` and writes the
+rows of s and v back by index; a full batch, 0, ..., L-1 in order, reads
+and writes the dual rows through a slice.  All B forward products are one
+multi-vector product with the N x B block-diagonal layout of w, and all B
+adjoint products are one adjoint product whose column b is read on block
+b only.  Gather and products run scipy's own sparsetools kernels on the
+CSR arrays, with no scipy matrix object per step, and give the bits of
+the public ``X[rows]``, ``@`` and ``.T @`` calls.  Sorted column indices
+keep the summation order of a per-block product, so the iterates are the
+same bit for bit.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
 record function handed to :func:`proxsplit.trace.drive`, the loop shared
@@ -294,7 +297,9 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
 
     aw = None
     if act_l.size:
-        rows = problem.data.rows(act_l)
+        every = problem.data.is_every_row(act_l)
+        dual = slice(None) if every else act_l
+        rows = problem.data.rows(None if every else act_l)
         if res.literal:
             aw = _block_products(rows, state.w, slices)
 
@@ -313,7 +318,7 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
         if aw is None:
             aw = _block_products(rows, state.w, slices)
         g = res.gamma
-        s_rows = state.s[act_l, :]
+        s_rows = state.s.copy() if every else np.take(state.s, act_l, axis=0)
         v_new = (s_rows + g * aw) * res.inv1p
         p = 2.0 * v_new.sum(axis=1) - s_rows.sum(axis=1)
         if not np.all(np.isfinite(p)):
@@ -323,8 +328,8 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
         ds = mu * (((p - g * q) / scale)[:, None] - v_new)
         if not np.all(np.isfinite(ds)):
             raise NumericalError("non-finite dual update")
-        state.v[act_l, :] = v_new
-        state.s[act_l, :] = s_rows + ds
+        state.v[dual] = v_new
+        state.s[dual] = s_rows + ds
         state.u += _block_adjoint(rows, ds * res.inv1p, slices)
 
     state.iteration += 1

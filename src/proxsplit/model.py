@@ -60,6 +60,12 @@ class TrainingSet:
     def n_features(self):
         return self.features.shape[1]
 
+    def is_every_row(self, act_l):
+        """True when the index array act_l is exactly 0, ..., L-1 in order,
+        as the sampler draws a full batch; a permutation of it is not."""
+        L = self.n_samples
+        return act_l.size == L and np.array_equal(act_l, np.arange(L))
+
     def rows(self, act_l=None):
         """Rows of the samples act_l, indices in [0, L): the mini-batch a
         solver step works on.  act_l None, or exactly 0, ..., L-1 in order
@@ -77,7 +83,7 @@ class TrainingSet:
             if act_l.dtype.kind not in "iu" or act_l.ndim != 1:
                 raise DomainError("row indices must be a 1-D integer array, got %d-D %s"
                                   % (act_l.ndim, act_l.dtype))
-            if act_l.size == L and np.array_equal(act_l, np.arange(L)):
+            if self.is_every_row(act_l):
                 act_l = None
         if act_l is None:
             return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1])

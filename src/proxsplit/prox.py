@@ -8,12 +8,19 @@ is at most gamma/2.  u = log(gap) is the root of the increasing, convex
 
     F(u) = u + log(1 + exp(v + e^u)) - log(gamma),
 
-so Newton started right of the root, at bounds from log(1+e^x) >=
-max(0, x), falls monotonically onto it with no bracket.  A closing Newton
-step on p + log(p - v) - log(v + gamma - p) = 0 restores the absolute
-accuracy e^u loses when the gap is large.  The same kernel serves every
-finite input, gamma + v far below zero included; the two-term expansion
-:func:`prox_logistic_asymptotic` is kept only as an independent check.
+so Newton started right of the root, at bounds from
+log(1+e^x) >= max(0, x), falls monotonically onto it with no bracket.
+Each element takes steps until one is at most STEP_TOL, which it takes,
+or one rounds away (settled), which it does not; then it keeps its u, so
+its result does not depend on the rest of the batch.  After a step s from
+u, the error left is at most (F''/2F') s^2, with F'' at its largest over
+[u - s, u] and F' at the root; near the root that factor is below
+(1 + gap^2/gamma)/2 <= (1 + gap/2)/2.
+A closing Newton step on p + log(p - v) - log(v + gamma - p) = 0 squares
+the error again and restores the absolute accuracy e^u loses when the gap
+is large.  The same kernel serves every finite input, gamma + v far below
+zero included; the two-term expansion :func:`prox_logistic_asymptotic` is
+kept only as an independent check.
 """
 
 import enum
@@ -24,10 +31,14 @@ from scipy.special import expit
 from .errors import ConvergenceError, DomainError
 from .trace import check_scalar
 
-# the log-space Newton stops once its step, the relative change of the
-# gap, is below this; the closing step on the log form, whose curvature
-# factor is at most 1/(2 min(1, gap)), squares it to under 1e-16
-STEP_TOL = 1e-8
+# an element of the log-space Newton is done once its step, the relative
+# change of its gap, was at most this or rounded away.  The next error is
+# at most (F''/2F') step^2 on the convex, increasing F: under 1e-9 while
+# the factor is below 1e3, that is for gaps up to ~4e3.  The closing step
+# on the log form, whose curvature factor is at most 1/(2 min(1, gap)),
+# leaves at most error^2/2 in p.  A stop at 1e-4 left 3.4e-7 at v = -241,
+# gamma = 866, and so 6e-14 in p, 12 ulps; 1e-8 costs a fifth sweep.
+STEP_TOL = 1e-6
 NEWTON_MAX_ITERS = 200
 
 
@@ -50,13 +61,16 @@ def prox_logistic(v, gamma):
     """
     v = np.asarray(v, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if not np.all(gamma > 0.0):
+    if not (gamma > 0.0).all():
         raise DomainError("gamma must be positive")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(gamma))):
+    if not (np.isfinite(v).all() and np.isfinite(gamma).all()):
         raise DomainError("prox_logistic arguments must be finite")
     p = _prox_logistic_newton(v, gamma)
-    # the exact solution is strictly interior; keep the float one interior too
-    p = np.maximum(np.minimum(p, np.nextafter(v + gamma, -np.inf)), np.nextafter(v, np.inf))
+    # the exact solution is strictly interior; keep the float one interior
+    # too.  A strictly interior p passes min/max unchanged, so only a p on
+    # or past an endpoint needs the clamp.
+    if not ((p > v) & (p < v + gamma)).all():
+        p = np.maximum(np.minimum(p, np.nextafter(v + gamma, -np.inf)), np.nextafter(v, np.inf))
     if p.ndim == 0:
         return float(p)
     return p
@@ -74,6 +88,7 @@ def _prox_logistic_newton(v, gamma):
     # step reads 0, u + e^u < 1 forces u < 0 as well
     c1 = np.maximum(c, 1.0)
     u = np.minimum(np.minimum(log_gamma, c), np.log(c1) * (c1 / (1.0 + c1)))
+    done = np.zeros(u.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITERS):
         z = np.exp(u)
         x = a + z
@@ -81,19 +96,24 @@ def _prox_logistic_newton(v, gamma):
         step = (u + softplus - log_gamma) / (1.0 + z * np.exp(x - softplus))
         u_new = u - step
         # exact Newton only decreases u, so a step that does not is
-        # rounding noise at the root
-        done = (u_new >= u) | (step <= STEP_TOL)
-        if np.all(done):
+        # rounding noise at the root: that element is settled.  An element
+        # keeps its u once done, so its result does not depend on the batch.
+        keep = done | (u_new >= u)
+        u = np.where(keep, u, u_new)
+        done = keep | (step <= STEP_TOL)
+        if done.all():
             break
-        u = np.where(done, u, u_new)
     else:
         raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % NEWTON_MAX_ITERS)
+    z = np.exp(u)
     # the gaps p - v and v + gamma - p, kept off zero for the logs
     tiny = np.finfo(float).tiny
     lo = np.maximum(np.where(flip, gamma - z, z), tiny)
     hi = np.maximum(np.where(flip, z, gamma - z), tiny)
     p = np.where(flip, (v + gamma) - z, v + z)
-    return p - (p + np.log(lo) - np.log(hi)) / (1.0 + 1.0 / lo + 1.0 / hi)
+    # sum the logs first: added one at a time to a p far above them, each
+    # would round at p's ulp, and a p of 2^55 at the root 0 would close to 4
+    return p - (p + (np.log(lo) - np.log(hi))) / (1.0 + 1.0 / lo + 1.0 / hi)
 
 
 def prox_logistic_asymptotic(v, gamma):

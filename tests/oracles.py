@@ -85,7 +85,47 @@ def prox_logistic_bracketed(v, gamma):
     p = np.empty_like(v)
     p[tail] = px.prox_logistic_asymptotic(v[tail], gamma[tail])
     p[~tail] = _prox_logistic_newton(v[~tail], gamma[~tail], 1e-14, 200)
+    return clamp_open_interval(p, v, gamma)
+
+
+def clamp_open_interval(p, v, gamma):
+    """p kept inside (v, v+gamma) by the two nextafter bounds, applied to
+    every element: the clamp prox_logistic ran on every call before it
+    skipped a result already strictly inside."""
     return np.maximum(np.minimum(p, np.nextafter(v + gamma, -np.inf)), np.nextafter(v, np.inf))
+
+
+def prox_logistic_fine_stop(v, gamma, max_iters=200):
+    """The log-space Newton kernel as it was before its stop moved from
+    steps of 1e-8 to 1e-6: an element is done once its step is at most
+    1e-8 or rounds away (u - step >= u), and a done element's step is not
+    taken; the loop ends when every element is done, with z = e^u of the
+    last sweep.  Then the closing step in p and the eager clamp."""
+    v, gamma = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(gamma, dtype=float))
+    flip = v < -0.5 * gamma
+    a = np.where(flip, -(v + gamma), v)
+    log_gamma = np.log(gamma)
+    c = log_gamma - a
+    c1 = np.maximum(c, 1.0)
+    u = np.minimum(np.minimum(log_gamma, c), np.log(c1) * (c1 / (1.0 + c1)))
+    for _ in range(max_iters):
+        z = np.exp(u)
+        x = a + z
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        step = (u + softplus - log_gamma) / (1.0 + z * np.exp(x - softplus))
+        u_new = u - step
+        done = (u_new >= u) | (step <= 1e-8)
+        if np.all(done):
+            break
+        u = np.where(done, u, u_new)
+    else:
+        raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % max_iters)
+    tiny = np.finfo(float).tiny
+    lo = np.maximum(np.where(flip, gamma - z, z), tiny)
+    hi = np.maximum(np.where(flip, z, gamma - z), tiny)
+    p = np.where(flip, (v + gamma) - z, v + z)
+    return clamp_open_interval(p - (p + np.log(lo) - np.log(hi)) / (1.0 + 1.0 / lo + 1.0 / hi),
+                               v, gamma)
 
 
 def logistic_loss_logaddexp(v):

@@ -109,7 +109,9 @@ def test_run_matches_per_block_reference(blocks, kappa, loss, variant, batch, pr
        variant=st.sampled_from(("literal", "refreshed")), seed=st.integers(0, 1000))
 def test_iterate_matches_per_block_reference_on_the_whole_state(blocks, kappa, loss, variant, seed):
     # every state array, t included, for unsorted batches, subsets of
-    # blocks and the full batch (which skips the row gather)
+    # blocks, the full batch in order (which skips the row gather and
+    # reaches the dual rows through a slice) and a full-size permutation
+    # (which must still gather)
     prob = _problem(9, blocks, kappa, loss, seed)
     cfg = px.DRConfig(tau=1.1, gamma=0.6, v_update_variant=variant)
     res = px.resolve_config(prob, cfg)
@@ -121,7 +123,12 @@ def test_iterate_matches_per_block_reference_on_the_whole_state(blocks, kappa, l
     ref = px.init_state(prob, cfg, state.t, state.s)
     for step in range(12):
         act_b = np.sort(rng.permutation(B)[:rng.integers(1, B + 1)])
-        act_l = np.arange(L) if step % 4 == 0 else rng.permutation(L)[:rng.integers(0, L)]
+        if step % 4 == 0:
+            act_l = np.arange(L)
+        elif step % 4 == 2:
+            act_l = rng.permutation(L)
+        else:
+            act_l = rng.permutation(L)[:rng.integers(0, L)]
         dr._iterate(state, prob, pre, res, act_b, act_l, 1.3)
         iterate_per_block(ref, prob, pre, res, act_b, act_l, 1.3, columns)
         for name in ("w", "t", "v", "s", "u"):

@@ -28,10 +28,12 @@ from oracles import (
     PROX_LOGISTIC_TAIL_12,
     PROX_LOGISTIC_TAIL_16,
     central_difference,
+    clamp_open_interval,
     logistic_loss_logaddexp,
     prox_by_minimization,
     prox_logistic_bisect,
     prox_logistic_bracketed,
+    prox_logistic_fine_stop,
 )
 
 LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q1,
@@ -149,6 +151,9 @@ def test_logistic_prox_extreme_arguments():
 @example(v=-100.0, gamma=DR_SCALE)
 @example(v=-5.4, gamma=DR_SCALE)
 @example(v=25.0, gamma=DR_SCALE)
+# F''/2F' is about 34 here: a Newton stop at steps of 1e-4 left the gap
+# 3.4e-7 off and p 12 ulps off, a residual above the rounding slack
+@example(v=-241.0, gamma=10.0 ** 2.9375)
 def test_logistic_prox_tracks_bracketed_kernel(v, gamma):
     with np.errstate(over="raise", invalid="raise"):
         p = px.prox_logistic(v, gamma)
@@ -159,9 +164,75 @@ def test_logistic_prox_tracks_bracketed_kernel(v, gamma):
                                                  rounding_slack(v, gamma))
 
 
+@settings(max_examples=300, deadline=None)
+@given(v=V_WIDE, gamma=GAMMA_WIDE)
+@example(v=-150.0, gamma=DR_SCALE)
+@example(v=-5.4, gamma=DR_SCALE)
+@example(v=25.0, gamma=DR_SCALE)
+def test_logistic_prox_tracks_the_fine_stop_kernel(v, gamma):
+    # stopping at steps of 1e-6 instead of 1e-8 saves a sweep; the closing
+    # step in p squares what the earlier stop leaves
+    with np.errstate(over="raise", invalid="raise"):
+        p = px.prox_logistic(v, gamma)
+        ref = float(prox_logistic_fine_stop(v, gamma))
+    assert abs(p - ref) <= DEVIATION_BOUND * max(1.0, gamma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=st.floats(3.0, 300.0), ratio=st.floats(-1.5, 0.5))
+# u = log(p - v) near -5e14 carries rounding noise of +-0.06, so its steps
+# never fall to STEP_TOL; only the rule that a step which rounds away
+# settles the element stops the loop
+@example(exponent=15.0, ratio=0.5)
+@example(exponent=300.0, ratio=-1.0)
+def test_logistic_prox_tracks_the_fine_stop_kernel_at_huge_scale(exponent, ratio):
+    gamma = 10.0 ** exponent
+    v = ratio * gamma
+    with np.errstate(over="raise", invalid="raise"):
+        p = px.prox_logistic(v, gamma)
+        ref = float(prox_logistic_fine_stop(v, gamma))
+    assert abs(p - ref) <= DEVIATION_BOUND * gamma
+
+
+@pytest.mark.parametrize("v, gamma, expected", [
+    # p rounds onto v; the next double up lies inside (v, v + gamma)
+    (1e16, 4.0, np.nextafter(1e16, np.inf)),
+    # the mirror image: p rounds onto v + gamma = -1e16
+    (-1e16 - 8.0, 8.0, np.nextafter(-1e16, -np.inf)),
+    # v + gamma rounds to v, so no double lies strictly inside
+    (1e16, 1.0, np.nextafter(1e16, np.inf)),
+    (-1e16, 1.0, np.nextafter(-1e16, np.inf)),
+])
+def test_logistic_prox_moves_an_endpoint_to_the_next_double(v, gamma, expected):
+    kernel = float(prox._prox_logistic_newton(np.asarray(v), np.asarray(gamma)))
+    assert kernel in (v, v + gamma)
+    assert px.prox_logistic(v, gamma) == expected
+    # in a batch, the other elements keep the bits of their scalar calls
+    batch = px.prox_logistic(np.array([v, 0.0, -3.0]), gamma)
+    assert batch[0] == expected
+    assert np.array_equal(batch[1:], [px.prox_logistic(0.0, gamma), px.prox_logistic(-3.0, gamma)])
+
+
+def test_logistic_prox_clamp_gives_the_bits_of_the_eager_clamp():
+    # the clamp runs only when some p is not strictly inside; the result is
+    # bitwise the clamp applied to every element, as before
+    rng = np.random.Generator(np.random.PCG64(16))
+    draws = [(rng.uniform(-700.0, 700.0, 5000), 10.0 ** rng.uniform(-3.0, 3.0, 5000)),
+             (rng.uniform(-150.0, 25.0, 5000), DR_SCALE)]
+    v = rng.uniform(-700.0, 700.0, 5000)
+    v[::500] = 1e16  # p rounds onto an endpoint, so this call clamps
+    draws.append((v, 1.0))
+    for v, gamma in draws:
+        kernel = prox._prox_logistic_newton(v, np.asarray(gamma))
+        assert np.array_equal(px.prox_logistic(v, gamma), clamp_open_interval(kernel, v, gamma))
+
+
 @settings(max_examples=200, deadline=None)
 @given(exponent=st.floats(3.0, 300.0), ratio=st.floats(-1.5, 0.5))
 @example(exponent=20.0, ratio=-0.5)
+# the loop's p is 2^55, one ulp of gamma/2 off the root 0; the closing
+# step must not round the logs away at that ulp
+@example(exponent=32.5, ratio=-0.5)
 @example(exponent=300.0, ratio=-1.0)
 def test_logistic_prox_huge_scale(exponent, ratio):
     # both gaps p - v and v + gamma - p can be far larger than p itself,
@@ -204,8 +275,8 @@ def test_logistic_conjugate_prox_moreau_identity(v, sigma):
 
 def test_logistic_prox_converges_in_few_sweeps(monkeypatch):
     # the start lies right of the root and the Newton iterates fall
-    # monotonically onto it; five sweeps cover these draws, one is spare
-    monkeypatch.setattr(prox, "NEWTON_MAX_ITERS", 6)
+    # monotonically onto it; four sweeps cover these draws, one is spare
+    monkeypatch.setattr(prox, "NEWTON_MAX_ITERS", 5)
     rng = np.random.Generator(np.random.PCG64(6))
     v = rng.uniform(-700.0, 700.0, 20_000)
     gamma = 10.0 ** rng.uniform(-3.0, 3.0, 20_000)
