@@ -16,7 +16,9 @@ mini-batch of samples:
 
 with C_b = (Id + tau_b sum_l c_l x_{l,b} x_{l,b}^T)^{-1},
 c_l = gamma_l / (1 + gamma_l rho_l), Cholesky-factored once up front, so
-applying C_b costs two triangular solves with the factor.  The maths
+applying C_b costs two triangular solves with the factor.  Each resolvent
+matrix is written, a panel of rows at a time, into the one array that is
+then factored in place, and only the factors are kept.  The maths
 allows a step per block and per sample; the code takes one tau, gamma,
 rho and mu for all of them (tau_b = tau, gamma_l = gamma, rho_l = rho),
 and custom loops vary mu per call of :func:`dr_iterate`.  The printed
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.blas import dtrsv
+from scipy.sparse import _sparsetools
 
 from .errors import DomainError, FactorizationError, NumericalError
 from .model import objective, reg_prox
@@ -171,22 +174,22 @@ def _check_mu(mu):
 
 @dataclass
 class Preconditioner:
-    """Cholesky-factored block resolvent matrices.
+    """Cholesky factors of the block resolvents
+    M_b = Id + tau * X_b^T diag(c) X_b, c = gamma/(1+gamma rho); labels
+    cancel since y_l^2 = 1.
 
-    matrices[b] = Id + tau * X_b^T diag(c) X_b with
-    c = gamma/(1+gamma rho); labels cancel since y_l^2 = 1.  factors[b]
-    is the ``cho_factor`` pair (F, True): the lower factor L_b sits in
-    the lower triangle of the Fortran-ordered array F, which BLAS reads
-    without a copy.  The factors are checked finite once, when they are
+    factors[b] is the ``cho_factor`` pair (F, True): the lower factor L_b
+    sits in the lower triangle of the Fortran-ordered array F, which BLAS
+    reads without a copy.  M_b is not kept: it is built in F and factored
+    there in place.  The factors are checked finite once, when they are
     built, so apply checks only its right-hand side.
     """
 
-    matrices: list
     factors: list
 
     def apply(self, b, z):
-        """Solve matrices[b] @ out = z for a vector z of block b's length,
-        by two BLAS triangular solves, L_b y = z and L_b^T out = y.
+        """Solve M_b @ out = z for a vector z of block b's length, by two
+        BLAS triangular solves, L_b y = z and L_b^T out = y.
 
         DomainError if z is not of shape (n_b,), ValueError if it is not
         finite.
@@ -201,21 +204,26 @@ class Preconditioner:
 
 
 def build_preconditioner(problem, config):
-    """Assemble and factor the per-block resolvent matrices."""
+    """Assemble each block resolvent matrix in one array and factor it
+    there; returns the Preconditioner holding the factors."""
     return _build_preconditioner(problem, resolve_config(problem, config))
+
+
+# scratch entries of one Gram panel: the panel holds as many rows of M_b
+# as fit, and at least one
+_PANEL_ENTRIES = 2**18
 
 
 def _build_preconditioner(problem, res):
     X = problem.data.features
     c = res.gamma * res.inv1p
-    matrices, factors = [], []
+    factors = []
     for b, sl in enumerate(problem.partition.slices()):
-        Xb = X[:, sl]
-        M = (Xb.T @ Xb.multiply(c)).toarray()  # Id + tau * gram, built in place: one n x n array
-        M *= res.tau
-        M.flat[::M.shape[0] + 1] += 1.0
+        # a column slice copies, even one that spans every column
+        Xb = X if sl.stop - sl.start == X.shape[1] else X[:, sl]
+        M = _resolvent_matrix(Xb, c, res.tau)
         try:
-            factor = cho_factor(M, lower=True)
+            factor = cho_factor(M, lower=True, overwrite_a=True)
         except (LinAlgError, ValueError) as exc:
             raise FactorizationError(
                 "block %d resolvent factorization failed: %s" % (b, exc)
@@ -223,8 +231,44 @@ def _build_preconditioner(problem, res):
         if not np.all(np.isfinite(factor[0])):
             raise FactorizationError("block %d resolvent factor is not finite" % b)
         factors.append(factor)
-        matrices.append(M)
-    return Preconditioner(matrices=matrices, factors=factors)
+    return Preconditioner(factors=factors)
+
+
+def _resolvent_matrix(Xb, c, tau):
+    """Id + tau * Xb^T (c Xb) in one Fortran-ordered n x n array.
+
+    Row k of M^T is the product of row k of (c Xb)^T, that is column k of
+    c Xb in CSC, with the CSR Xb.  scipy's sparse product kernel computes
+    it a panel of rows at a time and the dense kernel writes each panel
+    into M^T.  Every entry sums the same terms in the same order as the
+    sparse product ``Xb.T @ Xb.multiply(c)``, with no count pass and no
+    sparse Gram.
+    """
+    n = Xb.shape[1]
+    A = Xb.tocsc()
+    A.data *= c
+    # the kernels take one index type: they copy inputs of another type on
+    # every call and reject outputs of another type
+    itype = np.result_type(A.indptr, A.indices, Xb.indptr, Xb.indices)
+    Ap, Aj, Bp, Bj = (a.astype(itype, copy=False)
+                      for a in (A.indptr, A.indices, Xb.indptr, Xb.indices))
+    width = min(n, max(1, _PANEL_ENTRIES // n))
+    # csr_matmat writes Cj and Cx without bounds checks.  A row of the
+    # product has at most n distinct columns, so width * n entries hold
+    # any panel.
+    Cp = np.empty(width + 1, dtype=itype)
+    Cj = np.empty(width * n, dtype=itype)
+    Cx = np.empty(width * n)
+    MT = np.zeros((n, n))  # C order, so M = MT.T is Fortran-ordered
+    for k0 in range(0, n, width):
+        k1 = min(k0 + width, n)
+        _sparsetools.csr_matmat(k1 - k0, n, Ap[k0:k1 + 1], Aj, A.data, Bp, Bj, Xb.data,
+                                Cp, Cj, Cx)
+        _sparsetools.csr_todense(k1 - k0, n, Cp, Cj, Cx, MT[k0:k1])
+    M = MT.T
+    M *= tau
+    M.flat[::n + 1] += 1.0
+    return M
 
 
 @dataclass

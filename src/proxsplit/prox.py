@@ -134,13 +134,20 @@ def prox_logistic_asymptotic(v, gamma):
     return out
 
 
+def _closed_form_args(v, gamma):
+    """v and gamma as float arrays, gamma checked as given; the formulas
+    broadcast them, so a scalar gamma is checked once."""
+    g_arr = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(g_arr) & (g_arr > 0.0)):
+        raise DomainError("gamma must be positive and finite")
+    return np.asarray(v, dtype=float), g_arr
+
+
 def prox_hinge(v, gamma, q):
     """Prox of gamma * max(0, 1-v)**q for q in {1, 2} (closed form)."""
     if q not in (1, 2):
         raise DomainError("hinge exponent q must be 1 or 2, got %r" % (q,))
-    v_arr, g_arr = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(gamma, dtype=float))
-    if not np.all(np.isfinite(g_arr) & (g_arr > 0.0)):
-        raise DomainError("gamma must be positive and finite")
+    v_arr, g_arr = _closed_form_args(v, gamma)
     if q == 1:
         out = np.where(v_arr > 1.0, v_arr, np.where(v_arr >= 1.0 - g_arr, 1.0, v_arr + g_arr))
     else:
@@ -152,9 +159,7 @@ def prox_hinge(v, gamma, q):
 
 def prox_huber(v, gamma):
     """Prox of the one-sided Huber loss (0 for v>=1, -v for v<=-1, quadratic between)."""
-    v_arr, g_arr = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(gamma, dtype=float))
-    if not np.all(np.isfinite(g_arr) & (g_arr > 0.0)):
-        raise DomainError("gamma must be positive and finite")
+    v_arr, g_arr = _closed_form_args(v, gamma)
     out = np.where(
         v_arr >= 1.0,
         v_arr,

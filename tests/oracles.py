@@ -171,6 +171,18 @@ def top_eigenvalue(X):
     return float(np.linalg.eigvalsh(dense.T @ dense)[-1])
 
 
+def resolvent_matrix(problem, config, b):
+    """Block b's resolvent Id + tau X_b^T diag(c) X_b, c = gamma/(1+gamma rho),
+    the plain way: scipy's sparse Gram, densified (Fortran-ordered, as
+    a CSC product's ``toarray`` gives), scaled and shifted."""
+    res = px.resolve_config(problem, config)
+    Xb = problem.data.features[:, problem.partition.slices()[b]]
+    M = (Xb.T @ Xb.multiply(res.gamma * res.inv1p)).toarray()
+    M *= res.tau
+    M.flat[::M.shape[0] + 1] += 1.0
+    return M
+
+
 # Correctly rounded doubles computed with mpmath at 60 decimal digits.
 # Compared with a few-ulp tolerance, never bitwise.
 PROX_LOGISTIC_0_1 = 0.40105813754154701      # prox of logistic at v=0, gamma=1

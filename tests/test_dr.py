@@ -3,18 +3,20 @@ single iterations against hand-computed values, masking, determinism,
 convergence behavior, and the simplified single-block variant."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 from hypothesis import given, settings, strategies as st
 
 import proxsplit as px
-from proxsplit import model
+from proxsplit import dr, model
 from proxsplit.errors import DomainError
 from conftest import NoRowGatherKernels, make_problem, tiny_problem
+from oracles import resolvent_matrix
 
 
 def small_problem():
@@ -74,16 +76,19 @@ def test_rho_forced_to_zero_for_hinge():
 
 def test_preconditioner_single_sample_matrix():
     prob = tiny_problem()
-    pre = px.build_preconditioner(prob, px.DRConfig(tau=1.0, gamma=1.0, rho=0.0))
-    assert np.array_equal(pre.matrices[0], np.array([[2.0]]))
+    cfg = px.DRConfig(tau=1.0, gamma=1.0, rho=0.0)
+    pre = px.build_preconditioner(prob, cfg)
+    assert np.array_equal(resolvent_matrix(prob, cfg, 0), np.array([[2.0]]))
     assert np.allclose(pre.apply(0, np.array([1.0])), np.array([0.5]))
 
 
 def test_preconditioner_gamma_rho_weight():
     # c = gamma/(1+gamma*rho) = 0.5/1.5, so M = 1 + tau/3
     prob = tiny_problem()
-    pre = px.build_preconditioner(prob, px.DRConfig(tau=3.0, gamma=0.5, rho=1.0))
-    assert np.allclose(pre.matrices[0], np.array([[2.0]]), atol=1e-15)
+    cfg = px.DRConfig(tau=3.0, gamma=0.5, rho=1.0)
+    pre = px.build_preconditioner(prob, cfg)
+    assert np.allclose(resolvent_matrix(prob, cfg, 0), np.array([[2.0]]), atol=1e-15)
+    assert np.allclose(pre.apply(0, np.array([1.0])), np.array([0.5]))
 
 
 def test_preconditioner_zero_block_is_identity():
@@ -92,17 +97,19 @@ def test_preconditioner_zero_block_is_identity():
                       partition=px.BlockPartition.contiguous(2, 2),
                       reg=px.RegularizerSpec(lam=0.1), loss=px.ScalarLoss.LOGISTIC)
     pre = px.build_preconditioner(prob, px.DRConfig())
-    assert np.array_equal(pre.matrices[1], np.eye(1))
+    assert np.array_equal(resolvent_matrix(prob, px.DRConfig(), 1), np.eye(1))
+    assert np.array_equal(pre.factors[1][0], np.eye(1))
 
 
 def test_preconditioner_solves_its_own_matrix():
     prob = make_problem(7, 12, 3, lam=0.2, seed=21)
-    pre = px.build_preconditioner(prob, px.DRConfig(tau=2.0, gamma=1.3, rho=0.2))
+    cfg = px.DRConfig(tau=2.0, gamma=1.3, rho=0.2)
+    pre = px.build_preconditioner(prob, cfg)
     rng = np.random.Generator(np.random.PCG64(1))
     for b, sl in enumerate(prob.partition.slices()):
         z = rng.standard_normal(sl.stop - sl.start)
         z_in = z.copy()
-        back = pre.matrices[b] @ pre.apply(b, z)
+        back = resolvent_matrix(prob, cfg, b) @ pre.apply(b, z)
         assert np.array_equal(z, z_in)  # the solve works on its own copy
         assert np.max(np.abs(back - z)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
 
@@ -116,10 +123,9 @@ def _bench_inputs():
     return module
 
 
-@pytest.mark.parametrize("shape", ["w8a", "wide"])
-def test_preconditioner_apply_matches_cho_solve_on_bench_blocks(shape):
-    # the seed-1 blocks of the w8a-train (4 x 75^2) and wide-fullbatch
-    # (2000^2) benchmark problems, with their step parameters
+def _bench_problem(shape):
+    """The seed-1 problem of the w8a-train (4 x 75^2 blocks) or
+    wide-fullbatch (one 2000^2 block) benchmark, with its step parameters."""
     inputs = _bench_inputs()
     if shape == "w8a":
         X, y = inputs.w8a_like(1)
@@ -130,11 +136,100 @@ def test_preconditioner_apply_matches_cho_solve_on_bench_blocks(shape):
     prob = px.Problem(data=px.TrainingSet(features=X, labels=y),
                       partition=px.BlockPartition.contiguous(X.shape[1], blocks),
                       reg=px.RegularizerSpec(lam=1.0), loss=loss)
+    return prob, cfg
+
+
+def _assert_factors_are_the_oracle_factors(prob, cfg):
+    # the in-place build must give the factor of the plain sparse Gram's
+    # resolvent bit for bit
+    pre = px.build_preconditioner(prob, cfg)
+    assert len(pre.factors) == prob.num_blocks
+    for b, (F, lower) in enumerate(pre.factors):
+        ref, _ = cho_factor(resolvent_matrix(prob, cfg, b), lower=True)
+        assert lower and F.flags.f_contiguous
+        assert np.array_equal(np.tril(F).view(np.uint64), np.tril(ref).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", ["w8a", "wide"])
+def test_preconditioner_factors_match_the_sparse_gram_on_bench_blocks(shape):
+    _assert_factors_are_the_oracle_factors(*_bench_problem(shape))
+
+
+@st.composite
+def gram_problems(draw):
+    """Small problems whose blocks span several Gram panels: empty columns,
+    stored zeros, unsorted or int64 index arrays, c != 1."""
+    N, L = draw(st.integers(1, 12)), draw(st.integers(1, 15))
+    B = draw(st.integers(1, N))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    dense = rng.standard_normal((L, N)) * (rng.random((L, N)) < draw(st.floats(0.0, 1.0)))
+    dense[:, rng.random(N) < 0.2] = 0.0  # empty columns, unless a zero is stored
+    stored_zero = (dense == 0.0) & (rng.random((L, N)) < 0.2)
+    rows, cols = np.nonzero((dense != 0.0) | stored_zero)
+    X = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=(L, N))
+    if draw(st.booleans()):  # unsorted column indices within each row
+        for i in range(L):
+            seg = slice(X.indptr[i], X.indptr[i + 1])
+            order = rng.permutation(X.indptr[i + 1] - X.indptr[i])
+            X.indices[seg], X.data[seg] = X.indices[seg][order], X.data[seg][order]
+        X.has_sorted_indices = False
+    index_types = draw(st.sampled_from([(np.int32, np.int32), (np.int64, np.int64),
+                                        (np.int64, np.int32)]))
+    X.indptr, X.indices = (X.indptr.astype(index_types[0]), X.indices.astype(index_types[1]))
+    y = np.where(rng.random(L) < 0.5, 1.0, -1.0)
+    prob = px.Problem(data=px.TrainingSet(features=X, labels=y),
+                      partition=px.BlockPartition.contiguous(N, B),
+                      reg=px.RegularizerSpec(lam=0.1), loss=px.ScalarLoss.LOGISTIC)
+    gamma = draw(st.floats(1e-2, 1e2))
+    cfg = px.DRConfig(tau=draw(st.floats(1e-2, 1e2)), gamma=gamma,
+                      rho=min(draw(st.floats(0.0, 0.9)), 0.9 / gamma, 4.0 / B))
+    return prob, cfg, draw(st.integers(1, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gram_problems())
+def test_preconditioner_factors_match_the_sparse_gram_across_panels(case):
+    prob, cfg, panel_entries = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dr, "_PANEL_ENTRIES", panel_entries)
+        _assert_factors_are_the_oracle_factors(prob, cfg)
+
+
+def test_preconditioner_build_holds_one_matrix_one_csc_copy_and_one_panel():
+    # a one-block 20000 x 600 problem: the build may hold M, the block's
+    # CSC copy and one panel of the Gram product at once, and nothing more
+    # (no sparse Gram, no copy of M for the factorization); 64 KiB cover
+    # the interpreter's own small objects
+    rng = np.random.Generator(np.random.PCG64(3))
+    L, n = 20_000, 600
+    X = sp.random(L, n, density=0.01, format="csr", random_state=rng)
+    prob = px.Problem(data=px.TrainingSet(features=X, labels=np.ones(L)),
+                      partition=px.BlockPartition.contiguous(n, 1),
+                      reg=px.RegularizerSpec(lam=1.0), loss=px.ScalarLoss.HINGE_Q2)
+    csc = prob.data.features.tocsc()
+    csc_bytes = csc.indptr.nbytes + csc.indices.nbytes + csc.data.nbytes
+    width = min(n, dr._PANEL_ENTRIES // n)
+    panel_bytes = (width + 1 + width * n) * csc.indices.itemsize + width * n * 8
+    del csc
+    tracemalloc.start()
+    try:
+        pre = px.build_preconditioner(prob, px.DRConfig())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 + csc_bytes + panel_bytes + 64 * 1024
+    assert held < n * n * 8 + 64 * 1024
+    assert pre.factors[0][0].shape == (n, n)
+
+
+@pytest.mark.parametrize("shape", ["w8a", "wide"])
+def test_preconditioner_apply_matches_cho_solve_on_bench_blocks(shape):
+    prob, cfg = _bench_problem(shape)
     pre = px.build_preconditioner(prob, cfg)
     rng = np.random.Generator(np.random.PCG64(2))
-    for b in range(blocks):
+    for b in range(prob.num_blocks):
         for _ in range(3):
-            z = rng.standard_normal(pre.matrices[b].shape[0])
+            z = rng.standard_normal(pre.factors[b][0].shape[0])
             x = pre.apply(b, z)
             ref = cho_solve(pre.factors[b], z)
             assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -153,8 +248,9 @@ def test_preconditioner_apply_is_backward_stable(n, m, seed, tau, gamma, rho, sc
     prob = px.Problem(data=px.TrainingSet(features=sp.csr_matrix(X), labels=y),
                       partition=px.BlockPartition.contiguous(n, 1),
                       reg=px.RegularizerSpec(lam=0.1), loss=px.ScalarLoss.LOGISTIC)
-    pre = px.build_preconditioner(prob, px.DRConfig(tau=tau, gamma=gamma, rho=min(rho, 0.9 / gamma)))
-    M = pre.matrices[0]
+    cfg = px.DRConfig(tau=tau, gamma=gamma, rho=min(rho, 0.9 / gamma))
+    pre = px.build_preconditioner(prob, cfg)
+    M = resolvent_matrix(prob, cfg, 0)
     z = rng.standard_normal(n)
     x = pre.apply(0, z)
     norm = np.linalg.norm
@@ -203,12 +299,10 @@ def test_preconditioner_rejects_nonfinite_matrix_at_build():
 
 
 def test_preconditioner_rejects_nonfinite_factor_at_build(monkeypatch):
-    from proxsplit import dr
-
     real = dr.cho_factor
 
-    def poisoned(M, lower):
-        c, low = real(M, lower=lower)
+    def poisoned(M, lower, **kwargs):
+        c, low = real(M, lower=lower, **kwargs)
         c[-1, -1] = np.nan
         return c, low
 
@@ -376,8 +470,9 @@ def test_full_sample_mask_uses_the_matrix_without_gather(monkeypatch):
     cfg = px.DRConfig(tau=0.7, gamma=1.2, rho=0.1)
     pre = px.build_preconditioner(prob, cfg)
     pre_pad = px.build_preconditioner(prob_pad, cfg)
-    for M, M_pad in zip(pre.matrices, pre_pad.matrices):
-        assert np.array_equal(M, M_pad)
+    assert len(pre.factors) == len(pre_pad.factors) == 3
+    for (F, _), (F_pad, _) in zip(pre.factors, pre_pad.factors):
+        assert np.array_equal(F.view(np.uint64), F_pad.view(np.uint64))
     rng = np.random.Generator(np.random.PCG64(5))
     t0, s0 = rng.standard_normal(6), rng.standard_normal((8, 3))
     full = px.init_state(prob, cfg, t0, s0)

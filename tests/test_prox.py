@@ -282,6 +282,14 @@ def test_logistic_prox_converges_in_few_sweeps(monkeypatch):
     gamma = 10.0 ** rng.uniform(-3.0, 3.0, 20_000)
     with np.errstate(over="raise", invalid="raise"):
         px.prox_logistic(v, gamma)
+
+
+def test_logistic_prox_takes_four_sweeps_at_dr_scale(monkeypatch):
+    # the w8a-train step's gamma over its range of v: the stop at steps of
+    # STEP_TOL ends every element within four sweeps, with none spare
+    monkeypatch.setattr(prox, "NEWTON_MAX_ITERS", 4)
+    rng = np.random.Generator(np.random.PCG64(6))
+    with np.errstate(over="raise", invalid="raise"):
         px.prox_logistic(rng.uniform(-150.0, 25.0, 20_000), DR_SCALE)
 
 
@@ -512,14 +520,18 @@ def test_loss_prox_dispatch():
 
 # ------------------------------------------------------------- validation
 
-def test_rejects_nonpositive_gamma():
+@pytest.mark.parametrize("v", [0.0, np.empty(0)])
+def test_rejects_nonpositive_gamma(v):
+    # gamma is checked as given, so an empty v does not hide a bad gamma
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            px.prox_logistic(0.0, bad)
+            px.prox_logistic(v, bad)
         with pytest.raises(DomainError):
-            px.prox_huber(0.0, bad)
+            px.prox_huber(v, bad)
         with pytest.raises(DomainError):
-            px.prox_hinge(0.0, bad, 1)
+            px.prox_hinge(v, bad, 1)
+        with pytest.raises(DomainError):
+            px.prox_hinge(v, bad, 2)
 
 
 def test_rejects_bad_hinge_exponent():
