@@ -58,8 +58,7 @@ def _finite(w, i):
 def _batch_gradient(problem, w, act_l):
     """sum_{l in batch} y_l x_l h'(y_l <x_l, w>)."""
     rows = problem.data.rows(act_l)
-    hp = loss_grad(problem.loss, rows.labels * rows.dot(w))
-    return rows.adjoint(rows.labels * hp)
+    return rows.aggregate(loss_grad(problem.loss, rows.margins(w)))
 
 
 def _step_size(step_c, i):
@@ -166,9 +165,9 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
         act_l = sample_without_replacement(rng, pool_l, batch)
         w_new = reg_prox(problem, w - tau * u, tau)
         rows = problem.data.rows(act_l)
-        arg = v[act_l] + sigma * (rows.labels * rows.dot(2.0 * w_new - w))
+        arg = v[act_l] + sigma * rows.margins(2.0 * w_new - w)
         v_new = prox_conjugate(prox_h, arg, sigma)
-        u += rows.adjoint(rows.labels * (v_new - v[act_l]))
+        u += rows.aggregate(v_new - v[act_l])
         v[act_l] = v_new
         w = _finite(w_new, i)
         return w

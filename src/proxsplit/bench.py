@@ -19,15 +19,6 @@ from .errors import DomainError, NonConvergenceError
 from .model import kkt_residual, sparsity_degree, test_error
 from .trace import check_count, check_scalar
 
-__all__ = [
-    "SOLVERS",
-    "BenchmarkEntry",
-    "SummaryRow",
-    "compute_reference",
-    "run_benchmark",
-    "format_summary",
-]
-
 # Every solver shares the calling convention
 # (problem, config, ..., reference=None, callback=None) -> (w, trace)
 # and runs its iterations through trace.drive, so records, callbacks and
@@ -119,15 +110,20 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
 
 def check_entries(entries):
     """DomainError unless every entry names a known solver and the entry
-    names are nonempty and distinct."""
+    names are distinct, each the stem of its own ``<name>.csv`` beside
+    summary.csv: nonempty, not "summary" in any case, not "." or "..", and
+    free of path separators."""
     seen = set()
     for entry in entries:
         solver_named(entry.solver)
-        if not entry.name:
-            raise DomainError("benchmark entry names must be nonempty")
-        if entry.name in seen:
-            raise DomainError("duplicate benchmark entry name %r" % entry.name)
-        seen.add(entry.name)
+        name = entry.name
+        if (name in ("", ".", "..") or name.lower() == "summary"
+                or any(sep and sep in name for sep in ("/", os.sep, os.altsep))):
+            raise DomainError("benchmark entry name %r cannot name its own trace file <name>.csv"
+                              % name)
+        if name in seen:
+            raise DomainError("duplicate benchmark entry name %r" % name)
+        seen.add(name)
 
 
 def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None):

@@ -45,8 +45,6 @@ from .model import (
 )
 from .prox import ScalarLoss, prox_logistic
 
-__all__ = ["main", "entrypoint", "save_model", "load_model"]
-
 _LOSS_NAMES = tuple(loss.value for loss in ScalarLoss)
 _REG_NAMES = ("l1", "group-l2")
 
@@ -79,7 +77,7 @@ _COMMON_SPEC = {
     "gamma": (float, 1.0, "dual step size"),
     "tau": (float, 1.0, "primal step size"),
     "mu": (float, 1.5, "relaxation in (%g, %g)" % (ETA, 2.0 - ETA)),
-    "rho": (float, None, "logistic strong-convexity shift (default 0.1, 0 for dr-simplified)"),
+    "rho": (float, None, "strong-convexity shift (default 0.1 for dr on the logistic loss, else 0)"),
     "step_c": (float, 0.1, "sfb/rda step constant"),
     "trace_stride": (int, 10, "record period"),
     "plateau_window": (int, None, "early-stop window"),
@@ -232,8 +230,9 @@ def load_model(path):
 def _solver_config(merged, solver, n_samples):
     """DRConfig or BaselineConfig for one solver from the merged options.
 
-    rho defaults to 0.1, or to 0 for dr-simplified, which needs rho = 0; an
-    explicit rho is passed on as given so the runner can reject it by name.
+    rho defaults to 0.1 for dr on the logistic loss, the one case with rho > 0,
+    and to 0 otherwise; an explicit rho is passed on as given so the runner
+    can reject it by name.
     """
     batch = min(merged["batch"], n_samples)
     common = dict(
@@ -247,7 +246,7 @@ def _solver_config(merged, solver, n_samples):
     if solver in ("dr", "dr-simplified"):
         rho = merged["rho"]
         if rho is None:
-            rho = 0.0 if solver == "dr-simplified" else 0.1
+            rho = 0.1 if solver == "dr" and merged["loss"] == "logistic" else 0.0
         return DRConfig(
             tau=merged["tau"], gamma=merged["gamma"], rho=rho, mu=merged["mu"], **common
         )

@@ -29,17 +29,19 @@ the default), which is also what the simplified single-block scheme of
 
 An iteration gathers the rows of its mini-batch once, through
 :meth:`proxsplit.model.TrainingSet.rows` (a full batch uses the matrix's
-arrays as they are), from the row-sorted CSR the training set keeps.  It
-reads the mini-batch's dual rows of s with ``np.take`` and writes the
-rows of s and v back by index; a full batch, 0, ..., L-1 in order, reads
-and writes the dual rows through a slice.  All B forward products are one
-multi-vector product with the N x B block-diagonal layout of w, and all B
-adjoint products are one adjoint product whose column b is read on block
-b only.  Gather and products run scipy's own sparsetools kernels on the
-CSR arrays, with no scipy matrix object per step, and give the bits of
-the public ``X[rows]``, ``@`` and ``.T @`` calls.  Sorted column indices
-keep the summation order of a per-block product, so the iterates are the
-same bit for bit.
+arrays as they are), from the row-sorted CSR the training set keeps.
+The gathered rows are the mini-batch's operator A = diag(y) X, whose
+products apply the labels, so no code here reads them.  It reads the
+mini-batch's dual rows of s with ``np.take`` and writes the rows of s and
+v back by index; a full batch, 0, ..., L-1 in order, reads and writes the
+dual rows through a slice.  All B forward products are one multi-vector
+product with the N x B block-diagonal layout of w, and all B adjoint
+products are one adjoint product whose column b is read on block b only.
+Gather and products run scipy's own sparsetools kernels on the CSR
+arrays, with no scipy matrix object per step, and give the bits of the
+public ``X[rows]``, ``@`` and ``.T @`` calls with the labels applied.
+Sorted column indices keep the summation order of a per-block product,
+so the iterates are the same bit for bit.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
 record function handed to :func:`proxsplit.trace.drive`, the loop shared
@@ -382,20 +384,18 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
 
 def _block_products(rows, w, slices):
     """(A_{l,b} w_b)_{l,b} = y_l <x_{l,b}, w_b> as an (m, B) array, for the
-    gathered rows (a :class:`proxsplit.model.Rows`)."""
+    operator A of the gathered rows (a :class:`proxsplit.model.Rows`)."""
     W = np.zeros((w.size, len(slices)))
     for b, sl in enumerate(slices):
         W[sl, b] = w[sl]
-    out = rows.dot(W)
-    out *= rows.labels[:, None]
-    return out
+    return rows.margins(W)
 
 
 def _block_adjoint(rows, M, slices):
-    """(sum_l y_l x_{l,b} M_{l,b})_b as a length-N vector, for the gathered
-    rows and an (m, B) array M: one adjoint product whose column b is read
-    on block b only."""
-    r = rows.adjoint(rows.labels[:, None] * M)
+    """(sum_l A*_{l,b} M_{l,b})_b = (sum_l y_l x_{l,b} M_{l,b})_b as a
+    length-N vector, for the gathered rows and an (m, B) array M: one
+    adjoint product whose column b is read on block b only."""
+    r = rows.aggregate(M)
     return np.concatenate([r[sl, b] for b, sl in enumerate(slices)])
 
 
@@ -450,7 +450,7 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
         trace.add(iteration, seconds, objective(problem, state.w), state.w, reference, w_hat)
 
     trace = drive(config, start, step, record, callback)
-    return extract_solution(state, problem, config), trace
+    return reg_prox(problem, 2.0 * state.w - state.t, res.tau), trace
 
 
 def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=None):
@@ -481,8 +481,7 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     w_init = rng.standard_normal(N)
     t = float_copy("t0", w_init if t0 is None else t0, (N,))
     st = float_copy("st0", np.zeros(L) if st0 is None else st0, (L,))
-    every = problem.data.rows()
-    ut = every.adjoint(every.labels * st)
+    ut = problem.data.rows().aggregate(st)
     w = np.zeros(N)
     pool_l = np.arange(L)
 
@@ -495,13 +494,13 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
             raise NumericalError("non-finite primal update")
         t += mu * (reg_prox(problem, 2.0 * w - t, tau) - w)
         rows = problem.data.rows(act_l)
-        aw = rows.labels * rows.dot(w_old if res.literal else w)
+        aw = rows.margins(w_old if res.literal else w)
         q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)
         if not np.all(np.isfinite(ds)):
             raise NumericalError("non-finite dual update")
         st[act_l] += ds
-        ut += rows.adjoint(rows.labels * ds)
+        ut += rows.aggregate(ds)
         return w
 
     def record(trace, iteration, seconds):

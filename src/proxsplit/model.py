@@ -6,7 +6,8 @@ A problem is the composite criterion
 
 over contiguous coordinate blocks w_1, ..., w_B, where h is one of the
 scalar margin losses and kappa_b in {1, 2} picks the l1 norm or the
-(non-squared) l2 norm per block.
+(non-squared) l2 norm per block.  The data term is sum_l h((A w)_l) with
+A = diag(y) X; only :class:`Rows`, A on a mini-batch, applies the labels.
 """
 
 import math
@@ -103,15 +104,16 @@ class TrainingSet:
 
 
 class Rows:
-    """Feature rows X_a, as CSR arrays (indptr, indices, data), and labels
-    y_a of a mini-batch, with the products dot(M) = X_a @ M and
-    adjoint(M) = X_a^T @ M for a float vector or 2-D array M.
+    """The operator A_a = diag(y_a) X_a of a mini-batch: feature rows X_a,
+    as CSR arrays (indptr, indices, data), and labels y_a = +-1, with the
+    products margins(M) = A_a M and aggregate(M) = A_a^T M for a float
+    vector or 2-D array M.
 
     The products call, on the arrays directly, the sparsetools kernel that
     scipy's own product would pick (one vector kernel for a vector or a
-    single column, the multi-vector kernel otherwise).  So they give
-    scipy's bits without its per-call overhead, and the adjoint builds no
-    transpose object.
+    single column, the multi-vector kernel otherwise), and flip signs by
+    the labels, which is exact.  So they give scipy's bits without its
+    per-call overhead, and the adjoint builds no transpose object.
     """
 
     __slots__ = ("labels", "indptr", "indices", "data", "shape")
@@ -123,15 +125,22 @@ class Rows:
         self.data = data
         self.shape = (indptr.size - 1, n_features)
 
-    def dot(self, M):
-        """X_a @ M for M of shape (N,) or (N, k)."""
+    def margins(self, M):
+        """y_a * (X_a @ M) for M of shape (N,) or (N, k)."""
         m, n = self.shape
-        return self._product(_sparsetools.csr_matvec, _sparsetools.csr_matvecs, m, n, M)
+        out = self._product(_sparsetools.csr_matvec, _sparsetools.csr_matvecs, m, n, M)
+        out *= self._signs(out)
+        return out
 
-    def adjoint(self, M):
-        """X_a^T @ M for M of shape (m,) or (m, k)."""
+    def aggregate(self, M):
+        """X_a^T @ (y_a * M) for M of shape (m,) or (m, k)."""
         m, n = self.shape
-        return self._product(_sparsetools.csc_matvec, _sparsetools.csc_matvecs, n, m, M)
+        # an operand of the wrong shape reaches _product unsigned, which rejects it
+        signed = self._signs(M) * M if M.shape[0] == m else M
+        return self._product(_sparsetools.csc_matvec, _sparsetools.csc_matvecs, n, m, signed)
+
+    def _signs(self, M):
+        return self.labels if M.ndim == 1 else self.labels[:, None]
 
     def _product(self, vec, vecs, n_out, n_in, M):
         if M.shape[0] != n_in:
@@ -215,6 +224,8 @@ class Problem:
     kappas: tuple = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.loss, ScalarLoss):
+            raise DomainError("must be a ScalarLoss member, got %r" % (self.loss,), "loss")
         if self.partition.n_features != self.data.n_features:
             raise DomainError(
                 "partition covers %d coordinates but data has %d features"
@@ -242,11 +253,8 @@ class Problem:
 
 
 def margins(problem, w):
-    """y_l * <x_l, w> for all samples."""
-    every = problem.data.rows()
-    out = every.dot(np.asarray(w, dtype=float))
-    out *= every.labels
-    return out
+    """A w = y_l * <x_l, w> for all samples."""
+    return problem.data.rows().margins(np.asarray(w, dtype=float))
 
 
 def regularizer_value(problem, w):
@@ -265,10 +273,8 @@ def objective(problem, w):
 
 
 def smooth_gradient(problem, w):
-    """Gradient of the data-fit term: sum_l y_l x_l h'(y_l <x_l, w>)."""
-    g = loss_grad(problem.loss, margins(problem, w))
-    g *= problem.data.labels
-    return problem.data.rows().adjoint(g)
+    """Gradient of the data-fit term: A^T h'(A w) = sum_l y_l x_l h'(y_l <x_l, w>)."""
+    return problem.data.rows().aggregate(loss_grad(problem.loss, margins(problem, w)))
 
 
 def reg_prox(problem, z, tau):

@@ -231,8 +231,8 @@ def block_columns(problem):
 
 class ScipyRows:
     """The rows X[act_l] and labels y[act_l] of a training set (act_l None:
-    every row, still gathered), with the products through scipy's public
-    operators: the reference for model.Rows."""
+    every row, still gathered), with the products of A = diag(y) X through
+    scipy's public operators: the reference for model.Rows."""
 
     def __init__(self, tset, act_l=None):
         act_l = np.arange(tset.n_samples) if act_l is None else act_l
@@ -240,11 +240,14 @@ class ScipyRows:
         self.labels = tset.labels[act_l]
         self.shape = self.matrix.shape
 
-    def dot(self, M):
-        return self.matrix @ M
+    def _signs(self, M):
+        return self.labels if np.ndim(M) == 1 else self.labels[:, None]
 
-    def adjoint(self, M):
-        return self.matrix.T @ M
+    def margins(self, M):
+        return self._signs(M) * (self.matrix @ M)
+
+    def aggregate(self, M):
+        return self.matrix.T @ (self._signs(M) * M)
 
 
 def scipy_rows(tset, act_l=None):

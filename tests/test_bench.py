@@ -109,6 +109,18 @@ def test_run_benchmark_validates_entries():
                                                   config=px.DRConfig())])
 
 
+@pytest.mark.parametrize("name", ["summary", "Summary", "SUMMARY", "sub/x", "a" + os.sep + "b",
+                                  ".", "..", ""])
+def test_run_benchmark_rejects_a_name_that_is_not_its_own_trace_file(tmp_path, monkeypatch, name):
+    prob = make_problem(8, 25, 2, lam=0.6, seed=9)
+    calls = []
+    monkeypatch.setitem(px.SOLVERS, "dr", lambda *args, **kwargs: calls.append(args))
+    entries = [bench_entries()[0], px.BenchmarkEntry(name=name, solver="dr", config=px.DRConfig())]
+    with pytest.raises(DomainError, match="cannot name its own trace file <name>.csv"):
+        px.run_benchmark(prob, entries, out_dir=str(tmp_path / "out"))
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
 def test_format_summary_empty_and_alignment():
     assert px.format_summary([]) == "name  solver  objective  dist_ref  test_error%  zeros%"
     row = px.SummaryRow(name="a", solver="dr", objective=1.25, dist_ref=None,

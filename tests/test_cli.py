@@ -4,6 +4,7 @@ import argparse
 import pathlib
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,19 @@ def test_rho_defaults_per_solver_and_an_explicit_rho_is_kept(binary_file, tmp_pa
         assert cli.main(["train", "--data", binary_file, "--solver", "dr-simplified",
                          "--iters", "5", "--out", str(tmp_path / "o")] + source) == 2
         assert "rho" in capsys.readouterr().err
+
+
+def test_rho_defaults_to_zero_off_the_logistic_loss_without_a_warning(binary_file, tmp_path):
+    merged = dict(COMMON_DEFAULTS, loss="hinge_q2")
+    assert cli._solver_config(merged, "dr", 12).rho == 0.0
+    args = ["train", "--data", binary_file, "--loss", "hinge_q2", "--iters", "5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(args + ["--out", str(tmp_path / "default")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert cli.main(args + ["--rho", "0", "--out", str(tmp_path / "zero")]) == 0
+    assert ((tmp_path / "default" / "model.txt").read_bytes()
+            == (tmp_path / "zero" / "model.txt").read_bytes())
 
 
 def test_solver_names_are_checked_from_flags_and_the_config_file(binary_file, tmp_path,

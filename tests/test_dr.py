@@ -4,6 +4,7 @@ convergence behavior, and the simplified single-block variant."""
 
 import importlib.util
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,14 @@ def test_rho_forced_to_zero_for_hinge():
     with pytest.warns(UserWarning, match="rho forced to 0"):
         res = px.resolve_config(prob, px.DRConfig(rho=0.5))
     assert np.all(res.rho == 0.0)
+
+
+def test_run_resolves_its_config_once():
+    prob = make_problem(6, 8, 3, lam=0.4, seed=11, loss=px.ScalarLoss.HINGE_Q2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        px.run(prob, px.DRConfig(rho=0.1, max_iters=3, trace_stride=1))
+    assert [str(w.message).split(":")[0] for w in caught] == ["rho forced to 0"]
 
 
 # -------------------------------------------------------- preconditioner

@@ -222,10 +222,25 @@ def test_rows_match_the_public_scipy_calls():
         for cols in (None, 1, 4):
             shape = (40,) if cols is None else (40, cols)
             W, M = rng.standard_normal(shape), rng.standard_normal((act_l.size,) + shape[1:])
-            a, b = rows.dot(W), ref.dot(W)
+            a, b = rows.margins(W), ref.margins(W)
             assert a.shape == b.shape and np.array_equal(a, b), (step, cols)
-            a, b = rows.adjoint(M), ref.adjoint(M)
+            a, b = rows.aggregate(M), ref.aggregate(M)
             assert a.shape == b.shape and np.array_equal(a, b), (step, cols)
+
+
+@pytest.mark.parametrize("rows_in", [1, 3])
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_rows_products_reject_an_operand_of_the_wrong_row_count(rows_in, cols):
+    X = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 5.0, 6.0]]))
+    rows = px.TrainingSet(features=X, labels=np.array([1.0, -1.0, 1.0])).rows(np.array([0, 2]))
+    tail = () if cols is None else (cols,)
+    # one row would broadcast against the labels, so aggregate checks first
+    with pytest.raises(DomainError, match="operand has %d rows, the product needs 2" % rows_in):
+        rows.aggregate(np.ones((rows_in,) + tail))
+    with pytest.raises(DomainError, match="operand has %d rows, the product needs 3" % (rows_in + 1)):
+        rows.margins(np.ones((rows_in + 1,) + tail))
+    # the unsigned products of X_a are gone, so a caller cannot get them by mistake
+    assert not hasattr(rows, "dot") and not hasattr(rows, "adjoint")
 
 
 @pytest.mark.parametrize("act_l", [[2, 1, 0], [0, 0, 1]])
@@ -234,7 +249,7 @@ def test_rows_of_a_full_size_index_set_follow_its_order(act_l):
     data = px.TrainingSet(features=sp.csr_matrix(X), labels=np.array([1.0, -1.0, -1.0]))
     rows = data.rows(np.array(act_l))
     assert np.array_equal(rows.labels, data.labels[act_l])
-    assert np.array_equal(rows.dot(np.eye(2)), X[act_l])
+    assert np.array_equal(rows.margins(np.eye(2)), data.labels[act_l][:, None] * X[act_l])
 
 
 def test_rows_rejects_a_negative_index():
@@ -268,7 +283,7 @@ def test_rows_takes_a_list_of_indices_as_an_array():
     data = px.TrainingSet(features=sp.csr_matrix(X), labels=np.array([1.0, -1.0, -1.0]))
     rows = data.rows([0, 2])
     assert np.array_equal(rows.labels, data.labels[[0, 2]])
-    assert np.array_equal(rows.dot(np.eye(2)), X[[0, 2]])
+    assert np.array_equal(rows.margins(np.eye(2)), data.labels[[0, 2]][:, None] * X[[0, 2]])
     # an empty list and a list of floats are float arrays, as np.asarray makes them
     for act_l in ([], [0.0, 2.0]):
         with pytest.raises(DomainError, match="row indices must be a 1-D integer array, got 1-D float64"):
@@ -285,11 +300,11 @@ def test_margins_and_gradient_match_the_public_scipy_products(loss):
         for w in (rng.standard_normal(11), np.where(rng.random(11) < 0.5, 0.0, rng.standard_normal(11)),
                   -np.zeros(11)):
             m = px.margins(prob, w)
-            assert np.array_equal(m, y * (X @ w)) and np.array_equal(m, every.labels * every.dot(w))
+            assert np.array_equal(m, y * (X @ w)) and np.array_equal(m, every.margins(w))
             g = px.loss_grad(loss, y * (X @ w))
             want = X.T @ (y * g)
             got = px.smooth_gradient(prob, w)
-            assert np.array_equal(got, want) and np.array_equal(got, every.adjoint(y * g))
+            assert np.array_equal(got, want) and np.array_equal(got, every.aggregate(g))
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 

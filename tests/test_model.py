@@ -102,6 +102,15 @@ def test_problem_rejects_kappa_count_mismatch():
                    loss=px.ScalarLoss.LOGISTIC)
 
 
+@pytest.mark.parametrize("loss", ["logistic", None])
+def test_problem_rejects_a_loss_that_is_not_a_scalar_loss(loss):
+    tset = px.TrainingSet(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, -1.0]))
+    with pytest.raises(DomainError, match=r"^loss must be a ScalarLoss member, got %r$" % loss) as info:
+        px.Problem(data=tset, partition=px.BlockPartition.contiguous(2, 1),
+                   reg=px.RegularizerSpec(lam=1.0), loss=loss)
+    assert info.value.parameter == "loss"
+
+
 # ------------------------------------------------------ objective and grads
 
 def test_objective_at_zero_is_l_log2():
