@@ -111,13 +111,14 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
 def check_entries(entries):
     """DomainError unless every entry names a known solver and the entry
     names are distinct, each the stem of its own ``<name>.csv`` beside
-    summary.csv: nonempty, not "summary" in any case, not "." or "..", and
-    free of path separators."""
+    summary.csv: a nonempty str, not "summary" in any case, not "." or "..",
+    and free of path separators."""
     seen = set()
     for entry in entries:
         solver_named(entry.solver)
         name = entry.name
-        if (name in ("", ".", "..") or name.lower() == "summary"
+        if (not isinstance(name, str) or not name or name in (".", "..")
+                or name.lower() == "summary"
                 or any(sep and sep in name for sep in ("/", os.sep, os.altsep))):
             raise DomainError("benchmark entry name %r cannot name its own trace file <name>.csv"
                               % name)

@@ -43,7 +43,7 @@ from .model import (
     sparsity_degree,
     test_error,
 )
-from .prox import ScalarLoss, prox_logistic
+from .prox import ScalarLoss, loss_beta, prox_logistic
 
 _LOSS_NAMES = tuple(loss.value for loss in ScalarLoss)
 _REG_NAMES = ("l1", "group-l2")
@@ -230,9 +230,9 @@ def load_model(path):
 def _solver_config(merged, solver, n_samples):
     """DRConfig or BaselineConfig for one solver from the merged options.
 
-    rho defaults to 0.1 for dr on the logistic loss, the one case with rho > 0,
-    and to 0 otherwise; an explicit rho is passed on as given so the runner
-    can reject it by name.
+    rho defaults to 0.1 for dr on a loss with a gradient Lipschitz constant
+    (the logistic loss), the one case with rho > 0, and to 0 otherwise; an
+    explicit rho is passed on as given so the runner can reject it by name.
     """
     batch = min(merged["batch"], n_samples)
     common = dict(
@@ -246,7 +246,8 @@ def _solver_config(merged, solver, n_samples):
     if solver in ("dr", "dr-simplified"):
         rho = merged["rho"]
         if rho is None:
-            rho = 0.1 if solver == "dr" and merged["loss"] == "logistic" else 0.0
+            shifted = solver == "dr" and loss_beta(ScalarLoss(merged["loss"])) is not None
+            rho = 0.1 if shifted else 0.0
         return DRConfig(
             tau=merged["tau"], gamma=merged["gamma"], rho=rho, mu=merged["mu"], **common
         )

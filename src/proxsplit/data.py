@@ -8,15 +8,12 @@ lines and lines starting with ``#`` are skipped.  Gzip-compressed files
 are handled transparently by their ``.gz`` extension.
 
 Text is parsed by one of two paths that return the same dataset bit for
-bit.  The vectorized path (``_parse_text``) first turns ``\\r\\n`` into
-``\\n`` and drops whole-line comments (blanks, ``#`` and the rest of the
-line), which the loop skips too.  It then reads the string in chunks of
+bit.  The vectorized path (``_parse_text``) reads a string in chunks of
 about 32 KB with numpy byte classes: it checks the grammar
 ``label (index:value)*`` on every line, reads tokens of the form
 ``[+-]?[0-9]{1,15}`` by int64 Horner and every other number by Python
 ``float()``.  It never raises: on any byte outside ``0-9 + - . e E :``,
-space, tab and newline (a lone ``\\r`` or a ``#`` that does not start a
-comment line among them), on non-ASCII text, a misplaced colon, an empty
+space, tab and newline, on non-ASCII text, a misplaced colon, an empty
 token, a signed index or one of more than 15 digits, an index out of
 range or out of order, or a non-finite number, it gives up.  The line
 loop (``_parse_lines``) then parses the whole input, as it does every
@@ -31,7 +28,6 @@ per-entry Python object outlives its line.  The solvers train on it.
 import gzip
 import io
 import math
-import re
 from array import array
 from dataclasses import dataclass
 
@@ -58,9 +54,6 @@ _CLASS[list(b":")] = _COLON
 _CLASS[list(b" \t")] = _BLANK
 _CLASS[list(b"\n")] = _NEWLINE
 _COLON_BYTE, _MINUS_BYTE, _ZERO_BYTE = b":-0"
-
-# A whole-line comment with its line end, as the vectorized parse drops it
-_COMMENT_LINE = re.compile(r"^[ \t]*#[^\r\n]*\n?", re.MULTILINE)
 
 # Characters per chunk of the vectorized parse; a chunk's temporaries are
 # a few hundred KB.
@@ -209,18 +202,13 @@ def _parse_lines(lines, n_features):
 def _parse_text(text, n_features):
     """The vectorized path: the RawDataset of `text`, or None when the text
     holds anything this path leaves to the line loop.  n_features is None
-    or already checked.  CRLF line ends and whole-line comments are
-    normalized away first; a lone CR or any other ``#`` is left to the loop.
+    or already checked.
 
     The text is read in chunks of about _CHUNK characters that end at a
     newline; the outputs are allocated once, one entry per ``:``.
     """
     if not text.isascii():
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
     limit = INDEX_MAX if n_features is None else n_features
     entries = text.count(":")
     # scipy keeps int32 indices when they fit, so int32 spares it a copy

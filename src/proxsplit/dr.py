@@ -445,12 +445,14 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
         act_l = sample_without_replacement(rng, pool_l, res.batch_size)
         return _iterate(state, problem, precond, res, act_b, act_l, res.mu).w
 
+    def solution():
+        return reg_prox(problem, 2.0 * state.w - state.t, res.tau)
+
     def record(trace, iteration, seconds):
-        w_hat = reg_prox(problem, 2.0 * state.w - state.t, res.tau)
-        trace.add(iteration, seconds, objective(problem, state.w), state.w, reference, w_hat)
+        trace.add(iteration, seconds, objective(problem, state.w), state.w, reference, solution())
 
     trace = drive(config, start, step, record, callback)
-    return reg_prox(problem, 2.0 * state.w - state.t, res.tau), trace
+    return solution(), trace
 
 
 def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=None):

@@ -110,7 +110,7 @@ def test_run_benchmark_validates_entries():
 
 
 @pytest.mark.parametrize("name", ["summary", "Summary", "SUMMARY", "sub/x", "a" + os.sep + "b",
-                                  ".", "..", ""])
+                                  ".", "..", "", None, 3])
 def test_run_benchmark_rejects_a_name_that_is_not_its_own_trace_file(tmp_path, monkeypatch, name):
     prob = make_problem(8, 25, 2, lam=0.6, seed=9)
     calls = []
