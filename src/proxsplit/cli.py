@@ -15,6 +15,7 @@ parameter combination.  An error in one option's value names its flag.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -317,7 +318,9 @@ def _cmd_train(args):
     config = _solver_config(merged, merged["solver"], tasks[0][1].n_samples)
     probe = _make_problem(tasks[0][1], n_features, merged)
     if isinstance(config, DRConfig):
-        resolve_config(probe, config)  # reject bad combinations before any work
+        # reject bad combinations before any work; the tasks run with the rho
+        # it resolved, so a forced rho warns once
+        config = dataclasses.replace(config, rho=resolve_config(probe, config).rho)
     out_dir = merged["out"]
     os.makedirs(out_dir, exist_ok=True)
 

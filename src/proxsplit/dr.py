@@ -16,9 +16,10 @@ mini-batch of samples:
 
 with C_b = (Id + tau_b sum_l c_l x_{l,b} x_{l,b}^T)^{-1},
 c_l = gamma_l / (1 + gamma_l rho_l), Cholesky-factored once up front, so
-applying C_b costs two triangular solves with the factor.  Each resolvent
-matrix is written, a panel of rows at a time, into the one array that is
-then factored in place, and only the factors are kept.  The maths
+applying C_b costs two triangular solves with the factor.  Only the lower
+triangle of each resolvent matrix, the part the factorization and the
+solves read, is written, a panel of rows at a time, into the one array
+that is then factored in place, and only the factors are kept.  The maths
 allows a step per block and per sample; the code takes one tau, gamma,
 rho and mu for all of them (tau_b = tau, gamma_l = gamma, rho_l = rho),
 and custom loops vary mu per call of :func:`dr_iterate`.  The printed
@@ -182,9 +183,10 @@ class Preconditioner:
 
     factors[b] is the ``cho_factor`` pair (F, True): the lower factor L_b
     sits in the lower triangle of the Fortran-ordered array F, which BLAS
-    reads without a copy.  M_b is not kept: it is built in F and factored
-    there in place.  The factors are checked finite once, when they are
-    built, so apply checks only its right-hand side.
+    reads without a copy.  M_b is not kept: its lower triangle is built in
+    F and factored there in place, and the upper triangle of F is not M_b's
+    (mostly zeros).  M_b and L_b are checked finite on the lower triangle
+    once, when they are built, so apply checks only its right-hand side.
     """
 
     factors: list
@@ -223,38 +225,67 @@ def _build_preconditioner(problem, res):
     for b, sl in enumerate(problem.partition.slices()):
         # a column slice copies, even one that spans every column
         Xb = X if sl.stop - sl.start == X.shape[1] else X[:, sl]
-        M = _resolvent_matrix(Xb, c, res.tau)
         try:
-            factor = cho_factor(M, lower=True, overwrite_a=True)
+            M = _resolvent_matrix(Xb, c, res.tau)
+            factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
         except (LinAlgError, ValueError) as exc:
             raise FactorizationError(
                 "block %d resolvent factorization failed: %s" % (b, exc)
             ) from exc
-        if not np.all(np.isfinite(factor[0])):
+        FT = factor[0].T
+        if not all(_finite(FT[k0:k1, k0:]) for k0, k1 in _panels(len(FT))):
             raise FactorizationError("block %d resolvent factor is not finite" % b)
         factors.append(factor)
     return Preconditioner(factors=factors)
 
 
+def _panels(n):
+    """The row ranges k0:k1 of the Gram panels of an n x n block."""
+    width = min(n, max(1, _PANEL_ENTRIES // n))
+    return [(k0, min(k0 + width, n)) for k0 in range(0, n, width)]
+
+
+def _finite(a):
+    """No entry of a is inf or NaN; min and max propagate NaN, with no temporary."""
+    return np.isfinite(a.min()) and np.isfinite(a.max())
+
+
+def _index_type(count, *arrays):
+    """The one index type of the arrays, widened to int64 if count does not fit it."""
+    itype = np.result_type(*arrays)
+    return itype if count <= np.iinfo(itype).max else np.dtype(np.int64)
+
+
 def _resolvent_matrix(Xb, c, tau):
-    """Id + tau * Xb^T (c Xb) in one Fortran-ordered n x n array.
+    """The lower triangle of M = Id + tau * Xb^T (c Xb), the part that
+    ``cho_factor(lower=True)`` and the solves read, in a Fortran-ordered
+    n x n array; above the diagonal it holds zeros and some of M.
 
     Row k of M^T is the product of row k of (c Xb)^T, that is column k of
     c Xb in CSC, with the CSR Xb.  scipy's sparse product kernel computes
-    it a panel of rows at a time and the dense kernel writes each panel
-    into M^T.  Every entry sums the same terms in the same order as the
-    sparse product ``Xb.T @ Xb.multiply(c)``, with no count pass and no
-    sparse Gram.
+    a panel k0:k1 of these rows at a time against Xb's rows cut to their
+    columns >= k0 (Xb's column indices are sorted), and the dense kernel
+    writes it into M^T[k0:k1, k0:], which is then scaled by tau and checked
+    finite (ValueError).  Every entry written sums the same terms in the
+    same order as the sparse product ``Xb.T @ Xb.multiply(c)``, with no
+    count pass and no sparse Gram.
     """
-    n = Xb.shape[1]
+    L, n = Xb.shape
     A = Xb.tocsc()
     A.data *= c
     # the kernels take one index type: they copy inputs of another type on
     # every call and reject outputs of another type
-    itype = np.result_type(A.indptr, A.indices, Xb.indptr, Xb.indices)
-    Ap, Aj, Bp, Bj = (a.astype(itype, copy=False)
-                      for a in (A.indptr, A.indices, Xb.indptr, Xb.indices))
-    width = min(n, max(1, _PANEL_ENTRIES // n))
+    itype = _index_type(2 * L + 1, A.indptr, A.indices, Xb.indptr, Xb.indices)
+    Ap, Aj, Bj = (a.astype(itype, copy=False) for a in (A.indptr, A.indices, Xb.indices))
+    # Row l of the cut Xb runs from P[2l], its first entry at a column >= k0,
+    # to P[2l+1], its end; A's row indices are doubled to point there.
+    # csr_matmat reads B's row pointers only at the rows that A names.
+    Aj *= 2
+    P = np.empty(2 * L + 1, dtype=itype)
+    P[0::2] = Xb.indptr
+    P[1::2] = Xb.indptr[1:]
+    panels = _panels(n)
+    width = panels[0][1]
     # csr_matmat writes Cj and Cx without bounds checks.  A row of the
     # product has at most n distinct columns, so width * n entries hold
     # any panel.
@@ -262,13 +293,17 @@ def _resolvent_matrix(Xb, c, tau):
     Cj = np.empty(width * n, dtype=itype)
     Cx = np.empty(width * n)
     MT = np.zeros((n, n))  # C order, so M = MT.T is Fortran-ordered
-    for k0 in range(0, n, width):
-        k1 = min(k0 + width, n)
-        _sparsetools.csr_matmat(k1 - k0, n, Ap[k0:k1 + 1], Aj, A.data, Bp, Bj, Xb.data,
+    for k0, k1 in panels:
+        _sparsetools.csr_matmat(k1 - k0, n, Ap[k0:k1 + 1], Aj, A.data, P, Bj, Xb.data,
                                 Cp, Cj, Cx)
         _sparsetools.csr_todense(k1 - k0, n, Cp, Cj, Cx, MT[k0:k1])
+        if k1 < n:  # cut each row past its entries in columns k0:k1
+            P[:-1] += np.bincount(Aj[Ap[k0]:Ap[k1]], minlength=2 * L)
+        panel = MT[k0:k1, k0:]
+        panel *= tau
+        if not _finite(panel):
+            raise ValueError("array must not contain infs or NaNs")
     M = MT.T
-    M *= tau
     M.flat[::n + 1] += 1.0
     return M
 

@@ -291,6 +291,25 @@ def test_rho_defaults_to_zero_off_the_logistic_loss_without_a_warning(binary_fil
             == (tmp_path / "zero" / "model.txt").read_bytes())
 
 
+@pytest.mark.parametrize("data, models", [
+    ("binary_file", ["model.txt"]),
+    ("multiclass_file", ["model_0.txt", "model_1.txt", "model_2.txt"]),
+])
+def test_a_forced_rho_warns_once_per_train(data, models, tmp_path, request):
+    # the probe resolves the config and warns; the tasks run with its rho
+    args = ["train", "--data", request.getfixturevalue(data), "--loss", "hinge_q2",
+            "--iters", "5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(args + ["--rho", "0.1", "--out", str(tmp_path / "forced")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "rho forced to 0: rho > 0 is implemented for the logistic loss only, not hinge_q2"]
+    assert cli.main(args + ["--rho", "0", "--out", str(tmp_path / "zero")]) == 0
+    for name in models:
+        assert ((tmp_path / "forced" / name).read_bytes()
+                == (tmp_path / "zero" / name).read_bytes())
+
+
 def test_solver_names_are_checked_from_flags_and_the_config_file(binary_file, tmp_path,
                                                                  capsys):
     cfg = tmp_path / "opts.cfg"

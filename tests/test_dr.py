@@ -157,6 +157,12 @@ def _assert_factors_are_the_oracle_factors(prob, cfg):
         ref, _ = cho_factor(resolvent_matrix(prob, cfg, b), lower=True)
         assert lower and F.flags.f_contiguous
         assert np.array_equal(np.tril(F).view(np.uint64), np.tril(ref).view(np.uint64))
+        # only the lower triangle is built: above each panel's diagonal
+        # square, F holds none of M's upper triangle
+        n = F.shape[0]
+        width = min(n, max(1, dr._PANEL_ENTRIES // n))
+        for k0 in range(width, n, width):
+            assert not np.any(F[:k0, k0:k0 + width])
 
 
 @pytest.mark.parametrize("shape", ["w8a", "wide"])
@@ -206,7 +212,8 @@ def test_preconditioner_factors_match_the_sparse_gram_across_panels(case):
 
 def test_preconditioner_build_holds_one_matrix_one_csc_copy_and_one_panel():
     # a one-block 20000 x 600 problem: the build may hold M, the block's
-    # CSC copy and one panel of the Gram product at once, and nothing more
+    # CSC copy, one panel of the Gram product and the rows' cuts at once,
+    # and nothing more
     # (no sparse Gram, no copy of M for the factorization); 64 KiB cover
     # the interpreter's own small objects
     rng = np.random.Generator(np.random.PCG64(3))
@@ -218,7 +225,14 @@ def test_preconditioner_build_holds_one_matrix_one_csc_copy_and_one_panel():
     csc = prob.data.features.tocsc()
     csc_bytes = csc.indptr.nbytes + csc.indices.nbytes + csc.data.nbytes
     width = min(n, dr._PANEL_ENTRIES // n)
+    assert width < n <= 2 * width  # two panels
     panel_bytes = (width + 1 + width * n) * csc.indices.itemsize + width * n * 8
+    # the cut rows: the 2L + 1 interleaved row pointers, the first panel's
+    # cut counts (np.bincount's intp over 2L slots) and the intp copy that
+    # np.bincount makes of that panel's int32 row indices; the last panel
+    # needs no cut, and the int32 indices need no widening copy
+    assert csc.indices.itemsize == 4
+    cut_bytes = (2 * L + 1) * csc.indices.itemsize + 2 * L * 8 + csc.indptr[width] * 8
     del csc
     tracemalloc.start()
     try:
@@ -226,7 +240,7 @@ def test_preconditioner_build_holds_one_matrix_one_csc_copy_and_one_panel():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8 + csc_bytes + panel_bytes + 64 * 1024
+    assert peak < n * n * 8 + csc_bytes + panel_bytes + cut_bytes + 64 * 1024
     assert held < n * n * 8 + 64 * 1024
     assert pre.factors[0][0].shape == (n, n)
 
@@ -297,14 +311,40 @@ def test_preconditioner_apply_rejects_nonfinite_rhs(bad):
         pre.apply(0, z)
 
 
-def test_preconditioner_rejects_nonfinite_matrix_at_build():
+@pytest.mark.parametrize("rows, panel_entries", [
+    ([[1e200, 1.0], [2.0, 1e200]], dr._PANEL_ENTRIES),  # one panel
+    ([[1.0, 0.0], [0.0, 1e200]], 1),  # two panels; only the last one overflows
+])
+def test_preconditioner_rejects_nonfinite_matrix_at_build(rows, panel_entries, monkeypatch):
     # tau * gram overflows, so the resolvent matrix itself is not finite
-    X = sp.csr_matrix(np.array([[1e200, 1.0], [2.0, 1e200]]))
+    monkeypatch.setattr(dr, "_PANEL_ENTRIES", panel_entries)
+    X = sp.csr_matrix(np.array(rows))
     prob = px.Problem(data=px.TrainingSet(features=X, labels=np.array([1.0, -1.0])),
                       partition=px.BlockPartition.contiguous(2, 1),
                       reg=px.RegularizerSpec(lam=0.1), loss=px.ScalarLoss.LOGISTIC)
-    with pytest.raises(px.FactorizationError, match="block 0"):
+    with pytest.raises(px.FactorizationError, match="block 0 resolvent factorization failed: "
+                                                    "array must not contain infs or NaNs"):
         px.build_preconditioner(prob, px.DRConfig())
+
+
+def test_index_type_widens_to_int64_only_when_the_cut_pointers_do_not_fit(monkeypatch):
+    # the interleaved row pointers of the cut rows number 2L + 1
+    counts = []
+    real = dr._index_type
+
+    def spy(count, *arrays):
+        counts.append(count)
+        return real(count, *arrays)
+
+    monkeypatch.setattr(dr, "_index_type", spy)
+    prob = make_problem(7, 12, 3, lam=0.2, seed=21)
+    px.build_preconditioner(prob, px.DRConfig())
+    assert counts == [2 * prob.n_samples + 1] * prob.num_blocks
+    i32, i64 = np.zeros(1, np.int32), np.zeros(1, np.int64)
+    assert real(2**31 - 1, i32, i32, i32, i32) == np.int32
+    assert real(2**31, i32, i32, i32, i32) == np.int64
+    assert real(2**31 - 1, i32, i64, i32, i32) == np.int64
+    assert real(2**63 - 1, i64, i64, i64, i64) == np.int64
 
 
 def test_preconditioner_rejects_nonfinite_factor_at_build(monkeypatch):
