@@ -13,10 +13,12 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .baselines import bcpd_run, rda_run, sfb_run
 from .dr import run, run_simplified
 from .errors import DomainError, NonConvergenceError
-from .model import kkt_residual, sparsity_degree, test_error
+from .model import kkt_residual, objective, sparsity_degree, test_error
 from .trace import check_count, check_scalar
 
 # Every solver shares the calling convention
@@ -130,6 +132,10 @@ def check_entries(entries):
 def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None):
     """Run every entry, write per-run trace CSVs plus summary.csv, return rows.
 
+    Each row's objective, dist_ref, test error and zeros are of the vector
+    the solver returns; for dr and dr-simplified the trace's objective and
+    dist_ref columns are of the primal iterate instead.
+
     Parameters
     ----------
     entries : sequence of BenchmarkEntry
@@ -153,14 +159,13 @@ def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None)
         w, trace = SOLVERS[entry.solver](problem, entry.config, reference=reference)
         if out_dir is not None:
             trace.write_csv(os.path.join(out_dir, entry.name + ".csv"))
-        final = trace.final
         err_pct = None if test_set is None else 100.0 * test_error(w, test_set)
         rows.append(
             SummaryRow(
                 name=entry.name,
                 solver=entry.solver,
-                objective=final.objective,
-                dist_ref=final.dist_ref,
+                objective=objective(problem, w),
+                dist_ref=None if reference is None else float(np.linalg.norm(w - reference)),
                 test_error_pct=err_pct,
                 zeros_pct=100.0 * sparsity_degree(w, tol=0.0),
             )

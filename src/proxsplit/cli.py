@@ -41,6 +41,7 @@ from .model import (
     Problem,
     RegularizerSpec,
     TrainingSet,
+    objective,
     sparsity_degree,
     test_error,
 )
@@ -334,7 +335,7 @@ def _cmd_train(args):
         tag = "" if label is None else "class %s: " % _label_text(label)
         print(
             "%sobjective %.6e, zeros %.2f%%"
-            % (tag, trace.final.objective, 100.0 * sparsity_degree(w, tol=0.0))
+            % (tag, objective(problem, w), 100.0 * sparsity_degree(w, tol=0.0))
         )
         weights.append((label, w))
 

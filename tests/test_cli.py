@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import proxsplit as px
 from proxsplit import cli
 from proxsplit.errors import ParseError
-from conftest import FINITE_FLOATS
+from conftest import FINITE_FLOATS, make_problem
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -446,6 +446,32 @@ def test_bench_test_set_needs_no_positive_sample(binary_file, negatives_file, tm
 def test_bench_multiclass_needs_positive_class(multiclass_file, capsys):
     assert cli.main(["bench", "--data", multiclass_file]) == 2
     assert "positive-class" in capsys.readouterr().err.replace("_", "-")
+
+
+def test_train_and_bench_report_the_vector_they_return(tmp_path, capsys):
+    # dr's trace records the primal iterate, while run returns, train saves
+    # and bench summarizes its prox image: what train prints and the summary
+    # row are of that returned vector
+    problem = make_problem(20, 100, 4, lam=3, seed=123)
+    config = px.DRConfig(rho=0.1, max_iters=5)
+    w, trace = px.run(problem, config)
+    reference, _ = px.run(problem, px.DRConfig(rho=0.1, max_iters=200))
+    [row] = px.run_benchmark(problem, [px.BenchmarkEntry("dr", "dr", config)],
+                             reference=reference)
+    assert row.objective == px.objective(problem, w) != trace.final.objective
+    assert row.dist_ref == float(np.linalg.norm(w - reference))
+
+    data = tmp_path / "train.txt"
+    labels = tuple(problem.data.labels)
+    data.write_text(px.serialize_libsvm(px.RawDataset(labels, problem.data.features)))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--lambda", "3", "--blocks", "4",
+                     "--rho", "0.1", "--iters", "5", "--out", str(out)]) == 0
+    saved, _ = cli.load_model(str(out / "model.txt"))
+    shown = capsys.readouterr().out.splitlines()[0]
+    assert shown.startswith("objective %.6e," % px.objective(problem, saved))
+    last = px.ConvergenceTrace.from_csv((out / "trace.csv").read_text()).final
+    assert "%.6e" % last.objective not in shown
 
 
 # ------------------------------------------------------------ model files
