@@ -50,7 +50,7 @@ def _seeded_start(problem, config, w0):
 
 
 def _finite(w, i):
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericalError("non-finite iterate at iteration %d" % (i + 1))
     return w
 

@@ -100,7 +100,7 @@ def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4)
         plateau_window=window,
     )
     w, trace = solver_fn(problem, long_config)
-    if not trace.extra.get("stopped_by_plateau", False):
+    if trace.extra.get("stop_reason") != "plateau":
         residual = kkt_residual(problem, w)
         if residual > kkt_tol:
             raise NonConvergenceError(

@@ -12,6 +12,7 @@ A = diag(y) X; only :class:`Rows`, A on a mini-batch, applies the labels.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,6 +188,15 @@ class BlockPartition:
     def num_blocks(self):
         return len(self.offsets) - 1
 
+    @cached_property
+    def diagonal(self):
+        """Flat indices, into a C-ordered N x B array, of the entries
+        (j, b) with coordinate j in block b: where a vector sits in its
+        block-diagonal layout.  Built on first use, once per partition."""
+        B = self.num_blocks
+        sizes = np.diff(self.offsets)
+        return np.arange(self.n_features) * B + np.repeat(np.arange(B), sizes)
+
     @property
     def n_features(self):
         return self.offsets[-1]
@@ -281,19 +291,31 @@ def reg_prox(problem, z, tau):
     """Blockwise prox of tau * lambda * ||.||_{kappa_b}; exact zeros survive.
 
     tau is one nonnegative, finite real number for every block;
-    DomainError otherwise.
+    DomainError otherwise.  One prox call covers each run of l1 blocks.
     """
     tau = check_scalar("tau", tau, "be a scalar, nonnegative and finite",
                        lambda x: 0.0 <= x < math.inf)
     z = np.asarray(z, dtype=float)
     thresh = tau * problem.reg.lam
     out = np.empty_like(z)
-    for sl, kappa in zip(problem.partition.slices(), problem.kappas):
-        if kappa == 1:
-            out[sl] = prox_l1(z[sl], thresh)
-        else:
-            out[sl] = prox_group_l2(z[sl], thresh)
+    for sl, kappa in reg_runs(problem, range(problem.num_blocks)):
+        out[sl] = prox_l1(z[sl], thresh) if kappa == 1 else prox_group_l2(z[sl], thresh)
     return out
+
+
+def reg_runs(problem, blocks):
+    """(slice, kappa) per run of the given blocks, in their order: an l1
+    block that starts where an l1 run stops extends it, and any other
+    block starts a run.  The l1 prox is elementwise, so one call covers a
+    run; the group-l2 prox takes one block at a time."""
+    offsets, kappas = problem.partition.offsets, problem.kappas
+    runs = []
+    for b in blocks:
+        start, kappa = offsets[b], kappas[b]
+        if kappa == 1 and runs and runs[-1][2] == 1 and runs[-1][1] == start:
+            start = runs.pop()[0]
+        runs.append((start, offsets[b + 1], kappa))
+    return [(slice(a, b), kappa) for a, b, kappa in runs]
 
 
 def predict(w, features):

@@ -229,9 +229,10 @@ def drive(config, start, step, record, callback=None):
     performs iteration i (0-based) and returns the iterate passed to
     callback(i + 1, w); record(trace, iteration, seconds) appends one
     record through ConvergenceTrace.add.  The loop options are
-    config.max_iters, trace_stride, plateau_window and plateau_rtol;
-    trace.extra["stopped_by_plateau"] tells whether the plateau rule
-    ended the run.
+    config.max_iters, trace_stride, plateau_window and plateau_rtol.
+    trace.extra["stop_reason"] says why the run ended: "plateau" when the
+    plateau rule stopped it, "budget" when it ran all max_iters iterations
+    (0 included); trace.extra["stopped_by_plateau"] is the same as a bool.
     """
     max_iters, stride, window, rtol = check_loop_options(config)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
@@ -246,5 +247,6 @@ def drive(config, start, step, record, callback=None):
             if window is not None and plateau_hit(trace, window, rtol):
                 stopped = True
                 break
+    trace.extra["stop_reason"] = "plateau" if stopped else "budget"
     trace.extra["stopped_by_plateau"] = stopped
     return trace

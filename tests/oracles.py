@@ -128,6 +128,38 @@ def prox_logistic_fine_stop(v, gamma, max_iters=200):
                                v, gamma)
 
 
+def prox_logistic_newton_allocating(v, gamma, max_iters=200):
+    """The log-space Newton kernel written with plain expressions, each of
+    which allocates its result: prox._prox_logistic_newton before its sweeps
+    moved into preallocated buffers, which must give the same bits."""
+    flip = v < -0.5 * gamma
+    a = np.where(flip, -(v + gamma), v)
+    log_gamma = np.log(gamma)
+    c = log_gamma - a
+    c1 = np.maximum(c, 1.0)
+    u = np.minimum(np.minimum(log_gamma, c), np.log(c1) * (c1 / (1.0 + c1)))
+    done = np.zeros(u.shape, dtype=bool)
+    for _ in range(max_iters):
+        z = np.exp(u)
+        x = a + z
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        step = (u + softplus - log_gamma) / (1.0 + z * np.exp(x - softplus))
+        u_new = u - step
+        keep = done | (u_new >= u)
+        u = np.where(keep, u, u_new)
+        done = keep | (step <= 1e-6)
+        if done.all():
+            break
+    else:
+        raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % max_iters)
+    z = np.exp(u)
+    tiny = np.finfo(float).tiny
+    lo = np.maximum(np.where(flip, gamma - z, z), tiny)
+    hi = np.maximum(np.where(flip, z, gamma - z), tiny)
+    p = np.where(flip, (v + gamma) - z, v + z)
+    return p - (p + (np.log(lo) - np.log(hi))) / (1.0 + 1.0 / lo + 1.0 / hi)
+
+
 def logistic_loss_logaddexp(v):
     """log(1 + exp(-v)) as np.logaddexp(0, -v): the formula loss_value used
     before it moved to numpy's vectorised exp and log1p loops."""

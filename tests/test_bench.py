@@ -40,6 +40,25 @@ def test_compute_reference_raises_when_unconverged():
                              long_run_factor=1, kkt_tol=1e-12)
 
 
+@pytest.mark.parametrize("reason", ["plateau", "budget"])
+def test_compute_reference_certifies_only_a_run_that_did_not_plateau(reason):
+    # the KKT check reads the trace's stop_reason: the zero vector is far
+    # from optimal, so it passes only as the result of a plateaued run
+    prob = make_problem(8, 25, 2, lam=0.6, seed=9)
+    trace = px.ConvergenceTrace()
+    trace.extra["stop_reason"] = reason
+
+    def solver(problem, config):
+        return np.zeros(problem.n_features), trace
+
+    if reason == "plateau":
+        assert np.array_equal(px.compute_reference(prob, solver, px.DRConfig(max_iters=5)),
+                              np.zeros(8))
+    else:
+        with pytest.raises(NonConvergenceError, match="never plateaued"):
+            px.compute_reference(prob, solver, px.DRConfig(max_iters=5))
+
+
 def test_compute_reference_rejects_unknown_solver():
     prob = make_problem(8, 25, 2, lam=0.6, seed=9)
     with pytest.raises(DomainError, match="unknown solver 'bogus'; known: bcpd, dr, "):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit import dr, model
-from proxsplit.errors import DomainError
+from proxsplit.errors import DomainError, NumericalError
 from conftest import NoRowGatherKernels, make_problem, tiny_problem
 from oracles import resolvent_matrix
 
@@ -438,6 +438,26 @@ def test_iterate_epsilon_validation():
         px.dr_iterate(state, prob, pre, cfg, np.full(11, 0.5), 1.5)
     with pytest.raises(DomainError, match="at least one"):
         px.dr_iterate(state, prob, pre, cfg, np.zeros(11), 1.5)
+
+
+def test_non_finite_primal_update_names_the_first_bad_block_and_leaves_t():
+    # factors of blocks 1 and 2 with a 1e-200 diagonal send a solve to inf
+    prob = small_problem()
+    cfg = px.DRConfig(tau=0.7, gamma=1.2, rho=0.1)
+    res = px.resolve_config(prob, cfg)
+    pre = px.build_preconditioner(prob, cfg)
+    for b in (1, 2):
+        F = np.asfortranarray(np.eye(2) * 1e-200)
+        pre.factors[b] = (F, True)
+    state = px.init_state(prob, cfg, np.ones(6), np.ones((8, 3)))
+    t, s, u = state.t.copy(), state.s.copy(), state.u.copy()
+    for act_b, bad in (([2, 0, 1], 2), ([0, 1, 2], 1)):
+        with pytest.raises(NumericalError, match="non-finite primal update in block %d" % bad):
+            dr._iterate(state, prob, pre, res, np.array(act_b), np.arange(8), 1.5)
+        assert np.array_equal(state.t, t) and np.array_equal(state.s, s)
+        assert np.array_equal(state.u, u) and state.iteration == 0
+    with pytest.raises(NumericalError, match="non-finite primal update in block 1"):
+        px.dr_iterate(state, prob, pre, cfg, np.r_[np.ones(3), np.zeros(8)], 1.5)
 
 
 def test_masked_iteration_touches_only_active_coords():

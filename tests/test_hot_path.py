@@ -135,6 +135,71 @@ def test_iterate_matches_per_block_reference_on_the_whole_state(blocks, kappa, l
             assert np.array_equal(getattr(state, name), getattr(ref, name)), (step, name)
 
 
+@st.composite
+def mixed_partitions(draw):
+    """Block sizes and a kappa per block, l1 and group-l2 mixed."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    return sizes, draw(st.lists(st.sampled_from((1, 2)), min_size=len(sizes), max_size=len(sizes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(part=mixed_partitions(), loss=st.sampled_from(LOSSES),
+       variant=st.sampled_from(("literal", "refreshed")),
+       mu=st.floats(0.49, 1.51, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_dr_iterate_matches_per_block_reference_on_mixed_partitions(part, loss, variant, mu, seed,
+                                                                    data):
+    # random subsets of blocks and samples through the public masked step;
+    # the coordinates it does not activate keep their bits
+    sizes, kappas = part
+    offsets = tuple(np.cumsum([0] + sizes).tolist())
+    N, L, B = offsets[-1], 24, len(sizes)
+    base = make_problem(N, L, 1, lam=0.3, seed=seed, loss=loss)
+    prob = px.Problem(data=base.data, partition=px.BlockPartition(offsets),
+                      reg=px.RegularizerSpec(lam=0.3, kappa=tuple(kappas)), loss=loss)
+    rho = 0.1 if loss is px.ScalarLoss.LOGISTIC else 0.0
+    cfg = px.DRConfig(tau=1.1, gamma=0.6, rho=rho, v_update_variant=variant)
+    res = px.resolve_config(prob, cfg)
+    pre = px.build_preconditioner(prob, cfg)
+    columns = block_columns(prob)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = px.init_state(prob, cfg, rng.standard_normal(N), rng.standard_normal((L, B)))
+    ref = px.init_state(prob, cfg, state.t, state.s)
+    for step in range(4):
+        eps = np.array(data.draw(st.lists(st.booleans(), min_size=B + L, max_size=B + L)), dtype=int)
+        if not eps.any():
+            eps[0] = 1
+        act_b, act_l = np.flatnonzero(eps[:B]), np.flatnonzero(eps[B:])
+        before = {name: getattr(state, name).copy() for name in ("w", "t", "v", "s")}
+        px.dr_iterate(state, prob, pre, cfg, eps, mu)
+        iterate_per_block(ref, prob, pre, res, act_b, act_l, mu, columns)
+        for name in ("w", "t", "v", "s", "u"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), (step, name)
+        for b, sl in enumerate(prob.partition.slices()):
+            if b not in act_b:
+                assert np.array_equal(state.w[sl], before["w"][sl]), (step, b)
+                assert np.array_equal(state.t[sl], before["t"][sl]), (step, b)
+        idle = np.flatnonzero(eps[B:] == 0)
+        assert np.array_equal(state.v[idle], before["v"][idle]), step
+        assert np.array_equal(state.s[idle], before["s"][idle]), step
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(0, 40), B=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_row_sums_are_numpys_row_sums_bit_for_bit(m, B, seed):
+    # column adds below 8 columns, numpy's own sum from 8 on; the entries
+    # span many binades and include signed zeros, which a sum started from
+    # the first column instead of +0 would keep negative
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = rng.standard_normal((m, B)) * 10.0 ** rng.integers(-20, 21, (m, B))
+    a[rng.random((m, B)) < 0.3] = -0.0
+    a[rng.random((m, B)) < 0.1] = 0.0
+    if m:
+        a[0] = -0.0  # a row of negative zeros sums to +0
+    got = dr._row_sums(a)
+    assert got.shape == (m,) and np.array_equal(got.view(np.int64), a.sum(axis=1).view(np.int64))
+
+
 def _unsorted_copy(X, duplicate=False):
     """X with the column indices of every row reversed; with duplicate, a
     second entry for each row's last column (so X changes) is appended."""

@@ -179,6 +179,20 @@ def test_plateau_stop_ends_on_a_record(solver):
     assert seen == list(range(1, 7))
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("loop,reason,last", [
+    (dict(max_iters=0), "budget", 0),
+    (dict(max_iters=50, trace_stride=3, plateau_window=5, plateau_rtol=1e9), "plateau", 6),
+    # a window the run never spans, so every iteration of the budget runs
+    (dict(max_iters=7, trace_stride=3, plateau_window=50, plateau_rtol=1e9), "budget", 7),
+], ids=["zero-iterations", "plateau", "full-budget"])
+def test_stop_reason_says_why_the_run_ended(solver, loop, reason, last):
+    _, tr = run(solver, **loop)
+    assert tr.extra["stop_reason"] == reason
+    assert tr.extra["stopped_by_plateau"] is (reason == "plateau")
+    assert tr.final.iteration == last
+
+
 # ------------------------------------------------- wrapped layer bindings
 
 _WRAPPED = ("sample_without_replacement", "objective", "loss_prox", "reg_prox")
@@ -211,3 +225,28 @@ def test_layers_are_called_through_their_module_bindings(
     want = dict(zip(_WRAPPED, (sampler, objective, loss_prox, reg_prox)))
     prefix = owner(solver).__name__
     assert counts == {"%s.%s" % (prefix, k): v for k, v in want.items() if v}
+
+
+@pytest.mark.parametrize("activation,l1,l2", [
+    # blocks l1, l1, l2, l1: runs (0-1), (2), (3) when all are active
+    ("all", 14, 7),
+    # one block per iteration: one call each, l1 or group by the block drawn
+    (1, None, None),
+])
+def test_dr_step_calls_its_prox_bindings_once_per_run(monkeypatch, activation, l1, l2):
+    # the step reaches prox_l1 and prox_group_l2 through dr's own bindings,
+    # not through reg_prox, which only the records and the solution call
+    prob = make_problem(8, 12, 4, lam=0.4, seed=3, kappa=(1, 1, 2, 1))
+    counts = {"prox_l1": 0, "prox_group_l2": 0, "reg_prox": 0}
+    for name in counts:
+        def counted(*args, _original=getattr(dr, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(dr, name, counted)
+    px.run(prob, px.DRConfig(rho=0.1, batch_size=4, primal_activation=activation, seed=5,
+                             max_iters=7, trace_stride=7))
+    assert counts["reg_prox"] == 3  # records at 0 and 7, and the solution
+    if l1 is None:
+        assert counts["prox_l1"] + counts["prox_group_l2"] == 7
+    else:
+        assert (counts["prox_l1"], counts["prox_group_l2"]) == (l1, l2)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import proxsplit as px
+from proxsplit import model
 from proxsplit.errors import DomainError
 from conftest import make_problem
 from oracles import central_difference
@@ -229,6 +230,33 @@ def test_reg_prox_zero_lambda_is_identity():
     prob = make_problem(5, 4, 2, lam=0.0, seed=6)
     z = np.arange(5.0) - 2.0
     assert np.array_equal(px.reg_prox(prob, z, 3.0), z)
+
+
+def test_reg_prox_makes_one_l1_call_per_run_of_l1_blocks(monkeypatch):
+    # blocks l1, l1, l2, l1, l1, l2, l2: two l1 runs and three group blocks
+    prob = make_problem(14, 5, 7, lam=0.3, seed=2, kappa=(1, 1, 2, 1, 1, 2, 2))
+    z = np.linspace(-2.0, 2.0, 14)
+    want = np.concatenate([(px.prox_l1 if k == 1 else px.prox_group_l2)(z[sl], 0.6)
+                           for sl, k in zip(prob.partition.slices(), prob.kappas)])
+    calls = []
+    for name in ("prox_l1", "prox_group_l2"):
+        def counted(w, thresh, _name=name, _original=getattr(model, name)):
+            calls.append((_name, w.size))
+            return _original(w, thresh)
+        monkeypatch.setattr(model, name, counted)
+    assert np.array_equal(px.reg_prox(prob, z, 2.0), want)
+    assert calls == [("prox_l1", 4), ("prox_group_l2", 2), ("prox_l1", 4),
+                     ("prox_group_l2", 2), ("prox_group_l2", 2)]
+
+
+def test_reg_runs_join_l1_blocks_that_follow_each_other_in_the_order_given():
+    prob = make_problem(10, 5, 5, lam=0.3, seed=2, kappa=(1, 1, 2, 1, 1))
+    runs = lambda blocks: [(sl.start, sl.stop, k) for sl, k in model.reg_runs(prob, blocks)]
+    assert runs(range(5)) == [(0, 4, 1), (4, 6, 2), (6, 10, 1)]
+    assert runs([1, 0, 3, 4]) == [(2, 4, 1), (0, 2, 1), (6, 10, 1)]
+    assert runs([0, 3]) == [(0, 2, 1), (6, 8, 1)]
+    assert runs([2]) == [(4, 6, 2)]
+    assert runs([]) == []
 
 
 # ------------------------------------------------- prediction and sparsity

@@ -34,6 +34,7 @@ from oracles import (
     prox_logistic_bisect,
     prox_logistic_bracketed,
     prox_logistic_fine_stop,
+    prox_logistic_newton_allocating,
 )
 
 LOSSES = (px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q1,
@@ -211,6 +212,40 @@ def test_logistic_prox_moves_an_endpoint_to_the_next_double(v, gamma, expected):
     batch = px.prox_logistic(np.array([v, 0.0, -3.0]), gamma)
     assert batch[0] == expected
     assert np.array_equal(batch[1:], [px.prox_logistic(0.0, gamma), px.prox_logistic(-3.0, gamma)])
+
+
+# values the kernel gave before its sweeps moved into preallocated buffers
+@pytest.mark.parametrize("v, gamma, bits", [
+    (0.0, 1.0, "0x1.9aaefc0224781p-2"),
+    (10.0, 1.0, "0x1.40005f33b056ep+3"),
+    (-30.0, 1.0, "-0x1.d000000000048p+4"),
+    (2.5, 0.5, "0x1.44b16608cc142p+1"),
+    (-66.5, 132.93333333333334, "-0x1.fe8121b990f74p-11"),
+    (-1e20, 1e20, "-0x1.52743c03772eep+5"),
+    (1e16, 4.0, "0x1.1c37937e08001p+53"),
+    (-3.0, 1e-3, "-0x1.7fe0c99717021p+1"),
+])
+def test_logistic_prox_of_a_scalar_is_a_float_with_fixed_bits(v, gamma, bits):
+    for args in ((v, gamma), (np.float64(v), np.asarray(gamma)), (np.asarray(v), np.asarray(gamma))):
+        p = px.prox_logistic(*args)
+        assert type(p) is float and p.hex() == bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=40),
+       scale=st.floats(-3.0, 3.0), per_element=st.booleans(), seed=st.integers(0, 2**16))
+@example(v=[1e16, -1e16, 0.0, -0.0], scale=0.0, per_element=False, seed=0)
+def test_buffered_newton_kernel_gives_the_bits_of_the_allocating_one(v, scale, per_element, seed):
+    v = np.array(v, dtype=float)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    gamma = 10.0 ** (scale + (rng.uniform(-3.0, 3.0, v.shape) if per_element else 0.0))
+    want = prox_logistic_newton_allocating(v, np.asarray(gamma))
+    got = prox._prox_logistic_newton(v, np.asarray(gamma))
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x, g in zip(v[:3], np.broadcast_to(gamma, v.shape)[:3]):  # 0-d input
+        got = prox._prox_logistic_newton(np.asarray(x), np.asarray(g))
+        assert got.ndim == 0 and float(got).hex() == float(
+            prox_logistic_newton_allocating(np.asarray(x), np.asarray(g))).hex()
 
 
 def test_logistic_prox_clamp_gives_the_bits_of_the_eager_clamp():
