@@ -85,7 +85,12 @@ class DRConfig:
     tau, gamma, rho and mu are scalars, shared by every block and sample;
     mu is the relaxation, in (ETA, 2 - ETA).  batch_size None means every
     sample each iteration; primal_activation is "all" or the number of
-    blocks drawn uniformly per iteration.
+    blocks drawn uniformly per iteration.  v_update_variant "refreshed"
+    (the default) reads the block values w just produced in the v-update;
+    "literal" is the printed scheme, which reads the pre-iteration w.
+    seed (>= 0) seeds the random start and every draw, so a seeded run is
+    bitwise reproducible.  max_iters (>= 0) is the iteration budget, and
+    the trace records every trace_stride iterations and the last one.
     plateau_window enables early stopping when the objective moves by less
     than plateau_rtol (relative) over that many iterations.
     """

@@ -348,20 +348,21 @@ def kkt_residual(problem, w):
     subdifferential of the regularizer.  Per l1 coordinate this means
     |g_j| <= lambda at zeros and g_j = -lambda*sign(w_j) elsewhere; per l2
     block, ||g_b|| <= lambda at zero blocks and g_b = -lambda*w_b/||w_b||
-    elsewhere.  Returns the largest violation over all blocks.
+    elsewhere.  Returns the largest violation over all blocks; a w with a
+    NaN or an infinity is a DomainError, since max() would skip a NaN.
     """
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise DomainError("kkt_residual needs a finite w")
     g = smooth_gradient(problem, w)
     lam = problem.reg.lam
     worst = 0.0
     for sl, kappa in zip(problem.partition.slices(), problem.kappas):
         wb, gb = w[sl], g[sl]
         if kappa == 1:
-            zero = wb == 0.0
-            if np.any(zero):
-                worst = max(worst, float(np.max(np.maximum(np.abs(gb[zero]) - lam, 0.0))))
-            if np.any(~zero):
-                worst = max(worst, float(np.max(np.abs(gb[~zero] + lam * np.sign(wb[~zero])))))
+            violation = np.where(wb == 0.0, np.maximum(np.abs(gb) - lam, 0.0),
+                                 np.abs(gb + lam * np.sign(wb)))
+            worst = max(worst, float(violation.max()))
         else:
             nrm = np.linalg.norm(wb)
             if nrm == 0.0:

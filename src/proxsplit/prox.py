@@ -20,8 +20,7 @@ A closing Newton step on p + log(p - v) - log(v + gamma - p) = 0 squares
 the error again and restores the absolute accuracy e^u loses when the gap
 is large.  The same kernel serves every finite input, gamma + v far below
 zero included; the two-term expansion :func:`prox_logistic_asymptotic` is
-kept only as an independent check.  The sweeps and the closing step reuse
-a few buffers allocated once per call, so a sweep allocates nothing.
+kept only as an independent check.
 """
 
 import enum
@@ -78,89 +77,43 @@ def prox_logistic(v, gamma):
 
 
 def _prox_logistic_newton(v, gamma):
-    """Monotone Newton on the log of the smaller gap, then one step in p.
-
-    The sweeps and the closing step write into buffers allocated once per
-    call, and compute the expressions in the comments in their order.
-    """
+    """Monotone Newton on the log of the smaller gap, then one step in p."""
     flip = v < -0.5 * gamma  # p < 0: v + gamma - p is the smaller gap
-    vg = v + gamma
-    a = np.where(flip, -vg, v)
+    a = np.where(flip, -(v + gamma), v)
     log_gamma = np.log(gamma)
     c = log_gamma - a
-    shape = np.shape(c)
-    # one allocation each; a [i, ...] row stays an array for 0-d input
-    floats, flags = np.empty((6,) + shape), np.zeros((2,) + shape, dtype=bool)
-    z, x, t, sp, step, u = (floats[i, ...] for i in range(6))
-    keep, done = flags[0, ...], flags[1, ...]
     # three bounds right of the root: u <= log(gamma), and from
     # u + e^u <= c both u < c and, for c >= 1, one Newton step on that
     # convex equation from log(c), log(c) * c/(1+c); for c < 1, where the
     # step reads 0, u + e^u < 1 forces u < 0 as well
     c1 = np.maximum(c, 1.0)
-    np.minimum(np.minimum(log_gamma, c), np.log(c1) * (c1 / (1.0 + c1)), out=u)
+    u = np.minimum(np.minimum(log_gamma, c), np.log(c1) * (c1 / (1.0 + c1)))
+    done = np.zeros(u.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITERS):
-        np.exp(u, out=z)
-        np.add(a, z, out=x)
-        # softplus(x) = max(x, 0) + log1p(exp(-|x|))
-        np.maximum(x, 0.0, out=sp)
-        np.abs(x, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        sp += t
-        # step = (u + softplus - log(gamma)) / (1 + z * exp(x - softplus))
-        np.subtract(x, sp, out=t)
-        np.exp(t, out=t)
-        t *= z
-        t += 1.0
-        np.add(u, sp, out=step)
-        step -= log_gamma
-        step /= t
+        z = np.exp(u)
+        x = a + z
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        step = (u + softplus - log_gamma) / (1.0 + z * np.exp(x - softplus))
+        u_new = u - step
         # exact Newton only decreases u, so a step that does not is
         # rounding noise at the root: that element is settled.  An element
         # keeps its u once done, so its result does not depend on the batch.
-        np.subtract(u, step, out=x)  # u_new
-        np.greater_equal(x, u, out=keep)
-        keep |= done
-        np.copyto(x, u, where=keep)
-        u, x = x, u  # u = where(keep, u, u_new)
-        np.less_equal(step, STEP_TOL, out=done)
-        done |= keep
-        if np.count_nonzero(done) == done.size:
+        keep = done | (u_new >= u)
+        u = np.where(keep, u, u_new)
+        done = keep | (step <= STEP_TOL)
+        if done.all():
             break
     else:
         raise ConvergenceError("logistic prox Newton did not converge in %d iterations" % NEWTON_MAX_ITERS)
-    np.exp(u, out=z)
-    # the gaps lo = p - v and hi = v + gamma - p, kept off zero for the logs
+    z = np.exp(u)
+    # the gaps p - v and v + gamma - p, kept off zero for the logs
     tiny = np.finfo(float).tiny
-    np.subtract(gamma, z, out=x)
-    lo, hi = t, sp
-    np.copyto(lo, z)
-    np.copyto(lo, x, where=flip)
-    np.copyto(hi, x)
-    np.copyto(hi, z, where=flip)
-    np.maximum(lo, tiny, out=lo)
-    np.maximum(hi, tiny, out=hi)
-    # p = v + z, or (v + gamma) - z where flipped
-    p = step
-    np.add(v, z, out=p)
-    np.subtract(vg, z, out=x)
-    np.copyto(p, x, where=flip)
-    # p - (p + (log(lo) - log(hi))) / (1 + 1/lo + 1/hi).  Sum the logs
-    # first: added one at a time to a p far above them, each would round
-    # at p's ulp, and a p of 2^55 at the root 0 would close to 4
-    np.log(lo, out=x)
-    np.log(hi, out=u)
-    x -= u
-    x += p
-    np.divide(1.0, lo, out=lo)
-    lo += 1.0
-    np.divide(1.0, hi, out=hi)
-    lo += hi
-    x /= lo
-    p -= x
-    return p
+    lo = np.maximum(np.where(flip, gamma - z, z), tiny)
+    hi = np.maximum(np.where(flip, z, gamma - z), tiny)
+    p = np.where(flip, (v + gamma) - z, v + z)
+    # sum the logs first: added one at a time to a p far above them, each
+    # would round at p's ulp, and a p of 2^55 at the root 0 would close to 4
+    return p - (p + (np.log(lo) - np.log(hi))) / (1.0 + 1.0 / lo + 1.0 / hi)
 
 
 def prox_logistic_asymptotic(v, gamma):
@@ -273,11 +226,7 @@ def loss_value(loss, v):
     """
     v = np.asarray(v, dtype=float)
     if loss is ScalarLoss.LOGISTIC:
-        out = np.copysign(v, -1.0, out=np.empty_like(v))  # -|v|
-        np.exp(out, out=out)
-        np.log1p(out, out=out)
-        out -= np.minimum(v, 0.0)
-        return out[()] if out.ndim == 0 else out
+        return np.log1p(np.exp(-np.abs(v))) - np.minimum(v, 0.0)
     if loss is ScalarLoss.HINGE_Q1:
         return np.maximum(0.0, 1.0 - v)
     if loss is ScalarLoss.HINGE_Q2:

@@ -64,7 +64,12 @@ class ConvergenceTrace:
     def add(self, iteration, seconds, objective, w, reference=None, w_hat=None):
         """Append the record of iterate w with its objective value: the
         distance of w to reference (None without one) and the zeros of
-        w_hat, the vector the solver returns (default w itself)."""
+        w_hat, the vector the solver returns (default w itself).  A
+        reference of another shape than w is a DomainError: it would
+        broadcast into a distance between unrelated arrays."""
+        if reference is not None and np.shape(reference) != np.shape(w):
+            raise DomainError("must have shape %s, got %s" % (np.shape(w), np.shape(reference)),
+                              "reference")
         zeros_of = w if w_hat is None else w_hat
         self.append(
             TraceRecord(

@@ -264,6 +264,21 @@ def test_readme_quick_start_shows_what_the_commands_print(tmp_path, capsys):
         assert found and float(found.group(1)) == pytest.approx(float(objective), rel=1e-12, abs=0)
 
 
+def test_readme_library_use_shows_what_its_code_prints(capsys):
+    # the block ends with a comment that shows the line its print writes
+    code = README.read_text().split("## Library use", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    shown = code.rstrip().splitlines()[-1]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.rstrip()
+    pattern = r"obj (\S+)  zeros (\S+)  kkt (\S+)"
+    (obj, zeros, kkt), (obj_shown, zeros_shown, kkt_shown) = (
+        re.fullmatch(pattern, line).groups() for line in (printed, shown[2:]))
+    assert shown.startswith("# ") and (obj, zeros) == (obj_shown, zeros_shown)
+    # the residual's last bits depend on the BLAS build, its size does not
+    assert float(kkt) <= 1e-10 and float(kkt_shown) <= 1e-10
+
+
 def test_rho_defaults_per_solver_and_an_explicit_rho_is_kept(binary_file, tmp_path, capsys):
     merged = dict(COMMON_DEFAULTS)
     assert cli._solver_config(merged, "dr", 12).rho == 0.1

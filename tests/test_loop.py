@@ -193,6 +193,22 @@ def test_stop_reason_says_why_the_run_ended(solver, loop, reason, last):
     assert tr.final.iteration == last
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("shape", [(6, 1), (1,), (7,), ()])
+def test_a_reference_of_another_shape_than_w_is_rejected(solver, shape):
+    # a (6, 1) reference would broadcast w - reference into a 6 x 6 matrix
+    with pytest.raises(DomainError, match=r"reference must have shape \(6,\)"):
+        run(solver, max_iters=2, reference=np.zeros(shape))
+    _, tr = run(solver, max_iters=2, reference=np.zeros(6))
+    assert tr.final.dist_ref >= 0.0
+
+
+def test_run_benchmark_rejects_a_reference_of_another_shape_than_w():
+    entry = px.BenchmarkEntry(name="dr", solver="dr", config=config_for("dr", max_iters=2))
+    with pytest.raises(DomainError, match="reference must have shape"):
+        px.run_benchmark(single_block_problem(), [entry], reference=np.zeros(1))
+
+
 # ------------------------------------------------- wrapped layer bindings
 
 _WRAPPED = ("sample_without_replacement", "objective", "loss_prox", "reg_prox")

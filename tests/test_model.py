@@ -201,6 +201,28 @@ def test_kkt_residual_small_at_computed_optimum():
     assert px.kkt_residual(prob, w + 0.3) > 1e-2
 
 
+@pytest.mark.parametrize("w", [[0.0, 1.0, math.nan, 0.0, 0.0, 0.0], [math.inf] * 6,
+                               [0.0, -math.inf, 0.0, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("kappa", [1, 2])
+def test_kkt_residual_rejects_a_non_finite_w(w, kappa):
+    # max(worst, nan) keeps worst, so a NaN would otherwise read as optimal
+    prob = make_problem(6, 20, 2, lam=0.5, seed=1, kappa=kappa)
+    with pytest.raises(DomainError, match="finite w"):
+        px.kkt_residual(prob, np.array(w))
+
+
+@given(pattern=st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-3]), min_size=6, max_size=6),
+       lam=st.floats(0.0, 5.0))
+def test_kkt_residual_of_l1_blocks_is_the_worst_violation_per_coordinate(pattern, lam):
+    # |g_j| - lambda (at least 0) at a zero, |g_j + lambda sign(w_j)| elsewhere
+    prob = make_problem(6, 20, 2, lam=lam, seed=1)
+    w = np.array(pattern)
+    g = px.smooth_gradient(prob, w)
+    want = max(max(abs(gj) - lam, 0.0) if wj == 0.0 else abs(gj + lam * math.copysign(1.0, wj))
+               for wj, gj in zip(w, g))
+    assert px.kkt_residual(prob, w) == want
+
+
 # --------------------------------------------------------------- reg_prox
 
 def test_reg_prox_mixed_blocks_scalar_tau():

@@ -235,7 +235,8 @@ def test_logistic_prox_of_a_scalar_is_a_float_with_fixed_bits(v, gamma, bits):
 @given(v=st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=40),
        scale=st.floats(-3.0, 3.0), per_element=st.booleans(), seed=st.integers(0, 2**16))
 @example(v=[1e16, -1e16, 0.0, -0.0], scale=0.0, per_element=False, seed=0)
-def test_buffered_newton_kernel_gives_the_bits_of_the_allocating_one(v, scale, per_element, seed):
+# the oracle is the kernel frozen; any rewrite of the kernel must keep its bits
+def test_newton_kernel_gives_the_bits_of_the_allocating_one(v, scale, per_element, seed):
     v = np.array(v, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     gamma = 10.0 ** (scale + (rng.uniform(-3.0, 3.0, v.shape) if per_element else 0.0))
