@@ -3,7 +3,9 @@
 All three share the mini-batch convention of the splitting solver (uniform
 without replacement, seeded), its trace format and its iteration loop
 (:func:`proxsplit.trace.drive`), so benchmark runs are directly
-comparable.  Each runner is a setup plus a step and a record function.
+comparable.  Each runner is a setup plus a step function; the loop
+evaluates the records' objectives through this module's ``objective``
+binding.
 SFB and RDA use the decreasing steps gamma_i = c / sqrt(i+1); BCPD uses
 constant steps tau, sigma subject to tau * sigma * ||sum_l x_l x_l^T|| <= 1.
 """
@@ -83,12 +85,10 @@ def _gradient_run(problem, config, w0, reference, callback, update):
         w = _finite(update(w, _batch_gradient(problem, w, act_l), gamma_i, i), i)
         return w
 
-    def record(trace, iteration, seconds):
-        trace.add(iteration, seconds, objective(problem, w), w, reference)
-        if iteration:
-            trace.extra.setdefault("step", []).append(_step_size(step_c, iteration - 1))
-
-    trace = drive(config, start, step, record, callback)
+    trace = drive(config, start, problem, objective, step, lambda: (w, None), reference, callback)
+    steps = [_step_size(step_c, r.iteration - 1) for r in trace.records[1:]]
+    if steps:
+        trace.extra["step"] = steps
     return w, trace
 
 
@@ -172,10 +172,7 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
         w = _finite(w_new, i)
         return w
 
-    def record(trace, iteration, seconds):
-        trace.add(iteration, seconds, objective(problem, w), w, reference)
-
-    trace = drive(config, start, step, record, callback)
+    trace = drive(config, start, problem, objective, step, lambda: (w, None), reference, callback)
     return w, trace
 
 

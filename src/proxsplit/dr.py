@@ -56,8 +56,9 @@ updated once on the activated coordinates.  The dual half sums the
 numpy's own row sum for B < 8, and updates v and s in place.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
-record function handed to :func:`proxsplit.trace.drive`, the loop shared
-with the baselines.
+snapshot function handed to :func:`proxsplit.trace.drive`, the loop shared
+with the baselines, which evaluates the records' objectives through this
+module's ``objective`` binding.
 """
 
 import math
@@ -536,10 +537,10 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     def solution():
         return reg_prox(problem, 2.0 * state.w - state.t, res.tau)
 
-    def record(trace, iteration, seconds):
-        trace.add(iteration, seconds, objective(problem, state.w), state.w, reference, solution())
+    def snapshot():
+        return state.w, solution()
 
-    trace = drive(config, start, step, record, callback)
+    trace = drive(config, start, problem, objective, step, snapshot, reference, callback)
     return solution(), trace
 
 
@@ -593,9 +594,8 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         ut += rows.aggregate(ds)
         return w
 
-    def record(trace, iteration, seconds):
-        w_hat = reg_prox(problem, 2.0 * w - t, tau)
-        trace.add(iteration, seconds, objective(problem, w), w, reference, w_hat)
+    def snapshot():
+        return w, reg_prox(problem, 2.0 * w - t, tau)
 
-    trace = drive(config, start, step, record, callback)
+    trace = drive(config, start, problem, objective, step, snapshot, reference, callback)
     return reg_prox(problem, 2.0 * w - t, tau), trace

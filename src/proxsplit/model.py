@@ -267,9 +267,17 @@ def margins(problem, w):
     return problem.data.rows().margins(np.asarray(w, dtype=float))
 
 
-def regularizer_value(problem, w):
-    """lambda * sum_b ||w_b||_{kappa_b}."""
+def _vector(problem, w, name):
+    """w as a float array; DomainError naming it unless its shape is (N,)."""
     w = np.asarray(w, dtype=float)
+    if w.shape != (problem.n_features,):
+        raise DomainError("must have shape (%d,), got %s" % (problem.n_features, w.shape), name)
+    return w
+
+
+def regularizer_value(problem, w):
+    """lambda * sum_b ||w_b||_{kappa_b}; w must have shape (N,)."""
+    w = _vector(problem, w, "w")
     total = 0.0
     for sl, kappa in zip(problem.partition.slices(), problem.kappas):
         block = w[sl]
@@ -277,9 +285,47 @@ def regularizer_value(problem, w):
     return problem.reg.lam * total
 
 
+# the stacked objective multiplies X by its columns a panel of rows at a
+# time, about this many product entries per panel
+PANEL_ENTRIES = 2 ** 15
+
+
 def objective(problem, w):
-    """Full criterion: summed margin losses plus the regularizer."""
-    return float(np.sum(loss_value(problem.loss, margins(problem, w))) + regularizer_value(problem, w))
+    """Full criterion: summed margin losses plus the regularizer.
+
+    w of shape (N,) gives one float.  An (N, K) stack gives an array of the
+    K objectives of its columns, each with the bits of the call on that
+    column alone, from one pass of scipy's multi-vector product over the
+    rows of X: a panel of rows at a time, each panel's (rows, K) product
+    written transposed into a (K, L) array of margins, whose rows then take
+    the loss and its sum one by one.  That array holds 8 K L bytes while
+    the call runs.  Any other shape is a DomainError.
+    """
+    w = np.asarray(w, dtype=float)
+    N = problem.n_features
+    if w.shape == (N,):
+        return float(np.sum(loss_value(problem.loss, margins(problem, w)))
+                     + regularizer_value(problem, w))
+    if w.ndim != 2 or w.shape[0] != N or w.shape[1] == 0:
+        raise DomainError("must have shape (%d,) or (%d, K) with K >= 1, got %s"
+                          % (N, N, w.shape), "w")
+    K = w.shape[1]
+    if K == 1:
+        return np.array([objective(problem, w[:, 0])])
+    X, L = problem.data.features, problem.n_samples
+    flat = np.ascontiguousarray(w).ravel()
+    T = np.empty((K, L))
+    step = max(1, PANEL_ENTRIES // K)
+    for r0 in range(0, L, step):
+        r1 = min(r0 + step, L)
+        panel = np.zeros((r1 - r0, K))
+        # the row pointers of rows r0..r1-1 index X's own indices and data
+        _sparsetools.csr_matvecs(r1 - r0, N, K, X.indptr[r0:r1 + 1], X.indices, X.data,
+                                 flat, panel.ravel())
+        T[:, r0:r1] = panel.T
+    T *= problem.data.labels
+    return np.array([np.sum(loss_value(problem.loss, T[k])) + regularizer_value(problem, w[:, k])
+                     for k in range(K)])
 
 
 def smooth_gradient(problem, w):
@@ -290,12 +336,13 @@ def smooth_gradient(problem, w):
 def reg_prox(problem, z, tau):
     """Blockwise prox of tau * lambda * ||.||_{kappa_b}; exact zeros survive.
 
-    tau is one nonnegative, finite real number for every block;
-    DomainError otherwise.  One prox call covers each run of l1 blocks.
+    z must have shape (N,), and tau is one nonnegative, finite real number
+    for every block; DomainError otherwise.  One prox call covers each run
+    of l1 blocks.
     """
     tau = check_scalar("tau", tau, "be a scalar, nonnegative and finite",
                        lambda x: 0.0 <= x < math.inf)
-    z = np.asarray(z, dtype=float)
+    z = _vector(problem, z, "z")
     thresh = tau * problem.reg.lam
     out = np.empty_like(z)
     for sl, kappa in reg_runs(problem, range(problem.num_blocks)):
@@ -348,10 +395,11 @@ def kkt_residual(problem, w):
     subdifferential of the regularizer.  Per l1 coordinate this means
     |g_j| <= lambda at zeros and g_j = -lambda*sign(w_j) elsewhere; per l2
     block, ||g_b|| <= lambda at zero blocks and g_b = -lambda*w_b/||w_b||
-    elsewhere.  Returns the largest violation over all blocks; a w with a
-    NaN or an infinity is a DomainError, since max() would skip a NaN.
+    elsewhere.  Returns the largest violation over all blocks.  A w of
+    another shape than (N,) is a DomainError, and so is one with a NaN or
+    an infinity, since max() would skip a NaN.
     """
-    w = np.asarray(w, dtype=float)
+    w = _vector(problem, w, "w")
     if not np.isfinite(w).all():
         raise DomainError("kkt_residual needs a finite w")
     g = smooth_gradient(problem, w)

@@ -7,7 +7,8 @@ record.  Floats are written with 17 significant digits so a re-parse
 reproduces the in-memory trace exactly.
 
 :func:`drive` is the iteration loop of all five solvers, with the record
-at iteration 0, the callback, the strided record and the plateau stop;
+at iteration 0, the callback, the strided record, the batched objectives
+of the records and the plateau stop;
 :func:`float_copy` checks their start vectors, and :func:`check_scalar`
 and :func:`check_count` decide every number a caller passes, in any module.
 """
@@ -26,6 +27,11 @@ CSV_HEADER = "iter,seconds,objective,dist_ref,zeros_exact,zeros_tol"
 
 # |w_j| at or below this counts as a "numerical zero" in the zeros_tol column
 ZEROS_TOL = 1e-8
+
+# drive evaluates the objectives of up to BATCH_RECORDS records at once,
+# fewer when their margins and iterates would pass BATCH_BYTES
+BATCH_RECORDS = 16
+BATCH_BYTES = 8 * 2 ** 20
 
 
 def _fmt(x):
@@ -62,11 +68,12 @@ class ConvergenceTrace:
         self.records.append(record)
 
     def add(self, iteration, seconds, objective, w, reference=None, w_hat=None):
-        """Append the record of iterate w with its objective value: the
-        distance of w to reference (None without one) and the zeros of
-        w_hat, the vector the solver returns (default w itself).  A
-        reference of another shape than w is a DomainError: it would
-        broadcast into a distance between unrelated arrays."""
+        """Append the record of iterate w: its objective value (None while
+        :func:`drive` holds it for a batched evaluation), the distance of w
+        to reference (None without one) and the zeros of w_hat, the vector
+        the solver returns (default w itself).  A reference of another
+        shape than w is a DomainError: it would broadcast into a distance
+        between unrelated arrays."""
         if reference is not None and np.shape(reference) != np.shape(w):
             raise DomainError("must have shape %s, got %s" % (np.shape(w), np.shape(reference)),
                               "reference")
@@ -226,32 +233,68 @@ def float_copy(name, value, shape):
     return out
 
 
-def drive(config, start, step, record, callback=None):
+def batch_capacity(n_samples, n_features):
+    """How many records drive evaluates together: BATCH_RECORDS, or fewer,
+    but at least 1, when their (K, L) margins and (N, K) iterates would
+    pass BATCH_BYTES."""
+    return max(1, min(BATCH_RECORDS, BATCH_BYTES // (8 * (n_samples + n_features))))
+
+
+def drive(config, start, problem, objective, step, snapshot, reference=None, callback=None):
     """Run a solver's iterations and return its ConvergenceTrace.
 
     start is the perf_counter reading at which the solver's setup began;
     setup_seconds and every record's seconds count from it.  step(i)
     performs iteration i (0-based) and returns the iterate passed to
-    callback(i + 1, w); record(trace, iteration, seconds) appends one
-    record through ConvergenceTrace.add.  The loop options are
-    config.max_iters, trace_stride, plateau_window and plateau_rtol.
-    trace.extra["stop_reason"] says why the run ended: "plateau" when the
-    plateau rule stopped it, "budget" when it ran all max_iters iterations
-    (0 included); trace.extra["stopped_by_plateau"] is the same as a bool.
+    callback(i + 1, w).  A record is taken at iteration 0, every
+    trace_stride iterations and after the last one: snapshot() gives
+    (w, w_hat), the iterate and the vector the solver would return (None
+    for w itself), and ConvergenceTrace.add fills in the clock reading, the
+    dist_ref of w to reference and the zeros of w_hat at once.  A copy of w
+    waits for its objective, which objective(problem, W), the solver
+    module's own binding, evaluates for an (N, K) stack of waiting
+    iterates: when batch_capacity(L, N) records wait, after every record
+    while plateau_window is set, since the plateau rule reads the newest
+    objective, and when the loop ends.  So every objective keeps the bits
+    of its own call, and a record's seconds do not count the objectives
+    still waiting.  The loop options are config.max_iters, trace_stride,
+    plateau_window and plateau_rtol.  trace.extra["stop_reason"] says why
+    the run ended: "plateau" when the plateau rule stopped it, "budget"
+    when it ran all max_iters iterations (0 included);
+    trace.extra["stopped_by_plateau"] is the same as a bool.
     """
     max_iters, stride, window, rtol = check_loop_options(config)
+    capacity = 1 if window is not None else batch_capacity(problem.n_samples, problem.n_features)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    record(trace, 0, time.perf_counter() - start)
+    waiting = []  # (record, copy of its iterate)
+
+    def evaluate():
+        values = objective(problem, np.stack([w for _, w in waiting], axis=1))
+        for (taken, _), value in zip(waiting, values):
+            taken.objective = float(value)
+        waiting.clear()
+
+    def record(iteration):
+        seconds = time.perf_counter() - start
+        w, w_hat = snapshot()
+        trace.add(iteration, seconds, None, w, reference, w_hat)
+        waiting.append((trace.records[-1], w.copy()))
+        if len(waiting) == capacity:
+            evaluate()
+
+    record(0)
     stopped = False
     for i in range(max_iters):
         w = step(i)
         if callback is not None:
             callback(i + 1, w)
         if (i + 1) % stride == 0 or i + 1 == max_iters:
-            record(trace, i + 1, time.perf_counter() - start)
+            record(i + 1)
             if window is not None and plateau_hit(trace, window, rtol):
                 stopped = True
                 break
+    if waiting:
+        evaluate()
     trace.extra["stop_reason"] = "plateau" if stopped else "budget"
     trace.extra["stopped_by_plateau"] = stopped
     return trace

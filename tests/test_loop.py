@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import proxsplit as px
-from proxsplit import baselines, dr, model
+from proxsplit import baselines, dr, model, trace
 from proxsplit.bench import SOLVERS
 from proxsplit.errors import DomainError
 from conftest import NoRowGatherKernels, make_problem
@@ -123,24 +123,31 @@ def test_random_start_is_drawn_unless_a_baseline_gets_w0(solver, monkeypatch):
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
     reference = np.full(6, 0.25)
-    seen, events = [], []
+    seen, stacks = [], []
     module = owner(solver)
     original = module.objective
 
-    def objective(*args):
-        events.append("record")
-        return original(*args)
+    def objective(problem, W):
+        stacks.append(np.shape(W))
+        return original(problem, W)
 
     def callback(i, ww):
-        events.append(i)
         seen.append((i, ww.copy()))
 
     monkeypatch.setattr(module, "objective", objective)
     w, tr = run(solver, max_iters=11, trace_stride=4, reference=reference, callback=callback)
     monkeypatch.undo()
     assert [r.iteration for r in tr.records] == [0, 4, 8, 11]
-    # one callback per iteration, each record after the callback of its iteration
-    assert events == ["record", 1, 2, 3, 4, "record", 5, 6, 7, 8, "record", 9, 10, 11, "record"]
+    # one callback per iteration; the four records wait for one stacked evaluation
+    assert [i for i, _ in seen] == list(range(1, 12))
+    assert stacks == [(6, 4)]
+    # each record holds the objective of the iterate the callback saw at its
+    # iteration (DR starts from w = 0, a baseline from its seeded draw)
+    prob = single_block_problem()
+    start = np.zeros(6) if solver.startswith("dr") else px.make_rng(5).standard_normal(6)
+    iterates = dict([(0, start)] + seen)
+    assert [r.objective for r in tr.records] == [
+        px.objective(prob, iterates[r.iteration]) for r in tr.records]
     assert tr.extra["stopped_by_plateau"] is False
     # the last record is taken after the last callback, on the same iterate
     last = seen[-1][1]
@@ -156,6 +163,55 @@ def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
     assert fields == [(r.iteration, r.objective, r.dist_ref, r.zeros_exact, r.zeros_tol)
                       for r in tr2.records]
     assert tr.extra == tr2.extra
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("max_iters,capacity,stacks", [
+    # 36 records, at 0, 2, ..., 68 and 69: two full batches and a part
+    (69, 16, [16, 16, 4]),
+    # a memory bound that fits 5 records of 12 margins and 6 coordinates
+    (69, 5, [5] * 7 + [1]),
+    (0, 16, [1]),
+], ids=["batches-of-16", "batches-of-5", "zero-iterations"])
+def test_batched_records_equal_records_evaluated_at_once(monkeypatch, solver, max_iters,
+                                                          capacity, stacks):
+    # a plateau window longer than the run cannot fire, but still has each
+    # record evaluated as it is taken
+    if capacity < trace.BATCH_RECORDS:
+        monkeypatch.setattr(trace, "BATCH_BYTES", 8 * (12 + 6) * capacity + 7)
+    module = owner(solver)
+    original = module.objective
+    widths = []
+
+    def objective(problem, W):
+        widths.append(W.shape[1])
+        return original(problem, W)
+
+    monkeypatch.setattr(module, "objective", objective)
+    reference = np.full(6, 0.25)
+    w, tr = run(solver, max_iters=max_iters, trace_stride=2, reference=reference)
+    assert widths == stacks
+    del widths[:]
+    w_once, tr_once = run(solver, max_iters=max_iters, trace_stride=2, reference=reference,
+                          plateau_window=1000, plateau_rtol=0.0)
+    assert widths == [1] * sum(stacks)
+    assert np.array_equal(w, w_once)
+    fields = lambda t: [(r.iteration, r.objective.hex(), r.dist_ref.hex(), r.zeros_exact,
+                         r.zeros_tol) for r in t.records]
+    assert len(tr.records) == sum(stacks)
+    assert fields(tr) == fields(tr_once)
+    assert tr.extra == tr_once.extra and tr.extra["stop_reason"] == "budget"
+
+
+def test_batch_capacity_keeps_margins_and_iterates_within_the_bound():
+    batch_capacity, BATCH_BYTES = trace.batch_capacity, trace.BATCH_BYTES
+    assert batch_capacity(12, 6) == 16
+    assert batch_capacity(49749, 300) == 16  # 6.4 MB of w8a-shaped margins and iterates
+    assert batch_capacity(200000, 2000) == BATCH_BYTES // (8 * 202000) == 5
+    assert batch_capacity(2 * 10 ** 6, 10) == 1  # one record always fits
+    for L, N in ((1000, 10), (100000, 300), (400000, 9000)):
+        K = batch_capacity(L, N)
+        assert K == 1 or 8 * (L + N) * K <= BATCH_BYTES
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -215,14 +271,14 @@ _WRAPPED = ("sample_without_replacement", "objective", "loss_prox", "reg_prox")
 
 
 @pytest.mark.parametrize("solver,sampler,objective,loss_prox,reg_prox", [
-    # 7 iterations, records at 0, 3, 6 and 7; DR's reg_prox is one call per
-    # record plus the extracted solution, the simplified scheme also calls
-    # it once per iteration
-    ("dr", 7, 4, 7, 5),
-    ("dr-simplified", 7, 4, 7, 12),
-    ("sfb", 7, 4, 0, 7),
-    ("rda", 7, 4, 0, 7),
-    ("bcpd", 7, 4, 7, 7),
+    # 7 iterations, records at 0, 3, 6 and 7, whose objectives take one
+    # stacked call; DR's reg_prox is one call per record plus the extracted
+    # solution, the simplified scheme also calls it once per iteration
+    ("dr", 7, 1, 7, 5),
+    ("dr-simplified", 7, 1, 7, 12),
+    ("sfb", 7, 1, 0, 7),
+    ("rda", 7, 1, 0, 7),
+    ("bcpd", 7, 1, 7, 7),
 ])
 def test_layers_are_called_through_their_module_bindings(
     monkeypatch, solver, sampler, objective, loss_prox, reg_prox

@@ -1,11 +1,13 @@
 """Tests for the problem container, objective, gradients, and KKT residual."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit import model
@@ -153,6 +155,96 @@ def test_regularizer_value_mixed_blocks():
         piece = np.linalg.norm(w[sl], 2 if kappa == 2 else 1)
         total += prob.reg.lam * piece
     assert px.regularizer_value(prob, w) == pytest.approx(total, rel=1e-15)
+
+
+@st.composite
+def stacked_objective_case(draw):
+    """A problem with rows holding no entry and explicitly stored zeros, a
+    stack of 1-20 columns with +-0.0 among its entries, and a panel size
+    that splits the rows into panels of one row up to all of them."""
+    N = draw(st.integers(1, 7))
+    L = draw(st.integers(1, 12))
+    entry = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -2.5)),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    indptr, indices, data = [0], [], []
+    for _ in range(L):
+        cols = sorted(draw(st.sets(st.integers(0, N - 1), max_size=N)))  # may be empty
+        indices += cols
+        data += [draw(entry) for _ in cols]  # an entry drawn as +-0.0 stays stored
+        indptr.append(len(indices))
+    X = sp.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)), shape=(L, N))
+    y = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=L, max_size=L)))
+    B = draw(st.integers(1, N))
+    kappa = tuple(draw(st.lists(st.sampled_from((1, 2)), min_size=B, max_size=B)))
+    prob = px.Problem(data=px.TrainingSet(features=X, labels=y),
+                      partition=px.BlockPartition.contiguous(N, B),
+                      reg=px.RegularizerSpec(lam=draw(st.sampled_from((0.0, 0.5, 3.0))),
+                                             kappa=kappa),
+                      loss=draw(st.sampled_from(list(px.ScalarLoss))))
+    K = draw(st.integers(1, 20))
+    W = np.array(draw(st.lists(entry, min_size=N * K, max_size=N * K))).reshape(N, K)
+    return prob, W, draw(st.integers(1, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stacked_objective_case())
+def test_stacked_objective_is_each_columns_objective_bit_for_bit(case):
+    # the bits rest on csr_matvecs adding each row's terms in csr_matvec's order
+    prob, W, panel_entries = case
+    with mock.patch.object(model, "PANEL_ENTRIES", panel_entries):
+        got = px.objective(prob, W)
+    want = [px.objective(prob, np.ascontiguousarray(W[:, k])) for k in range(W.shape[1])]
+    assert got.shape == (W.shape[1],)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("loss", list(px.ScalarLoss))
+def test_stacked_objective_crosses_row_panels_bit_for_bit(loss):
+    # 3000 rows in panels of 2048 rows for 16 columns
+    prob = make_problem(40, 3000, 3, lam=0.5, seed=7, density=0.1, kappa=(1, 2, 1), loss=loss)
+    W = np.random.Generator(np.random.PCG64(8)).standard_normal((40, 16))
+    W[:, 3] = 0.0
+    want = [px.objective(prob, np.ascontiguousarray(w)) for w in W.T]
+    assert [v.hex() for v in px.objective(prob, W)] == [v.hex() for v in want]
+    # a strided stack gives the same bits as its contiguous copy
+    assert [v.hex() for v in px.objective(prob, W[:, ::2])] == [v.hex() for v in want[::2]]
+
+
+def test_objective_of_one_column_stack_is_an_array_of_one():
+    prob = make_problem(6, 20, 2, lam=0.5, seed=1)
+    w = np.linspace(-1.0, 1.0, 6)
+    got = px.objective(prob, w[:, None])
+    assert got.shape == (1,) and got[0] == px.objective(prob, w)
+
+
+# the problem make_problem(6, 20, 2, lam=0.5, seed=1) has N = 6
+MISSHAPEN = [np.ones(8), np.ones(5), np.ones((6, 3)), np.ones((6, 1)), np.ones(()),
+             np.ones((1, 6))]
+
+
+@pytest.mark.parametrize("w", MISSHAPEN, ids=lambda w: str(w.shape))
+def test_regularizer_code_rejects_a_vector_of_another_shape(w):
+    # before, reg_prox of 8 entries returned 2 never-written ones, and a
+    # short vector gave a short prox and a short regularizer value
+    prob = make_problem(6, 20, 2, lam=0.5, seed=1)
+    shape = re.escape(str(w.shape))
+    with pytest.raises(DomainError, match=r"z must have shape \(6,\), got %s" % shape):
+        px.reg_prox(prob, w, 1.0)
+    with pytest.raises(DomainError, match=r"w must have shape \(6,\), got %s" % shape):
+        px.regularizer_value(prob, w)
+    with pytest.raises(DomainError, match=r"w must have shape \(6,\), got %s" % shape):
+        px.kkt_residual(prob, w)
+
+
+@pytest.mark.parametrize("shape", [(8,), (5,), (), (1, 6), (6, 0), (6, 3, 1)])
+def test_objective_takes_a_vector_or_a_stack_of_columns(shape):
+    prob = make_problem(6, 20, 2, lam=0.5, seed=1)
+    with pytest.raises(DomainError, match=r"w must have shape \(6,\) or \(6, K\) with K >= 1"):
+        px.objective(prob, np.ones(shape))
+    # a (6, 3) stack used to give the sum of its columns' objectives
+    W = np.linspace(-1.0, 1.0, 18).reshape(6, 3)
+    assert list(px.objective(prob, W)) == [px.objective(prob, W[:, k].copy()) for k in range(3)]
 
 
 def test_margins_by_hand():
