@@ -33,9 +33,9 @@ An iteration gathers the rows of its mini-batch once, through
 arrays as they are), from the row-sorted CSR the training set keeps.
 The gathered rows are the mini-batch's operator A = diag(y) X, whose
 products apply the labels, so no code here reads them.  It reads the
-mini-batch's dual rows of s with ``np.take`` and writes the rows of s and
-v back by index; a full batch, 0, ..., L-1 in order, reads and writes the
-dual rows through a slice.  All B forward products are one multi-vector
+mini-batch's dual rows of s with ``np.take`` and writes them back by
+index; a full batch (act_l None, or 0, ..., L-1 in order) updates s
+itself in place.  All B forward products are one multi-vector
 product with the N x B block-diagonal layout of w, and all B adjoint
 products are one adjoint product whose column b is read on block b only.
 Gather and products run scipy's own sparsetools kernels on the CSR
@@ -53,12 +53,18 @@ formed once, one ``prox_l1`` call covers each run of l1 blocks that
 follow each other and ``prox_group_l2`` takes each group block, and t is
 updated once on the activated coordinates.  The dual half sums the
 (m, B) rows by B - 1 adds of whole columns, which give the bits of
-numpy's own row sum for B < 8, and updates v and s in place.
+numpy's own row sum for B < 8, and writes the new v rows only into a
+state that has a v.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
 snapshot function handed to :func:`proxsplit.trace.drive`, the loop shared
 with the baselines, which evaluates the records' objectives through this
-module's ``objective`` binding.
+module's ``objective`` binding.  A run keeps no v: a step computes v_l
+from s and w for each sample it draws and reads no older v, so only the
+state of :func:`init_state` and :func:`dr_iterate` carries one.  With no
+s0, a run starts from s = 0 and u = 0, the aggregate of s = 0, without
+the product; with batch_size L, its step gets act_l None and draws
+nothing.
 """
 
 import math
@@ -90,8 +96,11 @@ class DRConfig:
     (the default) reads the block values w just produced in the v-update;
     "literal" is the printed scheme, which reads the pre-iteration w.
     seed (>= 0) seeds the random start and every draw, so a seeded run is
-    bitwise reproducible.  max_iters (>= 0) is the iteration budget, and
-    the trace records every trace_stride iterations and the last one.
+    bitwise reproducible on one BLAS build with one BLAS thread count:
+    the Cholesky factorization (LAPACK dpotrf) gives a 2000-coordinate
+    block factor different bits under OPENBLAS_NUM_THREADS=1 and =2.
+    max_iters (>= 0) is the iteration budget, and the trace records every
+    trace_stride iterations and the last one.
     plateau_window enables early stopping when the objective moves by less
     than plateau_rtol (relative) over that many iterations.
     """
@@ -327,11 +336,16 @@ def _resolvent_matrix(Xb, c, tau):
 
 @dataclass
 class DRState:
-    """Solver state: primal w, t (length N), dual v, s (L x B), aggregate u."""
+    """Solver state: primal w, t (length N), dual v, s (L x B), aggregate u.
+
+    v is None in the state of :func:`run`, whose steps never read an old
+    v; :func:`init_state` gives a v of zeros that :func:`dr_iterate` keeps
+    current on the activated samples.
+    """
 
     w: np.ndarray
     t: np.ndarray
-    v: np.ndarray
+    v: object  # np.ndarray or None
     s: np.ndarray
     u: np.ndarray
     iteration: int = 0
@@ -350,20 +364,11 @@ def _aggregate(problem, res, s):
 def init_state(problem, config, t0, s0):
     """Fresh state: w = 0 (the first iteration overwrites activated blocks),
     t = t0, s = s0, v = 0, u aggregated from s0."""
-    return _init_state(problem, resolve_config(problem, config), t0, s0)
-
-
-def _init_state(problem, res, t0, s0):
+    res = resolve_config(problem, config)
     N, L, B = problem.n_features, problem.n_samples, problem.num_blocks
     t0 = float_copy("t0", t0, (N,))
     s0 = float_copy("s0", s0, (L, B))
-    return DRState(
-        w=np.zeros(N),
-        t=t0,
-        v=np.zeros((L, B)),
-        s=s0,
-        u=_aggregate(problem, res, s0),
-    )
+    return DRState(w=np.zeros(N), t=t0, v=np.zeros((L, B)), s=s0, u=_aggregate(problem, res, s0))
 
 
 def dr_iterate(state, problem, precond, config, epsilon, mu):
@@ -389,16 +394,18 @@ def dr_iterate(state, problem, precond, config, epsilon, mu):
 
 
 def _iterate(state, problem, precond, res, act_b, act_l, mu):
-    # act_b holds distinct blocks, as the sampler and dr_iterate give them
+    # act_b holds distinct blocks, as the sampler and dr_iterate give them;
+    # act_l None is every sample
     partition = problem.partition
     slices = partition.slices()
     B = len(slices)
 
     aw = None
-    if act_l.size:
-        every = problem.data.is_every_row(act_l)
-        dual = slice(None) if every else act_l
-        rows = problem.data.rows(None if every else act_l)
+    duals = act_l is None or act_l.size > 0
+    if duals:
+        if act_l is not None and problem.data.is_every_row(act_l):
+            act_l = None
+        rows = problem.data.rows(act_l)
         if res.literal:
             aw = _block_products(rows, state.w, partition)
 
@@ -425,11 +432,12 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
         d *= mu
         t[cols] += d
 
-    if act_l.size:
+    if duals:
         if aw is None:
             aw = _block_products(rows, state.w, partition)
         g = res.gamma
-        s_rows = state.s.copy() if every else np.take(state.s, act_l, axis=0)
+        # every sample: s itself, updated in place below
+        s_rows = state.s if act_l is None else np.take(state.s, act_l, axis=0)
         v_new = aw  # (s_rows + g aw) / (1 + g rho)
         v_new *= g
         v_new += s_rows
@@ -449,9 +457,11 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
         ds *= mu
         if not np.isfinite(ds).all():
             raise NumericalError("non-finite dual update")
-        state.v[dual] = v_new
+        if state.v is not None:
+            state.v[slice(None) if act_l is None else act_l] = v_new
         s_rows += ds
-        state.s[dual] = s_rows
+        if act_l is not None:
+            state.s[act_l] = s_rows
         ds *= res.inv1p
         state.u += _block_adjoint(rows, ds, partition)
 
@@ -500,8 +510,9 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
 
     Per iteration the primal activation is every block ("all") or a
     uniform subset, and the dual activation is a uniform mini-batch drawn
-    without replacement (partial Fisher-Yates).  By default t0 is a
-    standard-normal draw from the config seed and s0 = 0.
+    without replacement (partial Fisher-Yates); a full batch is every
+    sample in order, with no draw.  By default t0 is a standard-normal
+    draw from the config seed and s0 = 0.
 
     Parameters
     ----------
@@ -523,15 +534,23 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     rng = make_rng(config.seed)
     precond = _build_preconditioner(problem, res)
     w_init = rng.standard_normal(N)
-    state = _init_state(
-        problem, res, w_init if t0 is None else t0, np.zeros((L, B)) if s0 is None else s0
-    )
+    t = float_copy("t0", w_init if t0 is None else t0, (N,))
+    # s = 0 aggregates to +0.0 in every coordinate of finite data, which
+    # the factorization has checked
+    if s0 is None:
+        s, u = np.zeros((L, B)), np.zeros(N)
+    else:
+        s = float_copy("s0", s0, (L, B))
+        u = _aggregate(problem, res, s)
+    # a step reads no v it did not just compute, so a run keeps none
+    state = DRState(w=np.zeros(N), t=t, v=None, s=s, u=u)
     pool_b = np.arange(B)
     pool_l = np.arange(L)
+    full = res.batch_size == L  # every sample, in order, with no draw
 
     def step(i):
         act_b = pool_b if res.primal_k is None else sample_without_replacement(rng, pool_b, res.primal_k)
-        act_l = sample_without_replacement(rng, pool_l, res.batch_size)
+        act_l = None if full else sample_without_replacement(rng, pool_l, res.batch_size)
         return _iterate(state, problem, precond, res, act_b, act_l, res.mu).w
 
     def solution():

@@ -67,13 +67,13 @@ class ConvergenceTrace:
                 raise DomainError("trace seconds must be nondecreasing")
         self.records.append(record)
 
-    def add(self, iteration, seconds, objective, w, reference=None, w_hat=None):
-        """Append the record of iterate w: its objective value (None while
-        :func:`drive` holds it for a batched evaluation), the distance of w
-        to reference (None without one) and the zeros of w_hat, the vector
-        the solver returns (default w itself).  A reference of another
-        shape than w is a DomainError: it would broadcast into a distance
-        between unrelated arrays."""
+    def add(self, iteration, seconds, w, reference=None, w_hat=None):
+        """Append the record of iterate w: the distance of w to reference
+        (None without one) and the zeros of w_hat, the vector the solver
+        returns (default w itself).  Its objective is None until
+        :func:`drive` evaluates it with a batch of records.  A reference of
+        another shape than w is a DomainError: it would broadcast into a
+        distance between unrelated arrays."""
         if reference is not None and np.shape(reference) != np.shape(w):
             raise DomainError("must have shape %s, got %s" % (np.shape(w), np.shape(reference)),
                               "reference")
@@ -82,7 +82,7 @@ class ConvergenceTrace:
             TraceRecord(
                 iteration=iteration,
                 seconds=seconds,
-                objective=objective,
+                objective=None,
                 dist_ref=None if reference is None else float(np.linalg.norm(w - reference)),
                 zeros_exact=int(np.count_nonzero(zeros_of == 0.0)),
                 zeros_tol=int(np.count_nonzero(np.abs(zeros_of) <= ZEROS_TOL)),
@@ -260,8 +260,7 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
     still waiting.  The loop options are config.max_iters, trace_stride,
     plateau_window and plateau_rtol.  trace.extra["stop_reason"] says why
     the run ended: "plateau" when the plateau rule stopped it, "budget"
-    when it ran all max_iters iterations (0 included);
-    trace.extra["stopped_by_plateau"] is the same as a bool.
+    when it ran all max_iters iterations (0 included).
     """
     max_iters, stride, window, rtol = check_loop_options(config)
     capacity = 1 if window is not None else batch_capacity(problem.n_samples, problem.n_features)
@@ -277,7 +276,7 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
     def record(iteration):
         seconds = time.perf_counter() - start
         w, w_hat = snapshot()
-        trace.add(iteration, seconds, None, w, reference, w_hat)
+        trace.add(iteration, seconds, w, reference, w_hat)
         waiting.append((trace.records[-1], w.copy()))
         if len(waiting) == capacity:
             evaluate()
@@ -296,5 +295,4 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
     if waiting:
         evaluate()
     trace.extra["stop_reason"] = "plateau" if stopped else "budget"
-    trace.extra["stopped_by_plateau"] = stopped
     return trace

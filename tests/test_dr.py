@@ -3,6 +3,9 @@ single iterations against hand-computed values, masking, determinism,
 convergence behavior, and the simplified single-block variant."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -598,6 +601,85 @@ def test_run_trace_structure_and_reference_column():
     assert all(b >= a for a, b in zip(secs, secs[1:]))
 
 
+@pytest.mark.parametrize("batch", [None, 8, 3])
+def test_run_keeps_no_v_and_draws_no_full_batch(batch, monkeypatch):
+    prob = small_problem()
+    steps, draws = [], []
+    iterate, sampler = dr._iterate, dr.sample_without_replacement
+
+    def spy_iterate(state, problem, precond, res, act_b, act_l, mu):
+        steps.append((state.v is None, act_l is None))
+        return iterate(state, problem, precond, res, act_b, act_l, mu)
+
+    def spy_sampler(rng, pool, k):
+        draws.append(k)
+        return sampler(rng, pool, k)
+
+    monkeypatch.setattr(dr, "_iterate", spy_iterate)
+    monkeypatch.setattr(dr, "sample_without_replacement", spy_sampler)
+    px.run(prob, px.DRConfig(batch_size=batch, seed=4, max_iters=6, trace_stride=2))
+    full = batch != 3
+    assert steps == [(True, full)] * 6
+    assert draws == ([] if full else [3] * 6)
+
+
+@pytest.mark.parametrize("variant", ["refreshed", "literal"])
+def test_full_batch_run_gives_the_bits_of_a_dr_iterate_loop(variant):
+    prob = small_problem()
+    cfg = px.DRConfig(tau=0.7, gamma=1.2, rho=0.1, mu=1.3, v_update_variant=variant,
+                      seed=9, max_iters=20, trace_stride=5)
+    w, tr = px.run(prob, cfg)
+    pre = px.build_preconditioner(prob, cfg)
+    state = px.init_state(prob, cfg, px.make_rng(9).standard_normal(6), np.zeros((8, 3)))
+    for _ in range(20):
+        px.dr_iterate(state, prob, pre, cfg, np.ones(3 + 8), cfg.mu)
+    assert np.array_equal(w, px.extract_solution(state, prob, cfg))
+    assert tr.final.objective == px.objective(prob, state.w)
+
+
+def test_run_from_no_s0_gives_the_bits_of_a_zero_s0(monkeypatch):
+    prob = small_problem()
+    cfg = px.DRConfig(tau=0.7, gamma=1.2, rho=0.1, batch_size=3, primal_activation=2,
+                      seed=6, max_iters=30, trace_stride=10)
+    w_given, tr_given = px.run(prob, cfg, s0=np.zeros((8, 3)))
+    aggregate = dr._aggregate
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return aggregate(*args)
+
+    monkeypatch.setattr(dr, "_aggregate", spy)
+    w, tr = px.run(prob, cfg)
+    assert calls == []
+    assert np.array_equal(w, w_given)
+    assert [r.objective for r in tr.records] == [r.objective for r in tr_given.records]
+
+
+def test_seeded_run_gives_the_same_bits_in_two_fresh_processes():
+    # one 200-coordinate block: its factor has other bits under two BLAS
+    # threads than under one, so both processes pin one thread
+    script = """
+import numpy as np, scipy.sparse as sp, proxsplit as px
+rng = np.random.Generator(np.random.PCG64(17))
+X = rng.standard_normal((600, 200)) * (rng.random((600, 200)) < 0.3)
+y = np.where(X @ rng.standard_normal(200) >= 0, 1.0, -1.0)
+prob = px.Problem(px.TrainingSet(sp.csr_matrix(X), y), px.BlockPartition.contiguous(200, 1),
+                  px.RegularizerSpec(lam=0.5))
+w, _ = px.run(prob, px.DRConfig(gamma=0.1, rho=0.1, batch_size=40, seed=3, max_iters=40))
+print(w.tobytes().hex())
+"""
+    src = str(Path(px.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    outs = [subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120, check=True).stdout.strip()
+            for _ in range(2)]
+    assert len(outs[0]) == 2 * 8 * 200
+    assert outs[0] == outs[1]
+
+
 def test_objective_trend_deterministic_run():
     # full activation, deterministic: the objective settles monotonically
     prob = make_problem(10, 40, 2, lam=1.0, seed=31)
@@ -616,7 +698,7 @@ def test_plateau_stops_early():
     _, tr = px.run(prob, px.DRConfig(tau=1.0, gamma=1.0, rho=0.1, mu=1.5,
                                      max_iters=5000, trace_stride=1,
                                      plateau_window=25, plateau_rtol=1e-9))
-    assert tr.extra["stopped_by_plateau"] is True
+    assert tr.extra["stop_reason"] == "plateau"
     assert tr.final.iteration < 5000
     assert px.plateau_hit(tr, 25, 1e-9)
 
@@ -630,7 +712,7 @@ def test_separable_problem_drives_objective_down_without_plateau():
                                      plateau_window=5, plateau_rtol=1e-10))
     assert tr.final.objective < 1e-2
     assert abs(w[0]) > 5.0
-    assert tr.extra["stopped_by_plateau"] is False
+    assert tr.extra["stop_reason"] == "budget"
 
 
 # --------------------------------------------------------- extract_solution

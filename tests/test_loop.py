@@ -148,7 +148,7 @@ def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
     iterates = dict([(0, start)] + seen)
     assert [r.objective for r in tr.records] == [
         px.objective(prob, iterates[r.iteration]) for r in tr.records]
-    assert tr.extra["stopped_by_plateau"] is False
+    assert tr.extra["stop_reason"] == "budget"
     # the last record is taken after the last callback, on the same iterate
     last = seen[-1][1]
     assert tr.final.objective == px.objective(single_block_problem(), last)
@@ -220,7 +220,7 @@ def test_zero_iterations_record_only_the_start(solver):
     _, tr = run(solver, max_iters=0, callback=lambda i, ww: seen.append(i))
     assert [r.iteration for r in tr.records] == [0]
     assert seen == []
-    assert tr.extra["stopped_by_plateau"] is False
+    assert tr.extra["stop_reason"] == "budget"
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -230,7 +230,7 @@ def test_plateau_stop_ends_on_a_record(solver):
     seen = []
     _, tr = run(solver, max_iters=50, trace_stride=3, plateau_window=5, plateau_rtol=1e9,
                 callback=lambda i, ww: seen.append(i))
-    assert tr.extra["stopped_by_plateau"] is True
+    assert tr.extra["stop_reason"] == "plateau"
     assert [r.iteration for r in tr.records] == [0, 3, 6]
     assert seen == list(range(1, 7))
 
@@ -245,7 +245,8 @@ def test_plateau_stop_ends_on_a_record(solver):
 def test_stop_reason_says_why_the_run_ended(solver, loop, reason, last):
     _, tr = run(solver, **loop)
     assert tr.extra["stop_reason"] == reason
-    assert tr.extra["stopped_by_plateau"] is (reason == "plateau")
+    # stop_reason is the one field that says so
+    assert "stopped_by_plateau" not in tr.extra
     assert tr.final.iteration == last
 
 
