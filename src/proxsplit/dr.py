@@ -358,12 +358,16 @@ def dual_aggregate(problem, config, s):
 
 
 def _aggregate(problem, res, s):
-    return _block_adjoint(problem.data.rows(), s * res.inv1p, problem.partition)
+    u = _block_adjoint(problem.data.rows(), s * res.inv1p, problem.partition)
+    if not np.isfinite(u).all():
+        raise NumericalError("non-finite dual aggregate u")
+    return u
 
 
 def init_state(problem, config, t0, s0):
     """Fresh state: w = 0 (the first iteration overwrites activated blocks),
-    t = t0, s = s0, v = 0, u aggregated from s0."""
+    t = t0, s = s0, v = 0, u aggregated from s0; a u that is not finite
+    (sums of large finite entries can overflow) is a NumericalError."""
     res = resolve_config(problem, config)
     N, L, B = problem.n_features, problem.n_samples, problem.num_blocks
     t0 = float_copy("t0", t0, (N,))
@@ -590,14 +594,20 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     precond = _build_preconditioner(problem, res)
     w_init = rng.standard_normal(N)
     t = float_copy("t0", w_init if t0 is None else t0, (N,))
-    st = float_copy("st0", np.zeros(L) if st0 is None else st0, (L,))
-    ut = problem.data.rows().aggregate(st)
+    # st = 0 aggregates to +0.0, as in run
+    if st0 is None:
+        st, ut = np.zeros(L), np.zeros(N)
+    else:
+        st = float_copy("st0", st0, (L,))
+        ut = _aggregate(problem, res, st[:, None])  # rho = 0: its scale is 1
     w = np.zeros(N)
     pool_l = np.arange(L)
+    full = res.batch_size == L  # every sample, in order, with no draw
 
     def step(i):
         nonlocal w, t, ut
-        act_l = sample_without_replacement(rng, pool_l, res.batch_size)
+        act_l = None if full else sample_without_replacement(rng, pool_l, res.batch_size)
+        sel = slice(None) if full else act_l
         w_old = w
         w = precond.apply(0, t + ut)
         if not np.isfinite(w).all():
@@ -605,11 +615,11 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         t += mu * (reg_prox(problem, 2.0 * w - t, tau) - w)
         rows = problem.data.rows(act_l)
         aw = rows.margins(w_old if res.literal else w)
-        q = loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
+        q = loss_prox(problem.loss, 2.0 * aw - st[sel] / (tau * g), 1.0 / g)
         ds = mu * tau * g * (q - aw)
         if not np.isfinite(ds).all():
             raise NumericalError("non-finite dual update")
-        st[act_l] += ds
+        st[sel] += ds
         ut += rows.aggregate(ds)
         return w
 

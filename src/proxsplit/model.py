@@ -7,7 +7,9 @@ A problem is the composite criterion
 over contiguous coordinate blocks w_1, ..., w_B, where h is one of the
 scalar margin losses and kappa_b in {1, 2} picks the l1 norm or the
 (non-squared) l2 norm per block.  The data term is sum_l h((A w)_l) with
-A = diag(y) X; only :class:`Rows`, A on a mini-batch, applies the labels.
+A = diag(y) X.  The labels are applied by :class:`Rows`, A on a
+mini-batch, and by the stacked pass of :func:`objective`, which
+multiplies its (K, L) margins by them.
 """
 
 import math

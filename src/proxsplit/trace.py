@@ -38,7 +38,7 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceRecord:
     iteration: int
     seconds: float
@@ -51,7 +51,8 @@ class TraceRecord:
 @dataclass
 class ConvergenceTrace:
     """Progress records of one solver run plus the setup time spent before
-    iterating (preconditioner factorization, state allocation)."""
+    iterating (preconditioner factorization, state allocation).  Each
+    record is whole: :func:`drive` builds it, or from_csv reads it back."""
 
     setup_seconds: float = 0.0
     records: list = field(default_factory=list)
@@ -66,28 +67,6 @@ class ConvergenceTrace:
             if record.seconds < last.seconds:
                 raise DomainError("trace seconds must be nondecreasing")
         self.records.append(record)
-
-    def add(self, iteration, seconds, w, reference=None, w_hat=None):
-        """Append the record of iterate w: the distance of w to reference
-        (None without one) and the zeros of w_hat, the vector the solver
-        returns (default w itself).  Its objective is None until
-        :func:`drive` evaluates it with a batch of records.  A reference of
-        another shape than w is a DomainError: it would broadcast into a
-        distance between unrelated arrays."""
-        if reference is not None and np.shape(reference) != np.shape(w):
-            raise DomainError("must have shape %s, got %s" % (np.shape(w), np.shape(reference)),
-                              "reference")
-        zeros_of = w if w_hat is None else w_hat
-        self.append(
-            TraceRecord(
-                iteration=iteration,
-                seconds=seconds,
-                objective=None,
-                dist_ref=None if reference is None else float(np.linalg.norm(w - reference)),
-                zeros_exact=int(np.count_nonzero(zeros_of == 0.0)),
-                zeros_tol=int(np.count_nonzero(np.abs(zeros_of) <= ZEROS_TOL)),
-            )
-        )
 
     @property
     def final(self):
@@ -247,37 +226,43 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
     setup_seconds and every record's seconds count from it.  step(i)
     performs iteration i (0-based) and returns the iterate passed to
     callback(i + 1, w).  A record is taken at iteration 0, every
-    trace_stride iterations and after the last one: snapshot() gives
+    trace_stride iterations and after the last one.  snapshot() gives
     (w, w_hat), the iterate and the vector the solver would return (None
-    for w itself), and ConvergenceTrace.add fills in the clock reading, the
-    dist_ref of w to reference and the zeros of w_hat at once.  A copy of w
-    waits for its objective, which objective(problem, W), the solver
-    module's own binding, evaluates for an (N, K) stack of waiting
-    iterates: when batch_capacity(L, N) records wait, after every record
-    while plateau_window is set, since the plateau rule reads the newest
-    objective, and when the loop ends.  So every objective keeps the bits
+    for w itself); the clock reading, the dist_ref of w to reference and
+    the zeros of w_hat are taken at once, and the record waits with a copy
+    of w.  objective(problem, W), the solver module's own binding,
+    evaluates an (N, K) stack of waiting iterates: when batch_capacity(L, N)
+    records wait, after every record while plateau_window is set (the
+    plateau rule reads the newest objective), and when the loop ends; only
+    then is each record appended, whole.  So every objective keeps the bits
     of its own call, and a record's seconds do not count the objectives
-    still waiting.  The loop options are config.max_iters, trace_stride,
-    plateau_window and plateau_rtol.  trace.extra["stop_reason"] says why
-    the run ended: "plateau" when the plateau rule stopped it, "budget"
-    when it ran all max_iters iterations (0 included).
+    still waiting.  A reference of another shape than (N,) is a
+    DomainError before the first step.  The loop options are
+    config.max_iters, trace_stride, plateau_window and plateau_rtol.
+    trace.extra["stop_reason"] is "plateau" when the plateau rule stopped
+    the run, "budget" when it ran all max_iters iterations (0 included).
     """
     max_iters, stride, window, rtol = check_loop_options(config)
-    capacity = 1 if window is not None else batch_capacity(problem.n_samples, problem.n_features)
+    N = problem.n_features
+    if reference is not None and np.shape(reference) != (N,):
+        raise DomainError("must have shape (%d,), got %s" % (N, np.shape(reference)), "reference")
+    capacity = 1 if window is not None else batch_capacity(problem.n_samples, N)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    waiting = []  # (record, copy of its iterate)
+    waiting = []  # (iteration, seconds, dist_ref, zeros_exact, zeros_tol, copy of the iterate)
 
     def evaluate():
-        values = objective(problem, np.stack([w for _, w in waiting], axis=1))
-        for (taken, _), value in zip(waiting, values):
-            taken.objective = float(value)
+        values = objective(problem, np.stack([taken[-1] for taken in waiting], axis=1))
+        for (iteration, seconds, dist, exact, tol, _), value in zip(waiting, values):
+            trace.append(TraceRecord(iteration, seconds, float(value), dist, exact, tol))
         waiting.clear()
 
     def record(iteration):
         seconds = time.perf_counter() - start
         w, w_hat = snapshot()
-        trace.add(iteration, seconds, w, reference, w_hat)
-        waiting.append((trace.records[-1], w.copy()))
+        zeros_of = w if w_hat is None else w_hat
+        dist = None if reference is None else float(np.linalg.norm(w - reference))
+        waiting.append((iteration, seconds, dist, int(np.count_nonzero(zeros_of == 0.0)),
+                        int(np.count_nonzero(np.abs(zeros_of) <= ZEROS_TOL)), w.copy()))
         if len(waiting) == capacity:
             evaluate()
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import proxsplit as px
-from proxsplit.errors import DomainError
+from proxsplit.errors import ConvergenceError, DomainError
 from conftest import make_problem, tiny_problem
 from oracles import top_eigenvalue
 
@@ -163,6 +163,12 @@ def test_operator_norm_matches_dense_eigensolver():
         want = top_eigenvalue(X)
         got = px.operator_norm_sq(X, rtol=1e-9)
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_operator_norm_at_its_iteration_cap_is_a_convergence_error():
+    X = sp.csr_matrix(np.random.Generator(np.random.PCG64(6)).standard_normal((30, 12)))
+    with pytest.raises(ConvergenceError, match="did not reach relative tolerance 1e-12 in 2"):
+        px.operator_norm_sq(X, rtol=1e-12, max_iters=2)
 
 
 def test_operator_norm_rejects_empty():

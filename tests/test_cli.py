@@ -182,6 +182,30 @@ def test_config_file_precedence(binary_file, tmp_path):
     assert lam_line(o2) == "lambda 2"  # explicit flag wins over the file
 
 
+def test_config_file_comments_lambda_key_and_choices(binary_file, tmp_path):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("# fit options\n\n  # indented comment\nlambda = 0.25\nloss = hinge_q2\n"
+                   "iters = 20\n")
+    assert cli._read_config(str(cfg), cli._TRAIN_SPEC) == {
+        "lam": "0.25", "loss": "hinge_q2", "iters": "20"}
+    out = tmp_path / "fit"
+    assert cli.main(["train", "--data", binary_file, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    _, header = cli.load_model(out / "model.txt")
+    assert (header["lambda"], header["loss"]) == (0.25, "hinge_q2")
+
+
+def test_config_line_without_an_equals_sign_names_its_line(binary_file, tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("# fit options\niters = 20\nlambda 0.25\n")
+    with pytest.raises(ParseError, match="expected 'key = value', got 'lambda 0.25'") as caught:
+        cli._read_config(str(cfg), cli._TRAIN_SPEC)
+    assert caught.value.line_number == 3
+    assert cli.main(["train", "--data", binary_file, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: expected 'key = value', got 'lambda 0.25'\n")
+
+
 def test_unknown_config_key_lists_known_keys(binary_file, tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("bogus_key = 1\n")
@@ -361,6 +385,20 @@ def test_train_one_vs_all(multiclass_file, tmp_path, capsys):
     stdout = capsys.readouterr().out
     for cls in (0, 1, 2):
         assert ("class %d:" % cls) in stdout
+
+
+def test_train_one_vs_all_reports_the_test_error_of_its_models(multiclass_file, tmp_path,
+                                                               capsys):
+    test_file = tmp_path / "multi_test.txt"
+    test_file.write_text("0 1:0.9 2:0.4\n1 1:1.5 3:-0.8\n2 2:0.7 4:0.2\n1 4:-1\n")
+    out = tmp_path / "ova"
+    assert cli.main(["train", "--data", multiclass_file, "--test", str(test_file),
+                     "--iters", "30", "--out", str(out)]) == 0
+    weights = [(float(label), cli.load_model(out / ("model_%d.txt" % label))[0])
+               for label in (0, 1, 2)]
+    features, labels = px.to_matrix(px.load_libsvm(str(test_file)), n_features=4)
+    error = 100.0 * float(np.mean(px.predict_one_vs_all(weights, features) != labels))
+    assert capsys.readouterr().out.splitlines()[-1] == "test error %.2f%%" % error
 
 
 def stamp_solver_runs(monkeypatch, keys):

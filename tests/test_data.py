@@ -276,6 +276,17 @@ def test_every_line_the_vectorized_path_leaves_to_the_loop(line):
     assert data._parse_text("\n".join(lines), 8) is not None
 
 
+def test_parse_of_an_iterable_of_lines_gives_the_text_parse(tmp_path):
+    text = "+1 1:2.5 3:-1\n# comment\n\n-1 2:0.5 7:1e-3\r\n0 4:-0\n"
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode())
+    want = outcome(lambda: px.parse_libsvm(text))
+    assert outcome(lambda: px.parse_libsvm(text.splitlines(keepends=True))) == want
+    assert outcome(lambda: px.parse_libsvm(text.splitlines())) == want
+    with open(path) as handle:
+        assert outcome(lambda: px.parse_libsvm(handle)) == want
+
+
 def test_serialize_shape():
     raw = px.parse_libsvm("+1 1:2.5 3:-1\n-1 2:0.5\n")
     assert px.serialize_libsvm(raw) == "1 1:2.5 3:-1\n-1 2:0.5\n"

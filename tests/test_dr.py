@@ -772,6 +772,80 @@ def test_run_simplified_two_iterations_by_hand():
     assert abs(float(w_hat[0]) - 0.375 * q) <= 1e-12
 
 
+def simplified_by_gathers(problem, config, iters):
+    """run_simplified's w with a start aggregated from st = 0 and, at a full
+    batch, the sampler's index array gathered every step."""
+    res = px.resolve_config(problem, config)
+    L = problem.n_samples
+    tau, g, mu = res.tau, res.gamma, res.mu
+    rng = px.make_rng(config.seed)
+    pre = px.build_preconditioner(problem, config)
+    t = rng.standard_normal(problem.n_features)
+    st = np.zeros(L)
+    ut = problem.data.rows().aggregate(st)
+    w = np.zeros(problem.n_features)
+    for _ in range(iters):
+        act_l = px.sample_without_replacement(rng, np.arange(L), res.batch_size)
+        w = pre.apply(0, t + ut)
+        t += mu * (px.reg_prox(problem, 2.0 * w - t, tau) - w)
+        rows = problem.data.rows(act_l)
+        aw = rows.margins(w)
+        q = px.loss_prox(problem.loss, 2.0 * aw - st[act_l] / (tau * g), 1.0 / g)
+        ds = mu * tau * g * (q - aw)
+        st[act_l] += ds
+        ut += rows.aggregate(ds)
+    return px.reg_prox(problem, 2.0 * w - t, tau)
+
+
+@pytest.mark.parametrize("batch", [None, 20, 7])
+def test_run_simplified_draws_no_full_batch_and_aggregates_no_zero_start(batch, monkeypatch):
+    prob = make_problem(6, 20, 1, lam=0.3, seed=17)
+    cfg = px.DRConfig(tau=2.0, gamma=0.5, rho=0.0, batch_size=batch, seed=9, max_iters=25,
+                      trace_stride=5)
+    want = simplified_by_gathers(prob, cfg, 25)
+    draws, aggregates = [], []
+    sampler, aggregate = dr.sample_without_replacement, model.Rows.aggregate
+
+    def spy_sampler(rng, pool, k):
+        draws.append(k)
+        return sampler(rng, pool, k)
+
+    def spy_aggregate(rows, M):
+        aggregates.append(M.shape)
+        return aggregate(rows, M)
+
+    monkeypatch.setattr(dr, "sample_without_replacement", spy_sampler)
+    monkeypatch.setattr(model.Rows, "aggregate", spy_aggregate)
+    w, _ = px.run_simplified(prob, cfg)
+    full = batch != 7
+    assert draws == ([] if full else [7] * 25)
+    # one aggregate per step, none for the start
+    assert aggregates == [(20 if full else 7,)] * 25
+    assert np.array_equal(w, want)
+    w_given, _ = px.run_simplified(prob, cfg, st0=np.zeros(20))
+    assert np.array_equal(w_given, w)
+
+
+@pytest.mark.parametrize("entry", ["init_state", "dual_aggregate", "run", "run_simplified"])
+def test_a_start_whose_dual_aggregate_overflows_is_a_numerical_error(entry):
+    # every entry finite, but the sums of u pass the largest float
+    prob, cfg = make_problem(6, 12, 3, lam=0.4, seed=13), px.DRConfig(rho=0.0, max_iters=3)
+    s0 = np.full((12, 3), 1e308)
+    seen = []
+    with pytest.raises(NumericalError, match="non-finite dual aggregate u"):
+        if entry == "init_state":
+            px.init_state(prob, cfg, np.zeros(6), s0)
+        elif entry == "dual_aggregate":
+            px.dual_aggregate(prob, cfg, s0)
+        elif entry == "run":
+            px.run(prob, cfg, s0=s0, callback=lambda i, w: seen.append(i))
+        else:
+            one = make_problem(6, 12, 1, lam=0.4, seed=13)
+            px.run_simplified(one, cfg, st0=np.full(12, 1e308),
+                              callback=lambda i, w: seen.append(i))
+    assert seen == []
+
+
 def test_simplified_matches_full_when_gamma_is_inverse_tau():
     prob = make_problem(6, 20, 1, lam=0.3, seed=17)
     iters_full, iters_simpl = [], []

@@ -3,6 +3,8 @@ start vectors, the mini-batch gather, the record schedule, callbacks, the
 plateau stop, determinism, and the module names through which each layer
 is reached."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -254,10 +256,35 @@ def test_stop_reason_says_why_the_run_ended(solver, loop, reason, last):
 @pytest.mark.parametrize("shape", [(6, 1), (1,), (7,), ()])
 def test_a_reference_of_another_shape_than_w_is_rejected(solver, shape):
     # a (6, 1) reference would broadcast w - reference into a 6 x 6 matrix
+    seen = []
     with pytest.raises(DomainError, match=r"reference must have shape \(6,\)"):
-        run(solver, max_iters=2, reference=np.zeros(shape))
+        run(solver, max_iters=2, reference=np.zeros(shape), callback=lambda i, ww: seen.append(i))
+    assert seen == []
     _, tr = run(solver, max_iters=2, reference=np.zeros(6))
     assert tr.final.dist_ref >= 0.0
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("loop", [
+    dict(max_iters=0),
+    dict(max_iters=20, trace_stride=3),
+    dict(max_iters=50, trace_stride=3, plateau_window=5, plateau_rtol=1e9),
+], ids=["zero-iterations", "batched", "plateau"])
+def test_every_appended_record_is_whole(solver, loop, monkeypatch):
+    # drive appends a record only once its objective is known; the spy
+    # copies each field at the append, so a later assignment cannot hide
+    appended = []
+    append = trace.ConvergenceTrace.append
+
+    def spy(self, record):
+        appended.append(dataclasses.astuple(record))
+        return append(self, record)
+
+    monkeypatch.setattr(trace.ConvergenceTrace, "append", spy)
+    _, tr = run(solver, reference=np.zeros(6), **loop)
+    assert appended == [dataclasses.astuple(r) for r in tr.records]
+    assert all(type(obj) is float and type(dist) is float for _, _, obj, dist, _, _ in appended)
+    assert not hasattr(tr, "add")
 
 
 def test_run_benchmark_rejects_a_reference_of_another_shape_than_w():

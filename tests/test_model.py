@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 import proxsplit as px
 from proxsplit import model
@@ -313,6 +314,34 @@ def test_kkt_residual_of_l1_blocks_is_the_worst_violation_per_coordinate(pattern
     want = max(max(abs(gj) - lam, 0.0) if wj == 0.0 else abs(gj + lam * math.copysign(1.0, wj))
                for wj, gj in zip(w, g))
     assert px.kkt_residual(prob, w) == want
+
+
+@pytest.mark.parametrize("w", [[0.0] * 6, [0.7, -0.2, 0.4, 0.1, 1.3, -0.5],
+                               [0.0, 0.0, 0.0, 0.1, 1.3, -0.5]],
+                         ids=["zero-blocks", "nonzero-blocks", "both"])
+def test_kkt_residual_of_group_blocks_against_a_scipy_gradient(w):
+    # ||g_b|| - lambda (at least 0) at a zero block, ||g_b + lambda w_b / ||w_b|| ||
+    # elsewhere, with g = X^T (y h'(y X w)) and h'(m) = -1 / (1 + e^m)
+    lam = 0.3
+    prob = make_problem(6, 20, 2, lam=lam, seed=1, kappa=2)
+    w = np.array(w)
+    X, y = prob.data.features, prob.data.labels
+    g = X.T @ (y * -expit(-(y * (X @ w))))
+    want = 0.0
+    for sl in (slice(0, 3), slice(3, 6)):
+        nrm = np.linalg.norm(w[sl])
+        want = max(want, max(np.linalg.norm(g[sl]) - lam, 0.0) if nrm == 0.0
+                   else np.linalg.norm(g[sl] + lam * w[sl] / nrm))
+    assert want > 0.1
+    assert px.kkt_residual(prob, w) == pytest.approx(want, rel=1e-12)
+
+
+def test_kkt_residual_vanishes_at_a_long_group_run():
+    prob = make_problem(8, 30, 2, lam=0.5, seed=5, kappa=2)
+    w, _ = px.run(prob, px.DRConfig(tau=1.0, gamma=1.0, rho=0.1, mu=1.5,
+                                    max_iters=2000, trace_stride=500))
+    assert np.linalg.norm(w[:4]) > 0.0 and np.linalg.norm(w[4:]) > 0.0
+    assert px.kkt_residual(prob, w) <= 1e-8
 
 
 # --------------------------------------------------------------- reg_prox

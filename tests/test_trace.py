@@ -1,6 +1,7 @@
 """Tests for trace records, their validation, the CSV round trip, and the
 one check of every number a caller passes."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -79,6 +80,13 @@ def test_append_validation():
     with pytest.raises(DomainError, match="nondecreasing"):
         t.append(px.TraceRecord(iteration=20, seconds=0.05, objective=1.0,
                                 dist_ref=None, zeros_exact=0, zeros_tol=0))
+
+
+def test_a_record_is_frozen():
+    record = sample_trace().records[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.objective = 0.0
+    assert record.objective == 2.0
 
 
 def test_final_of_empty_trace_raises():
