@@ -181,25 +181,41 @@ def operator_norm_sq(features, rtol=1e-6, max_iters=1000, seed=0):
 
     Stops when the eigen-residual ||X^T X z - lam z|| drops below
     rtol * lam, which bounds the eigenvalue error by the same amount.
-    Raises ConvergenceError at the iteration cap, DomainError on an rtol
-    that is not positive and finite or a max_iters or seed out of range.
+    When the squared norms of X^T X z under- or overflow (entries of
+    about 1e-85 or 1e+140), the iteration restarts on X scaled to a
+    largest |entry| of 1, with a budget of its own, and the eigenvalue is
+    scaled back.  Raises ConvergenceError at the iteration cap,
+    DomainError on an rtol that is not positive and finite or a max_iters
+    or seed out of range.
     """
     rtol = check_positive("rtol", rtol)
+    max_iters = check_count("max_iters", max_iters, 1)
     X = sp.csr_matrix(features, dtype=float)
     n = X.shape[1]
     if n == 0:
         raise DomainError("feature matrix must have at least one column")
-    rng = make_rng(seed)
-    z = rng.standard_normal(n)
+    z = make_rng(seed).standard_normal(n)
     z /= np.linalg.norm(z)
-    for _ in range(check_count("max_iters", max_iters, 1)):
+    lam = _power_iteration(X, z, rtol, max_iters)
+    if lam is None:
+        scale = float(abs(X).max())
+        lam = _power_iteration(X / scale, z, rtol, max_iters) * scale * scale
+    return lam
+
+
+def _power_iteration(X, z, rtol, max_iters):
+    """Largest eigenvalue of X^T X from the unit vector z, or None when the
+    norm of X^T X z under- or overflows, so the residual test cannot be
+    trusted."""
+    for _ in range(max_iters):
         mz = X.T @ (X @ z)
         lam = float(z @ mz)
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(mz))
+        if nrm == 0.0 < lam or nrm == np.inf:
+            return None
         if np.linalg.norm(mz - lam * z) <= rtol * max(lam, np.finfo(float).tiny):
             return lam
-        nrm = float(np.linalg.norm(mz))
-        if nrm == 0.0:
-            return 0.0
         z = mz / nrm
     raise ConvergenceError(
         "power iteration did not reach relative tolerance %g in %d iterations" % (rtol, max_iters)

@@ -8,17 +8,20 @@ lines and lines starting with ``#`` are skipped.  Gzip-compressed files
 are handled transparently by their ``.gz`` extension.
 
 Text is parsed by one of two paths that return the same dataset bit for
-bit.  The vectorized path (``_parse_text``) reads a string in chunks of
-about 32 KB with numpy byte classes: it checks the grammar
-``label (index:value)*`` on every line, reads tokens of the form
-``[+-]?[0-9]{1,15}`` by int64 Horner and every other number by Python
-``float()``.  It never raises: on any byte outside ``0-9 + - . e E :``,
-space, tab and newline, on non-ASCII text, a misplaced colon, an empty
-token, a signed index or one of more than 15 digits, an index out of
-range or out of order, or a non-finite number, it gives up.  The line
-loop (``_parse_lines``) then parses the whole input, as it does every
-iterable of lines; it is the only code that raises ParseError, so every
-error carries its message and 1-based line number.
+bit.  The vectorized path (``_parse_bytes``) works on bytes: a file's as
+read, undecoded, and a string's once encoded, when it is ASCII.  It takes
+them in chunks of about 32 KB that end at a newline, classifies every
+byte with ``bytes.translate``, checks the grammar ``label (index:value)*``
+on every line, reads tokens of the form ``[+-]?[0-9]{1,15}`` by int64
+Horner and every other number by Python ``float()``.  It never raises:
+on any byte outside ``0-9 + - . e E :``, space, tab and newline (a
+non-ASCII byte included), a misplaced colon, an empty token, a signed
+index or one of more than 15 digits, an index out of range or out of
+order, or a non-finite number, it gives up.  The line loop
+(``_parse_lines``) then parses the whole input, a file's decoded as
+UTF-8, as it does every iterable of lines; it is the only code that
+raises ParseError, so every error carries its message and 1-based line
+number.
 
 A parsed dataset is its labels plus one CSR matrix, built once from flat
 typed buffers of 0-based column indices, values and row ends, so no
@@ -43,20 +46,22 @@ from .trace import check_count
 INDEX_MAX = int(np.iinfo(np.int64).max)
 
 # Byte classes of the vectorized parse.  Class 0 is every byte it leaves to
-# the line loop (``#``, ``\r``, ``_``, letters other than e and E, ...);
-# classes from _COLON up separate tokens.
-_DIGIT, _SIGN, _NUMBER, _COLON, _BLANK, _NEWLINE = range(1, 7)
+# the line loop (``#``, ``\r``, ``_``, letters other than e and E, any byte
+# above 127, ...); the bytes of a number other than its digits come first,
+# and classes from _COLON up separate tokens.
+_SIGN, _NUMBER, _DIGIT, _COLON, _BLANK, _NEWLINE = range(1, 7)
 _CLASS = np.zeros(256, dtype=np.uint8)
-_CLASS[list(b"0123456789")] = _DIGIT
 _CLASS[list(b"+-")] = _SIGN
 _CLASS[list(b".eE")] = _NUMBER
+_CLASS[list(b"0123456789")] = _DIGIT
 _CLASS[list(b":")] = _COLON
 _CLASS[list(b" \t")] = _BLANK
 _CLASS[list(b"\n")] = _NEWLINE
-_COLON_BYTE, _MINUS_BYTE, _ZERO_BYTE = b":-0"
+_CLASS = _CLASS.tobytes()  # as a bytes.translate table
+_COLON_BYTE, _NEWLINE_BYTE, _PLUS_BYTE, _MINUS_BYTE, _ZERO_BYTE = b":\n+-0"
 
-# Characters per chunk of the vectorized parse; a chunk's temporaries are
-# a few hundred KB.
+# Bytes per chunk of the vectorized parse; a chunk's temporaries are a few
+# hundred KB.
 _CHUNK = 1 << 15
 
 # Integers of up to 15 digits are exact in int64 Horner and in a double.
@@ -130,11 +135,20 @@ def parse_libsvm(source, n_features=None):
 
 
 def load_libsvm(path, n_features=None):
-    """parse_libsvm on a file's text; `.gz` paths are decompressed on the fly."""
+    """parse_libsvm on a file's UTF-8 text; `.gz` paths are decompressed on the fly.
+
+    The vectorized path reads the file's bytes as they are; only when it
+    gives up is the text decoded, so a file that is not UTF-8 raises
+    UnicodeDecodeError.
+    """
     n_features = _declared(n_features)
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        return parse_libsvm(handle.read(), n_features)
+    with opener(path, "rb") as handle:
+        content = handle.read()
+    raw = _parse_bytes(content, n_features)
+    if raw is None:
+        raw = _parse_lines(io.StringIO(content.decode("utf-8"), newline=None), n_features)
+    return raw
 
 
 def _declared(n_features):
@@ -200,27 +214,31 @@ def _parse_lines(lines, n_features):
 
 
 def _parse_text(text, n_features):
-    """The vectorized path: the RawDataset of `text`, or None when the text
-    holds anything this path leaves to the line loop.  n_features is None
-    or already checked.
+    """_parse_bytes on an ASCII string; None for any other string."""
+    return _parse_bytes(text.encode("ascii"), n_features) if text.isascii() else None
 
-    The text is read in chunks of about _CHUNK characters that end at a
+
+def _parse_bytes(content, n_features):
+    """The vectorized path: the RawDataset of the bytes `content`, or None
+    when they hold anything this path leaves to the line loop.  n_features
+    is None or already checked.
+
+    The bytes are read in chunks of about _CHUNK bytes that end at a
     newline; the outputs are allocated once, one entry per ``:``.
     """
-    if not text.isascii():
-        return None
     limit = INDEX_MAX if n_features is None else n_features
-    entries = text.count(":")
+    whole = np.frombuffer(content, dtype=np.uint8)
+    entries = np.count_nonzero(whole == _COLON_BYTE)
     # scipy keeps int32 indices when they fit, so int32 spares it a copy
     indices = np.empty(entries, dtype=np.int32)
     values = np.empty(entries, dtype=np.float64)
-    labels = np.empty(text.count("\n") + 1, dtype=np.float64)
+    labels = np.empty(np.count_nonzero(whole == _NEWLINE_BYTE) + 1, dtype=np.float64)
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     rows = stored = start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK - 1) + 1
-        stop = stop if stop > 0 else len(text)
-        parsed = _parse_chunk(text[start:stop], limit)
+    while start < len(content):
+        stop = content.find(b"\n", start + _CHUNK - 1) + 1
+        stop = stop if stop > 0 else len(content)
+        parsed = _parse_chunk(content[start:stop], limit)
         if parsed is None:
             return None
         chunk_labels, row_ends, chunk_indices, chunk_values = parsed
@@ -236,21 +254,27 @@ def _parse_text(text, n_features):
 
 
 def _parse_chunk(chunk, limit):
-    """(labels, row ends, 1-based indices, values) of whole lines of text, or
-    None when they hold anything the vectorized path leaves to the loop."""
-    if not chunk.endswith("\n"):
-        chunk += "\n"
-    b = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
-    kind = _CLASS.take(b)
-    if not kind.all():
+    """(labels, row ends, 1-based indices, values) of the whole lines in the
+    bytes `chunk`, or None when they hold anything the vectorized path
+    leaves to the loop."""
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    kinds = chunk.translate(_CLASS)
+    if b"\0" in kinds:
         return None
+    b, kind = np.frombuffer(chunk, dtype=np.uint8), np.frombuffer(kinds, dtype=np.uint8)
     # Tokens are the runs between blanks, colons and newlines; token t is
     # b[starts[t]:ends[t]].  The chunk ends in a newline, so edges pair up.
-    edges = np.flatnonzero(np.diff(kind >= _COLON, prepend=True))
+    sep = kind >= _COLON
+    edge = np.empty_like(sep)
+    edge[0] = not sep[0]
+    np.not_equal(sep[1:], sep[:-1], out=edge[1:])
+    edges = np.flatnonzero(edge)
     starts, ends = edges[0::2], edges[1::2]
     tokens = len(starts)
     # An index token ends at a colon, a value token starts after one; every
     # colon must do both, and a label must be exactly a line's first token.
+    # Each line then reads ``label (index value)*``.
     index = b[ends] == _COLON_BYTE
     value = b[starts - 1] == _COLON_BYTE
     colons = np.count_nonzero(kind == _COLON)
@@ -260,48 +284,56 @@ def _parse_chunk(chunk, limit):
     first[:1] = True
     after_newline = np.searchsorted(starts, np.flatnonzero(kind == _NEWLINE))
     first[after_newline[after_newline < tokens]] = True
-    label = ~(index | value)
-    if np.any(index & value) or np.any(label != first):
+    if np.any(index & value) or np.any(first == (index | value)):
         return None
     # Exact tokens, [+-]?[0-9]{1,15}, are read by Horner in int64, where they
     # cannot overflow, and the sign is applied afterwards so -0 stays -0.0.
-    sign = kind[starts] == _SIGN
-    odd = np.flatnonzero((kind == _SIGN) | (kind == _NUMBER))
-    odd_per_token = np.bincount(np.searchsorted(starts, odd, "right") - 1, minlength=tokens)
+    # Past its leading sign an exact token holds no sign or number byte.
+    head = b[starts]
+    minus = head == _MINUS_BYTE
+    sign = minus | (head == _PLUS_BYTE)
+    odd = kind < _DIGIT
+    odd[starts[sign]] = False
     digits = ends - starts - sign
-    exact = (odd_per_token == sign) & (digits >= 1) & (digits <= _EXACT_DIGITS)
+    exact = (digits >= 1) & (digits <= _EXACT_DIGITS)
+    exact[np.searchsorted(starts, np.flatnonzero(odd), "right") - 1] = False
     if np.any(index & (sign | ~exact)):
         return None
-    magnitude = np.zeros(tokens, dtype=np.int64)
-    position, scale = ends - 1, 1
-    for place in range(int(np.max(digits[exact], initial=0))):
+    position = ends - 1
+    magnitude = b[position].astype(np.int64)
+    magnitude -= _ZERO_BYTE
+    scale = 1
+    for place in range(1, int(np.max(digits, initial=0, where=exact))):
+        position -= 1
+        scale *= 10
         digit = b[position].astype(np.int64)
         digit -= _ZERO_BYTE
         digit *= digits > place
         digit *= scale
         magnitude += digit
-        position -= 1
-        scale *= 10
     number = magnitude.astype(np.float64)
-    np.negative(number, out=number, where=exact & (b[starts] == _MINUS_BYTE))
-    other = np.flatnonzero(~(exact | index))
+    negative = np.flatnonzero(minus & exact)
+    number[negative] = -number[negative]
+    other = np.flatnonzero(~exact)
     try:
         number[other] = [float(chunk[a:z]) for a, z in zip(starts[other].tolist(),
-                                                            ends[other].tolist())]
+                                                           ends[other].tolist())]
     except ValueError:
         return None
-    if not np.isfinite(number).all():
+    if not np.isfinite(number[other]).all():
         return None
-    chunk_indices = magnitude[index]
-    # entries before each row; a row's first index is compared with 0
-    row_starts = np.cumsum(index)[label]
+    at = np.flatnonzero(index)
+    chunk_indices = magnitude[at]
+    # label r is token label_at[r], after r labels and two tokens per entry
+    label_at = np.flatnonzero(first)
+    row_starts = (label_at - np.arange(len(label_at))) >> 1
     previous = np.zeros(len(chunk_indices) + 1, dtype=np.int64)
     previous[1:] = chunk_indices
     previous[row_starts] = 0
     if np.any(chunk_indices <= previous[:-1]) or np.max(chunk_indices, initial=0) > limit:
         return None
     row_ends = np.append(row_starts, len(chunk_indices))[1:]
-    return number[label], row_ends, chunk_indices, number[value]
+    return number[label_at], row_ends, chunk_indices, number[at + 1]
 
 
 def serialize_libsvm(raw, sink=None):

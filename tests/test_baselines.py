@@ -6,6 +6,7 @@ acceptance tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_operator_norm_matches_dense_eigensolver():
         want = top_eigenvalue(X)
         got = px.operator_norm_sq(X, rtol=1e-9)
         assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-85, 1e-120, 1e140, 1e150])
+def test_operator_norm_of_scaled_data_is_scaled_by_its_square(scale):
+    # The squared norms of X^T X z underflow (or overflow) at these scales,
+    # which once let the residual test pass at once on the random start.
+    X = sp.random(200, 30, density=0.2, format="csr", random_state=np.random.default_rng(0))
+    want = px.operator_norm_sq(X) * scale * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = px.operator_norm_sq(X * scale)
+    assert got / want == pytest.approx(1.0, rel=1e-6)
 
 
 def test_operator_norm_at_its_iteration_cap_is_a_convergence_error():

@@ -146,18 +146,24 @@ def test_parsed_csr_matches_the_row_conversion(rows, extra, widen):
                         csr_from_rows(rows, width))
 
 
-def test_parse_and_binarize_keep_no_per_entry_objects(tmp_path):
-    # The w8a shape: 300 binary features at 4.4% density.  Per-entry
-    # Python objects cost over 100 traced bytes per entry; flat buffers
-    # plus the int32 index copy about 24.
+def w8a_shaped_text(samples):
+    """Text of the w8a shape, 300 binary features at 4.4% density, and its
+    entry count."""
     rng = np.random.default_rng(0)
     lines, stored = [], 0
-    for i in range(4000):
+    for i in range(samples):
         columns = np.flatnonzero(rng.random(300) < 0.044) + 1
         stored += len(columns)
         lines.append(" ".join(["+1" if i % 5 == 0 else "-1"] + ["%d:1" % j for j in columns]))
+    return "\n".join(lines) + "\n", stored
+
+
+def test_parse_and_binarize_keep_no_per_entry_objects(tmp_path):
+    # Per-entry Python objects cost over 100 traced bytes per entry; flat
+    # buffers plus the int32 index copy about 24.
+    text, stored = w8a_shaped_text(4000)
     path = tmp_path / "train.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
     tracemalloc.start()
     try:
         raw = px.load_libsvm(str(path))
@@ -285,6 +291,50 @@ def test_parse_of_an_iterable_of_lines_gives_the_text_parse(tmp_path):
     assert outcome(lambda: px.parse_libsvm(text.splitlines())) == want
     with open(path) as handle:
         assert outcome(lambda: px.parse_libsvm(handle)) == want
+
+
+@pytest.fixture(scope="module")
+def data_files(tmp_path_factory):
+    """A plain and a gzip path in one directory, rewritten by each example."""
+    folder = tmp_path_factory.mktemp("bytes")
+    return folder / "data.txt", folder / "data.txt.gz"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=libsvm_texts())
+@example(case=("", None, True))
+@example(case=("+1 1:2.5 3:-1\n-1 2:-0", None, True))
+@example(case=("+1 1:2.5 3:-1\r\n-1 2:-0\r\n", None, False))
+@example(case=("+1 1:2.5 3:-1\r-1 2:-0\r", 3, False))
+@example(case=("+1 1:2.5\n\u0661 1:1\n", None, False))
+def test_load_of_the_bytes_agrees_with_the_text_parse(data_files, case):
+    # load_libsvm hands a file's bytes to the vectorized path and decodes
+    # them for the loop only when that path gives up
+    text, declared, _ = case
+    want = outcome(lambda: px.parse_libsvm(text, n_features=declared))
+    plain, gz = data_files
+    plain.write_bytes(text.encode("utf-8"))
+    gz.write_bytes(gzip.compress(text.encode("utf-8")))
+    for path in (plain, gz):
+        assert outcome(lambda: px.load_libsvm(str(path), n_features=declared)) == want
+
+
+def test_load_of_bytes_that_are_not_utf8_raises_unicode_error(tmp_path):
+    path = tmp_path / "data.txt"
+    for content in (b"\xff", b"+1 1:1\n-1 2:\xff\n"):
+        path.write_bytes(content)
+        with pytest.raises(UnicodeDecodeError):
+            px.load_libsvm(str(path))
+
+
+def test_w8a_shaped_bytes_take_the_vectorized_path(tmp_path):
+    text, stored = w8a_shaped_text(1000)
+    assert data._parse_text(text, None) is not None
+    fast, loop = both_paths(text)
+    assert fast == loop and len(fast[2][0][1]) == 8 * stored
+    path = tmp_path / "train.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert outcome(lambda: px.load_libsvm(str(path))) == fast
 
 
 def test_serialize_shape():
