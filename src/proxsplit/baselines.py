@@ -10,6 +10,7 @@ SFB and RDA use the decreasing steps gamma_i = c / sqrt(i+1); BCPD uses
 constant steps tau, sigma subject to tau * sigma * ||sum_l x_l x_l^T|| <= 1.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -81,7 +82,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     def step(i):
         nonlocal w
         gamma_i = _step_size(step_c, i)
-        act_l = sample_without_replacement(rng, pool_l, batch)
+        act_l = None if batch == L else sample_without_replacement(rng, pool_l, batch)
         w = _finite(update(w, _batch_gradient(problem, w, act_l), gamma_i, i), i)
         return w
 
@@ -162,13 +163,14 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
 
     def step(i):
         nonlocal w, u
-        act_l = sample_without_replacement(rng, pool_l, batch)
+        act_l = None if batch == L else sample_without_replacement(rng, pool_l, batch)
+        sel = slice(None) if act_l is None else act_l
         w_new = reg_prox(problem, w - tau * u, tau)
         rows = problem.data.rows(act_l)
-        arg = v[act_l] + sigma * rows.margins(2.0 * w_new - w)
+        arg = v[sel] + sigma * rows.margins(2.0 * w_new - w)
         v_new = prox_conjugate(prox_h, arg, sigma)
-        u += rows.aggregate(v_new - v[act_l])
-        v[act_l] = v_new
+        u += rows.aggregate(v_new - v[sel])
+        v[sel] = v_new
         w = _finite(w_new, i)
         return w
 
@@ -185,8 +187,10 @@ def operator_norm_sq(features, rtol=1e-6, max_iters=1000, seed=0):
     about 1e-85 or 1e+140), the iteration restarts on X scaled to a
     largest |entry| of 1, with a budget of its own, and the eigenvalue is
     scaled back.  Raises ConvergenceError at the iteration cap,
-    DomainError on an rtol that is not positive and finite or a max_iters
-    or seed out of range.
+    NumericalError when the scaled-back eigenvalue overflows a float
+    (entries of about 1e+160) or is nan (an inf or nan entry),
+    DomainError on an rtol that is not positive and finite or a
+    max_iters or seed out of range.
     """
     rtol = check_positive("rtol", rtol)
     max_iters = check_count("max_iters", max_iters, 1)
@@ -199,20 +203,24 @@ def operator_norm_sq(features, rtol=1e-6, max_iters=1000, seed=0):
     lam = _power_iteration(X, z, rtol, max_iters)
     if lam is None:
         scale = float(abs(X).max())
-        lam = _power_iteration(X / scale, z, rtol, max_iters) * scale * scale
+        lam = _power_iteration(X / scale, z, rtol, max_iters)
+        lam = math.inf if lam is None else lam * scale * scale
+        if not math.isfinite(lam):
+            raise NumericalError("||sum x x^T|| overflows a float or is nan (largest |entry| %g)"
+                                 % scale)
     return lam
 
 
 def _power_iteration(X, z, rtol, max_iters):
     """Largest eigenvalue of X^T X from the unit vector z, or None when the
-    norm of X^T X z under- or overflows, so the residual test cannot be
-    trusted."""
+    norm of X^T X z underflows or is not finite (an overflow, or inf - inf
+    inside the product), so the residual test cannot be trusted."""
     for _ in range(max_iters):
         mz = X.T @ (X @ z)
         lam = float(z @ mz)
         with np.errstate(over="ignore"):
             nrm = float(np.linalg.norm(mz))
-        if nrm == 0.0 < lam or nrm == np.inf:
+        if nrm == 0.0 < lam or not math.isfinite(nrm):
             return None
         if np.linalg.norm(mz - lam * z) <= rtol * max(lam, np.finfo(float).tiny):
             return lam

@@ -34,10 +34,11 @@ arrays as they are), from the row-sorted CSR the training set keeps.
 The gathered rows are the mini-batch's operator A = diag(y) X, whose
 products apply the labels, so no code here reads them.  It reads the
 mini-batch's dual rows of s with ``np.take`` and writes them back by
-index; a full batch (act_l None, or 0, ..., L-1 in order) updates s
-itself in place.  All B forward products are one multi-vector
-product with the N x B block-diagonal layout of w, and all B adjoint
-products are one adjoint product whose column b is read on block b only.
+index; a full batch (act_l None, which :func:`run` and
+:func:`dr_iterate` pass for every sample) updates s itself in place.
+All B forward products are one multi-vector product with the N x B
+block-diagonal layout of w, and all B adjoint products are one adjoint
+product whose column b is read on block b only.
 Gather and products run scipy's own sparsetools kernels on the CSR
 arrays, with no scipy matrix object per step, and give the bits of the
 public ``X[rows]``, ``@`` and ``.T @`` calls with the labels applied.
@@ -393,7 +394,7 @@ def dr_iterate(state, problem, precond, config, epsilon, mu):
     if not eps.any():
         raise DomainError("epsilon must activate at least one block or sample")
     act_b = np.flatnonzero(eps[:B])
-    act_l = np.flatnonzero(eps[B:])
+    act_l = None if eps[B:].all() else np.flatnonzero(eps[B:])
     return _iterate(state, problem, precond, res, act_b, act_l, _check_mu(mu))
 
 
@@ -407,8 +408,6 @@ def _iterate(state, problem, precond, res, act_b, act_l, mu):
     aw = None
     duals = act_l is None or act_l.size > 0
     if duals:
-        if act_l is not None and problem.data.is_every_row(act_l):
-            act_l = None
         rows = problem.data.rows(act_l)
         if res.literal:
             aw = _block_products(rows, state.w, partition)

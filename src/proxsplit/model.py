@@ -64,17 +64,11 @@ class TrainingSet:
     def n_features(self):
         return self.features.shape[1]
 
-    def is_every_row(self, act_l):
-        """True when the index array act_l is exactly 0, ..., L-1 in order,
-        as the sampler draws a full batch; a permutation of it is not."""
-        L = self.n_samples
-        return act_l.size == L and np.array_equal(act_l, np.arange(L))
-
     def rows(self, act_l=None):
         """Rows of the samples act_l, indices in [0, L): the mini-batch a
-        solver step works on.  act_l None, or exactly 0, ..., L-1 in order
-        as the sampler draws a full batch, gives every row without a gather;
-        any other index array is gathered in its order, repeats included.
+        solver step works on.  act_l None, the full batch of every solver,
+        gives every row without a gather; an index array, 0, ..., L-1
+        included, is gathered in its order, repeats included.
         The gather is scipy's own row-index kernel, run on the arrays of
         features.  act_l must be a 1-D integer array or sequence; a boolean
         mask, floats (an empty list included) or an index outside [0, L) is
@@ -82,15 +76,12 @@ class TrainingSet:
         """
         X = self.features
         L = self.n_samples
-        if act_l is not None:
-            act_l = np.asarray(act_l)
-            if act_l.dtype.kind not in "iu" or act_l.ndim != 1:
-                raise DomainError("row indices must be a 1-D integer array, got %d-D %s"
-                                  % (act_l.ndim, act_l.dtype))
-            if self.is_every_row(act_l):
-                act_l = None
         if act_l is None:
             return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1])
+        act_l = np.asarray(act_l)
+        if act_l.dtype.kind not in "iu" or act_l.ndim != 1:
+            raise DomainError("row indices must be a 1-D integer array, got %d-D %s"
+                              % (act_l.ndim, act_l.dtype))
         # the kernel reads indptr at act_l unchecked
         if act_l.size and act_l.min() < 0:
             raise DomainError("row indices must be nonnegative")

@@ -13,7 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 import proxsplit as px
-from proxsplit.errors import ConvergenceError, DomainError
+from proxsplit import baselines
+from proxsplit.errors import ConvergenceError, DomainError, NumericalError
 from conftest import make_problem, tiny_problem
 from oracles import top_eigenvalue
 
@@ -178,6 +179,15 @@ def test_operator_norm_of_scaled_data_is_scaled_by_its_square(scale):
     assert got / want == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e170])
+def test_operator_norm_that_overflows_a_float_is_a_numerical_error(scale):
+    # X^T X z holds inf - inf = nan here, and the norm itself passes the
+    # largest float; this once ran out the iteration cap
+    X = sp.random(200, 30, density=0.2, format="csr", random_state=np.random.default_rng(0))
+    with pytest.raises(NumericalError, match="overflows a float"):
+        px.operator_norm_sq(X * scale)
+
+
 def test_operator_norm_at_its_iteration_cap_is_a_convergence_error():
     X = sp.csr_matrix(np.random.Generator(np.random.PCG64(6)).standard_normal((30, 12)))
     with pytest.raises(ConvergenceError, match="did not reach relative tolerance 1e-12 in 2"):
@@ -187,6 +197,57 @@ def test_operator_norm_at_its_iteration_cap_is_a_convergence_error():
 def test_operator_norm_rejects_empty():
     with pytest.raises(DomainError, match="at least one column"):
         px.operator_norm_sq(sp.csr_matrix(np.zeros((2, 0))))
+
+
+# ------------------------------------------------------------ full batch
+
+def baseline_by_gathers(solver, problem, config):
+    """w of sfb, rda or bcpd from their seeded start, with each step's full
+    batch gathered from the index array 0, ..., L-1."""
+    L, N = problem.n_samples, problem.n_features
+    w = px.make_rng(config.seed).standard_normal(N)
+    z, u, v = np.zeros(N), np.zeros(N), np.zeros(L)
+    tau = config.tau
+    sigma = 1.0 / (tau * px.operator_norm_sq(problem.data.features))
+    every = np.arange(L)
+    for i in range(config.max_iters):
+        rows = problem.data.rows(every)
+        if solver == "bcpd":
+            w_new = px.reg_prox(problem, w - tau * u, tau)
+            arg = v[every] + sigma * rows.margins(2.0 * w_new - w)
+            v_new = px.prox_conjugate(lambda x, g: px.loss_prox(problem.loss, x, g), arg, sigma)
+            u += rows.aggregate(v_new - v[every])
+            v[every] = v_new
+            w = w_new
+            continue
+        gamma = config.step_c / np.sqrt(i + 1.0)
+        gradient = rows.aggregate(px.loss_grad(problem.loss, rows.margins(w)))
+        if solver == "sfb":
+            w = px.reg_prox(problem, w - gamma * gradient, gamma)
+        else:
+            z += gradient
+            w = px.reg_prox(problem, -gamma * z, gamma * (i + 1.0))
+    return w
+
+
+@pytest.mark.parametrize("solver", ["sfb", "rda", "bcpd"])
+def test_full_batch_draws_nothing_and_gives_the_bits_of_gathered_steps(solver, monkeypatch):
+    # a full batch is act_l None: no sampler call, and the bits of steps
+    # that gather 0, ..., L-1
+    prob = make_problem(6, 20, 2, lam=0.3, seed=17)
+    cfg = px.BaselineConfig(step_c=0.5, tau=0.5, seed=9, max_iters=25, trace_stride=5)
+    want = baseline_by_gathers(solver, prob, cfg)
+    draws = []
+    sampler = baselines.sample_without_replacement
+
+    def spy(rng, pool, k):
+        draws.append(k)
+        return sampler(rng, pool, k)
+
+    monkeypatch.setattr(baselines, "sample_without_replacement", spy)
+    w, _ = getattr(px, solver + "_run")(prob, cfg)
+    assert draws == []
+    assert np.array_equal(w, want)
 
 
 # ------------------------------------------------------------ shared helpers

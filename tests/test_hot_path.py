@@ -109,9 +109,8 @@ def test_run_matches_per_block_reference(blocks, kappa, loss, variant, batch, pr
        variant=st.sampled_from(("literal", "refreshed")), seed=st.integers(0, 1000))
 def test_iterate_matches_per_block_reference_on_the_whole_state(blocks, kappa, loss, variant, seed):
     # every state array, t included, for unsorted batches, subsets of
-    # blocks, the full batch in order (which skips the row gather and
-    # reaches the dual rows through a slice) and a full-size permutation
-    # (which must still gather)
+    # blocks, the index array 0, ..., L-1 and a full-size permutation, all
+    # of which gather
     prob = _problem(9, blocks, kappa, loss, seed)
     cfg = px.DRConfig(tau=1.1, gamma=0.6, v_update_variant=variant)
     res = px.resolve_config(prob, cfg)
@@ -260,8 +259,8 @@ def test_unsorted_csr_input_matches_sorted_and_reference():
 
 def _index_sets(rng, L):
     """Index sets of every kind TrainingSet.rows takes: a single row, a
-    mini-batch, a batch one short, the full batch 0..L-1 (no gather), a
-    full-size permutation and draws with repeats."""
+    mini-batch, a batch one short, 0..L-1 in order, a full-size
+    permutation and draws with repeats."""
     for step in range(60):
         kind = step % 6
         if kind == 3:
