@@ -75,9 +75,9 @@ class TrainingSet:
         a DomainError.
         """
         X = self.features
-        L = self.n_samples
         if act_l is None:
             return Rows(self.labels, X.indptr, X.indices, X.data, X.shape[1])
+        L = self.n_samples
         act_l = np.asarray(act_l)
         if act_l.dtype.kind not in "iu" or act_l.ndim != 1:
             raise DomainError("row indices must be a 1-D integer array, got %d-D %s"
