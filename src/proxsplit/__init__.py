@@ -65,7 +65,6 @@ from .model import (
     RegularizerSpec,
     TrainingSet,
     kkt_residual,
-    margins,
     objective,
     predict,
     reg_prox,

@@ -18,10 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .model import objective, reg_prox
-from .prox import loss_grad, loss_prox, prox_conjugate
+from .model import objective, reg_prox, smooth_gradient
+from .prox import loss_prox, prox_conjugate
 from .sampling import make_rng, sample_without_replacement
-from .trace import check_batch_size, check_count, check_positive, drive, float_copy
+from .trace import (check_batch_size, check_count, check_loop_options, check_positive, drive,
+                    float_copy)
 
 
 @dataclass
@@ -45,23 +46,20 @@ class BaselineConfig:
 
 
 def _seeded_start(problem, config, w0):
-    """(rng, w): the seeded generator and the start point, a standard-normal
-    draw from it only when w0 is None."""
+    """(batch, rng, w): the batch size, the seeded generator and the start
+    point, a standard-normal draw from it only when w0 is None.  The loop
+    options, the batch size and w0 are checked here, before any setup work."""
+    check_loop_options(config)
+    batch = check_batch_size(config.batch_size, problem.n_samples)
     rng = make_rng(config.seed)
     N = problem.n_features
-    return rng, rng.standard_normal(N) if w0 is None else float_copy("w0", w0, (N,))
+    return batch, rng, rng.standard_normal(N) if w0 is None else float_copy("w0", w0, (N,))
 
 
 def _finite(w, i):
     if not np.isfinite(w).all():
         raise NumericalError("non-finite iterate at iteration %d" % (i + 1))
     return w
-
-
-def _batch_gradient(problem, w, act_l):
-    """sum_{l in batch} y_l x_l h'(y_l <x_l, w>)."""
-    rows = problem.data.rows(act_l)
-    return rows.aggregate(loss_grad(problem.loss, rows.margins(w)))
 
 
 def _step_size(step_c, i):
@@ -75,15 +73,14 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     start = time.perf_counter()
     step_c = check_positive("step_c", config.step_c)
     L = problem.n_samples
-    batch = check_batch_size(config.batch_size, L)
-    rng, w = _seeded_start(problem, config, w0)
+    batch, rng, w = _seeded_start(problem, config, w0)
     pool_l = np.arange(L)
 
     def step(i):
         nonlocal w
         gamma_i = _step_size(step_c, i)
         act_l = None if batch == L else sample_without_replacement(rng, pool_l, batch)
-        w = _finite(update(w, _batch_gradient(problem, w, act_l), gamma_i, i), i)
+        w = _finite(update(w, smooth_gradient(problem, w, act_l), gamma_i, i), i)
         return w
 
     trace = drive(config, start, problem, objective, step, lambda: (w, None), reference, callback)
@@ -144,7 +141,7 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     tau = check_positive("tau", config.tau)
     sigma = None if config.sigma is None else check_positive("sigma", config.sigma)
     L = problem.n_samples
-    batch = check_batch_size(config.batch_size, L)
+    batch, rng, w = _seeded_start(problem, config, w0)
     nrm = operator_norm_sq(problem.data.features)
     if sigma is None:
         sigma = 1.0 / (tau * nrm) if nrm > 0.0 else 1.0
@@ -153,7 +150,6 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
             "tau*sigma*||sum x x^T|| <= 1 violated: tau=%g, sigma=%g, norm=%g gives %g"
             % (tau, sigma, nrm, tau * sigma * nrm)
         )
-    rng, w = _seeded_start(problem, config, w0)
     v = np.zeros(L)
     u = np.zeros(problem.n_features)
     pool_l = np.arange(L)

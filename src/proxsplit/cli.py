@@ -64,8 +64,8 @@ def _choice(options):
 
 
 # The only declaration of each command's options: dest -> (converter,
-# default, help).  A None default means unset; rho's default depends on the
-# solver and is picked in _solver_config.
+# default, help).  A None default means unset; the defaults of batch and
+# rho depend on the data and the solver and are picked in _solver_config.
 _COMMON_SPEC = {
     "data": (str, None, "training set, sparse text format"),
     "test": (str, None, "held-out set for the error report"),
@@ -73,7 +73,7 @@ _COMMON_SPEC = {
     "reg": (_choice(_REG_NAMES), "l1", "regularizer (default l1)"),
     "lam": (float, 1.0, "regularization weight"),
     "blocks": (int, 1, "number of coordinate blocks"),
-    "batch": (int, 1000, "samples activated per iteration"),
+    "batch": (int, None, "samples activated per iteration (default min(1000, L))"),
     "iters": (int, 1000, "iteration budget"),
     "seed": (int, 0, "RNG seed"),
     "gamma": (float, 1.0, "dual step size"),
@@ -235,10 +235,12 @@ def _solver_config(merged, solver, n_samples):
     rho defaults to 0.1 for dr on a loss with a gradient Lipschitz constant
     (the logistic loss), the one case with rho > 0, and to 0 otherwise; an
     explicit rho is passed on as given so the runner can reject it by name.
+    batch defaults to min(1000, L) for L samples; an explicit batch is
+    passed on as given too, so one outside [1, L] is rejected by name.
     """
-    batch = min(merged["batch"], n_samples)
+    batch = merged["batch"]
     common = dict(
-        batch_size=batch,
+        batch_size=min(1000, n_samples) if batch is None else batch,
         seed=merged["seed"],
         max_iters=merged["iters"],
         trace_stride=merged["trace_stride"],

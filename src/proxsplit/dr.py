@@ -535,16 +535,13 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     res = resolve_config(problem, config)
     N, L, B = problem.n_features, problem.n_samples, problem.num_blocks
     rng = make_rng(config.seed)
-    precond = _build_preconditioner(problem, res)
     w_init = rng.standard_normal(N)
     t = float_copy("t0", w_init if t0 is None else t0, (N,))
+    s = np.zeros((L, B)) if s0 is None else float_copy("s0", s0, (L, B))
+    precond = _build_preconditioner(problem, res)
     # s = 0 aggregates to +0.0 in every coordinate of finite data, which
     # the factorization has checked
-    if s0 is None:
-        s, u = np.zeros((L, B)), np.zeros(N)
-    else:
-        s = float_copy("s0", s0, (L, B))
-        u = _aggregate(problem, res, s)
+    u = np.zeros(N) if s0 is None else _aggregate(problem, res, s)
     # a step reads no v it did not just compute, so a run keeps none
     state = DRState(w=np.zeros(N), t=t, v=None, s=s, u=u)
     pool_b = np.arange(B)
@@ -590,15 +587,12 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     N, L = problem.n_features, problem.n_samples
     tau, g, mu = res.tau, res.gamma, res.mu
     rng = make_rng(config.seed)
-    precond = _build_preconditioner(problem, res)
     w_init = rng.standard_normal(N)
     t = float_copy("t0", w_init if t0 is None else t0, (N,))
-    # st = 0 aggregates to +0.0, as in run
-    if st0 is None:
-        st, ut = np.zeros(L), np.zeros(N)
-    else:
-        st = float_copy("st0", st0, (L,))
-        ut = _aggregate(problem, res, st[:, None])  # rho = 0: its scale is 1
+    st = np.zeros(L) if st0 is None else float_copy("st0", st0, (L,))
+    precond = _build_preconditioner(problem, res)
+    # st = 0 aggregates to +0.0, as in run; rho = 0, so the scale is 1
+    ut = np.zeros(N) if st0 is None else _aggregate(problem, res, st[:, None])
     w = np.zeros(N)
     pool_l = np.arange(L)
     full = res.batch_size == L  # every sample, in order, with no draw

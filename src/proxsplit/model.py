@@ -7,9 +7,9 @@ A problem is the composite criterion
 over contiguous coordinate blocks w_1, ..., w_B, where h is one of the
 scalar margin losses and kappa_b in {1, 2} picks the l1 norm or the
 (non-squared) l2 norm per block.  The data term is sum_l h((A w)_l) with
-A = diag(y) X.  The labels are applied by :class:`Rows`, A on a
-mini-batch, and by the stacked pass of :func:`objective`, which
-multiplies its (K, L) margins by them.
+A = diag(y) X.  Only :class:`Rows`, A on a mini-batch or on a panel of
+rows, applies the labels: :func:`objective` and :func:`smooth_gradient`
+take their margins from it.
 """
 
 import math
@@ -255,11 +255,6 @@ class Problem:
         return self.partition.num_blocks
 
 
-def margins(problem, w):
-    """A w = y_l * <x_l, w> for all samples."""
-    return problem.data.rows().margins(np.asarray(w, dtype=float))
-
-
 def _vector(problem, w, name):
     """w as a float array; DomainError naming it unless its shape is (N,)."""
     w = np.asarray(w, dtype=float)
@@ -278,8 +273,8 @@ def regularizer_value(problem, w):
     return problem.reg.lam * total
 
 
-# the stacked objective multiplies X by its columns a panel of rows at a
-# time, about this many product entries per panel
+# objective multiplies X by its columns a panel of rows at a time, about
+# this many product entries per panel
 PANEL_ENTRIES = 2 ** 15
 
 
@@ -288,42 +283,38 @@ def objective(problem, w):
 
     w of shape (N,) gives one float.  An (N, K) stack gives an array of the
     K objectives of its columns, each with the bits of the call on that
-    column alone, from one pass of scipy's multi-vector product over the
-    rows of X: a panel of rows at a time, each panel's (rows, K) product
-    written transposed into a (K, L) array of margins, whose rows then take
-    the loss and its sum one by one.  That array holds 8 K L bytes while
-    the call runs.  Any other shape is a DomainError.
+    column alone.  Both take one pass over the rows of X, a panel of rows
+    at a time: each panel's Rows gives its (rows, K) margins, which are
+    written transposed into a (K, L) array whose rows then take the loss
+    and its sum one by one.  That array holds 8 K L bytes while the call
+    runs.  A vector is the stack of its one column.  Any other shape is a
+    DomainError.
     """
     w = np.asarray(w, dtype=float)
     N = problem.n_features
-    if w.shape == (N,):
-        return float(np.sum(loss_value(problem.loss, margins(problem, w)))
-                     + regularizer_value(problem, w))
-    if w.ndim != 2 or w.shape[0] != N or w.shape[1] == 0:
+    W = w[:, None] if w.shape == (N,) else w
+    if W.ndim != 2 or W.shape[0] != N or W.shape[1] == 0:
         raise DomainError("must have shape (%d,) or (%d, K) with K >= 1, got %s"
                           % (N, N, w.shape), "w")
-    K = w.shape[1]
-    if K == 1:
-        return np.array([objective(problem, w[:, 0])])
-    X, L = problem.data.features, problem.n_samples
-    flat = np.ascontiguousarray(w).ravel()
+    K, L = W.shape[1], problem.n_samples
+    X, y = problem.data.features, problem.data.labels
     T = np.empty((K, L))
     step = max(1, PANEL_ENTRIES // K)
     for r0 in range(0, L, step):
         r1 = min(r0 + step, L)
-        panel = np.zeros((r1 - r0, K))
         # the row pointers of rows r0..r1-1 index X's own indices and data
-        _sparsetools.csr_matvecs(r1 - r0, N, K, X.indptr[r0:r1 + 1], X.indices, X.data,
-                                 flat, panel.ravel())
-        T[:, r0:r1] = panel.T
-    T *= problem.data.labels
-    return np.array([np.sum(loss_value(problem.loss, T[k])) + regularizer_value(problem, w[:, k])
-                     for k in range(K)])
+        T[:, r0:r1] = Rows(y[r0:r1], X.indptr[r0:r1 + 1], X.indices, X.data, N).margins(W).T
+    values = np.array([np.sum(loss_value(problem.loss, T[k]))
+                       + regularizer_value(problem, W[:, k]) for k in range(K)])
+    return float(values[0]) if w.ndim == 1 else values
 
 
-def smooth_gradient(problem, w):
-    """Gradient of the data-fit term: A^T h'(A w) = sum_l y_l x_l h'(y_l <x_l, w>)."""
-    return problem.data.rows().aggregate(loss_grad(problem.loss, margins(problem, w)))
+def smooth_gradient(problem, w, act_l=None):
+    """Gradient of the data-fit term on the samples act_l, all of them when
+    None: A_a^T h'(A_a w) = sum_{l in act_l} y_l x_l h'(y_l <x_l, w>),
+    with act_l as TrainingSet.rows takes it."""
+    rows = problem.data.rows(act_l)
+    return rows.aggregate(loss_grad(problem.loss, rows.margins(np.asarray(w, dtype=float))))
 
 
 def reg_prox(problem, z, tau):

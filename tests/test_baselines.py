@@ -147,6 +147,24 @@ def test_baseline_steps_are_checked_before_any_iteration(run, kwargs, name):
     assert seen == []
 
 
+def _no_setup(*args):
+    raise AssertionError("setup work started before the options were checked")
+
+
+@pytest.mark.parametrize("kwargs,w0,message", [
+    (dict(max_iters=-1), None, "max_iters must be >= 0"),
+    (dict(trace_stride=0), None, "trace_stride must be >= 1"),
+    (dict(plateau_window=0), None, "plateau_window must be >= 1"),
+    (dict(batch_size=2), None, "batch_size must lie in"),
+    (dict(), np.zeros(2), r"w0 must have shape \(1,\)"),
+])
+def test_bcpd_checks_options_and_start_before_the_operator_norm(monkeypatch, kwargs, w0, message):
+    # the power iteration is the setup work of bcpd
+    monkeypatch.setattr(baselines, "operator_norm_sq", _no_setup)
+    with pytest.raises(DomainError, match=message):
+        px.bcpd_run(tiny_problem(), px.BaselineConfig(**kwargs), w0=w0)
+
+
 # ------------------------------------------------------------ operator norm
 
 def test_operator_norm_on_single_row():

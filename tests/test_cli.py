@@ -78,6 +78,8 @@ def test_bad_loop_option_returns_two_for_every_solver(binary_file, tmp_path, sol
     (["--plateau-window", "2", "--plateau-rtol", "-1"],
      "error: --plateau-rtol must be nonnegative and finite, got -1.0\n"),
     (["--batch", "0"], "error: --batch must lie in [1, 12] and be an integer, got 0\n"),
+    # an explicit batch above the 12 samples used to train on the full batch
+    (["--batch", "13"], "error: --batch must lie in [1, 12] and be an integer, got 13\n"),
     (["--lambda", "-1"], "error: --lambda must be nonnegative and finite, got -1.0\n"),
     (["--blocks", "0"], "error: --blocks must lie in [1, 4] and be an integer, got 0\n"),
     (["--iters", "-1"], "error: --iters must be >= 0 and be an integer, got -1\n"),
@@ -86,6 +88,15 @@ def test_bad_numbers_exit_two_with_an_error_line(binary_file, tmp_path, options,
     args = ["train", "--data", binary_file, "--iters", "5", "--out", str(tmp_path / "out")]
     assert cli.main(args + options) == 2
     assert capsys.readouterr().err == message  # one error line, no traceback
+
+
+def test_only_the_default_batch_depends_on_the_sample_count():
+    # min(1000, L) by default; an explicit batch reaches the runner as given
+    merged = dict(COMMON_DEFAULTS)
+    assert cli._solver_config(merged, "dr", 12).batch_size == 12
+    assert cli._solver_config(merged, "sfb", 5000).batch_size == 1000
+    merged["batch"] = 13
+    assert cli._solver_config(merged, "bcpd", 12).batch_size == 13
 
 
 @pytest.mark.parametrize("options,message", [
@@ -234,7 +245,7 @@ COMMON_OPTIONS = [
     ("--positive-class", "positive_class", None),
 ]
 COMMON_DEFAULTS = dict(
-    data=None, test=None, loss="logistic", reg="l1", lam=1.0, blocks=1, batch=1000,
+    data=None, test=None, loss="logistic", reg="l1", lam=1.0, blocks=1, batch=None,
     iters=1000, seed=0, gamma=1.0, tau=1.0, mu=1.5, rho=None, step_c=0.1, trace_stride=10,
     plateau_window=None, plateau_rtol=1e-10, positive_class=None,
 )

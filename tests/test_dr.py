@@ -391,6 +391,23 @@ def test_init_state_shape_errors():
         px.init_state(prob, px.DRConfig(), np.zeros(6), np.zeros((3, 8)))
 
 
+@pytest.mark.parametrize("run,start,message", [
+    (px.run, dict(t0=np.zeros(5)), r"t0 must have shape \(6,\)"),
+    (px.run, dict(s0=np.zeros((3, 8))), r"s0 must have shape \(8, 3\)"),
+    (px.run_simplified, dict(t0=np.zeros(5)), r"t0 must have shape \(6,\)"),
+    (px.run_simplified, dict(st0=np.zeros(3)), r"st0 must have shape \(8,\)"),
+])
+def test_runners_check_the_start_before_factoring(monkeypatch, run, start, message):
+    def no_factoring(*args):
+        raise AssertionError("blocks factored before the start was checked")
+
+    monkeypatch.setattr(dr, "_build_preconditioner", no_factoring)
+    blocks = 3 if run is px.run else 1
+    prob = make_problem(6, 8, blocks, lam=0.2, seed=3)
+    with pytest.raises(DomainError, match=message):
+        run(prob, px.DRConfig(rho=0.0, max_iters=2), **start)
+
+
 def test_dual_aggregate_formula():
     prob = small_problem()
     cfg = px.DRConfig(gamma=1.3, rho=0.2)

@@ -363,7 +363,7 @@ def test_margins_and_gradient_match_the_public_scipy_products(loss):
         every = ScipyRows(prob.data)
         for w in (rng.standard_normal(11), np.where(rng.random(11) < 0.5, 0.0, rng.standard_normal(11)),
                   -np.zeros(11)):
-            m = px.margins(prob, w)
+            m = prob.data.rows().margins(w)
             assert np.array_equal(m, y * (X @ w)) and np.array_equal(m, every.margins(w))
             g = px.loss_grad(loss, y * (X @ w))
             want = X.T @ (y * g)

@@ -188,16 +188,26 @@ def stacked_objective_case(draw):
     return prob, W, draw(st.integers(1, 64))
 
 
+def scipy_objective(prob, w):
+    """The objective of one vector through scipy's public product, which
+    shares no code with objective."""
+    X, y = prob.data.features, prob.data.labels
+    return float(np.sum(px.loss_value(prob.loss, y * (X @ w))) + px.regularizer_value(prob, w))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=stacked_objective_case())
 def test_stacked_objective_is_each_columns_objective_bit_for_bit(case):
-    # the bits rest on csr_matvecs adding each row's terms in csr_matvec's order
+    # the bits rest on csr_matvecs adding each row's terms in csr_matvec's
+    # order, the kernel of X @ w; a vector takes csr_matvec in panels too
     prob, W, panel_entries = case
+    want = [scipy_objective(prob, np.ascontiguousarray(w)).hex() for w in W.T]
     with mock.patch.object(model, "PANEL_ENTRIES", panel_entries):
         got = px.objective(prob, W)
-    want = [px.objective(prob, np.ascontiguousarray(W[:, k])) for k in range(W.shape[1])]
+        single = [px.objective(prob, np.ascontiguousarray(w)) for w in W.T]
     assert got.shape == (W.shape[1],)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert [v.hex() for v in got] == want
+    assert [v.hex() for v in single] == want
 
 
 @pytest.mark.parametrize("loss", list(px.ScalarLoss))
@@ -206,17 +216,20 @@ def test_stacked_objective_crosses_row_panels_bit_for_bit(loss):
     prob = make_problem(40, 3000, 3, lam=0.5, seed=7, density=0.1, kappa=(1, 2, 1), loss=loss)
     W = np.random.Generator(np.random.PCG64(8)).standard_normal((40, 16))
     W[:, 3] = 0.0
-    want = [px.objective(prob, np.ascontiguousarray(w)) for w in W.T]
-    assert [v.hex() for v in px.objective(prob, W)] == [v.hex() for v in want]
+    want = [scipy_objective(prob, np.ascontiguousarray(w)).hex() for w in W.T]
+    assert [v.hex() for v in px.objective(prob, W)] == want
     # a strided stack gives the same bits as its contiguous copy
-    assert [v.hex() for v in px.objective(prob, W[:, ::2])] == [v.hex() for v in want[::2]]
+    assert [v.hex() for v in px.objective(prob, W[:, ::2])] == want[::2]
 
 
 def test_objective_of_one_column_stack_is_an_array_of_one():
     prob = make_problem(6, 20, 2, lam=0.5, seed=1)
     w = np.linspace(-1.0, 1.0, 6)
     got = px.objective(prob, w[:, None])
-    assert got.shape == (1,) and got[0] == px.objective(prob, w)
+    want = scipy_objective(prob, w).hex()
+    assert got.shape == (1,) and got[0].hex() == want
+    single = px.objective(prob, w)
+    assert type(single) is float and single.hex() == want
 
 
 # the problem make_problem(6, 20, 2, lam=0.5, seed=1) has N = 6
@@ -253,7 +266,7 @@ def test_margins_by_hand():
     prob = px.Problem(data=px.TrainingSet(features=X, labels=np.array([1.0, -1.0])),
                       partition=px.BlockPartition.contiguous(2, 2),
                       reg=px.RegularizerSpec(lam=0.5), loss=px.ScalarLoss.LOGISTIC)
-    assert np.array_equal(px.margins(prob, np.array([1.0, -2.0])), np.array([-3.0, 2.0]))
+    assert np.array_equal(prob.data.rows().margins(np.array([1.0, -2.0])), np.array([-3.0, 2.0]))
 
 
 @pytest.mark.parametrize("loss", [px.ScalarLoss.LOGISTIC, px.ScalarLoss.HINGE_Q2,
@@ -272,6 +285,21 @@ def test_smooth_gradient_matches_finite_differences(loss):
     for j in range(6):
         num = central_difference(lambda t: smooth_part(t, j), w[j])
         assert g[j] == pytest.approx(num, abs=2e-6)
+
+
+@pytest.mark.parametrize("loss", list(px.ScalarLoss))
+@pytest.mark.parametrize("act_l", [None, [0, 1, 2, 3, 4, 5, 6, 7, 8], [4, 0, 4, 7, 7, 7], [3], []],
+                         ids=["none", "every-row", "repeats", "one", "empty"])
+def test_smooth_gradient_on_a_batch_is_scipys_product_bit_for_bit(loss, act_l):
+    # X[act_l].T @ (y_a * h'(y_a * (X[act_l] @ w))), rows repeated as often as listed
+    prob = make_problem(6, 9, 2, lam=0.8, seed=4, loss=loss)
+    X, y = prob.data.features, prob.data.labels
+    rows = slice(None) if act_l is None else np.array(act_l, dtype=np.intp)
+    Xa, ya = X[rows], y[rows]
+    for w in (np.random.Generator(np.random.PCG64(6)).standard_normal(6) * 2.0, -np.zeros(6)):
+        want = Xa.T @ (ya * px.loss_grad(loss, ya * (Xa @ w)))
+        got = px.smooth_gradient(prob, w, None if act_l is None else rows)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # ----------------------------------------------------------- kkt residual
