@@ -45,6 +45,21 @@ class BaselineConfig:
     plateau_rtol: float = 1e-10
 
 
+def check_config(problem, config):
+    """DomainError on an option any baseline run would reject in its setup:
+    step_c, tau, sigma (None or a step), the loop options, the batch size
+    and the seed, all checked without the power iteration.  The runners
+    check the options they use themselves; this lets a caller reject a
+    config before it creates files or runs anything."""
+    check_positive("step_c", config.step_c)
+    check_positive("tau", config.tau)
+    if config.sigma is not None:
+        check_positive("sigma", config.sigma)
+    check_loop_options(config)
+    check_batch_size(config.batch_size, problem.n_samples)
+    check_count("seed", config.seed, 0)
+
+
 def _seeded_start(problem, config, w0):
     """(batch, rng, w): the batch size, the seeded generator and the start
     point, a standard-normal draw from it only when w0 is None.  The loop

@@ -11,12 +11,13 @@ solver alone.
 import dataclasses
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import bcpd_run, rda_run, sfb_run
-from .dr import run, run_simplified
+from .baselines import bcpd_run, check_config, rda_run, sfb_run
+from .dr import resolve_config, resolve_simplified, run, run_simplified
 from .errors import DomainError, NonConvergenceError
 from .model import kkt_residual, objective, sparsity_degree, test_error
 from .trace import check_count, check_scalar
@@ -31,6 +32,16 @@ SOLVERS = {
     "sfb": sfb_run,
     "rda": rda_run,
     "bcpd": bcpd_run,
+}
+
+# The checks each solver makes of its config before any setup work, with
+# no factorization and no power iteration
+_CONFIG_CHECKS = {
+    "dr": resolve_config,
+    "dr-simplified": resolve_simplified,
+    "sfb": check_config,
+    "rda": check_config,
+    "bcpd": check_config,
 }
 
 SUMMARY_HEADER = "name,solver,objective,dist_ref,test_error_pct,zeros_pct"
@@ -69,6 +80,17 @@ def solver_named(name):
     if name not in SOLVERS:
         raise DomainError("unknown solver %r; known: %s" % (name, ", ".join(sorted(SOLVERS))))
     return SOLVERS[name]
+
+
+def check_solver_config(problem, solver, config):
+    """DomainError when the SOLVERS entry `solver` would reject `config` on
+    `problem` in its setup; cheap, so a caller can check every run before
+    it creates a file or starts one.  It warns of nothing: the run itself
+    warns of a forced rho."""
+    solver_named(solver)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _CONFIG_CHECKS[solver](problem, config)
 
 
 def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4):
@@ -145,12 +167,15 @@ def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None)
         Shared solution for the dist_ref trace column.
     out_dir : str, optional
         Directory for ``<name>.csv`` traces and ``summary.csv``; created
-        if missing.  No files are written when omitted.
+        if missing, once every entry's config has passed its solver's
+        checks.  No files are written when omitted.
     test_set : TrainingSet, optional
         Held-out data for the test-error column.
     """
     entries = list(entries)
     check_entries(entries)
+    for entry in entries:
+        check_solver_config(problem, entry.solver, entry.config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 

@@ -26,6 +26,7 @@ from .bench import (
     SOLVERS,
     BenchmarkEntry,
     check_entries,
+    check_solver_config,
     compute_reference,
     format_summary,
     run_benchmark,
@@ -321,9 +322,10 @@ def _cmd_train(args):
     config = _solver_config(merged, merged["solver"], tasks[0][1].n_samples)
     probe = _make_problem(tasks[0][1], n_features, merged)
     if isinstance(config, DRConfig):
-        # reject bad combinations before any work; the tasks run with the rho
-        # it resolved, so a forced rho warns once
+        # the tasks run with the rho this resolves, so a forced rho warns once
         config = dataclasses.replace(config, rho=resolve_config(probe, config).rho)
+    # reject a bad option before the output directory exists
+    check_solver_config(probe, merged["solver"], config)
     out_dir = merged["out"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -369,6 +371,10 @@ def _cmd_bench(args):
     ]
     check_entries(entries)
     ref_config = _solver_config(merged, merged["ref_solver"], tset.n_samples)
+    # reject a bad option before the reference run and the output directory
+    check_solver_config(problem, merged["ref_solver"], ref_config)
+    for entry in entries:
+        check_solver_config(problem, entry.solver, entry.config)
     reference = compute_reference(
         problem, merged["ref_solver"], ref_config, long_run_factor=merged["ref_factor"]
     )

@@ -10,7 +10,7 @@ are handled transparently by their ``.gz`` extension.
 Text is parsed by one of two paths that return the same dataset bit for
 bit.  The vectorized path (``_parse_bytes``) works on bytes: a file's as
 read, undecoded, and a string's once encoded, when it is ASCII.  It takes
-them in chunks of about 32 KB that end at a newline, classifies every
+them in chunks of 32 to 128 KB that end at a newline, classifies every
 byte with ``bytes.translate``, checks the grammar ``label (index:value)*``
 on every line, reads tokens of the form ``[+-]?[0-9]{1,15}`` by int64
 Horner and every other number by Python ``float()``.  It never raises:
@@ -25,7 +25,9 @@ number.
 
 A parsed dataset is its labels plus one CSR matrix, built once from flat
 typed buffers of 0-based column indices, values and row ends, so no
-per-entry Python object outlives its line.  The solvers train on it.
+per-entry Python object outlives its line.  Both paths track the largest
+index as they go and mark the matrix sorted, so nothing scans the entries
+again.  The solvers train on it.
 """
 
 import gzip
@@ -60,9 +62,13 @@ _CLASS[list(b"\n")] = _NEWLINE
 _CLASS = _CLASS.tobytes()  # as a bytes.translate table
 _COLON_BYTE, _NEWLINE_BYTE, _PLUS_BYTE, _MINUS_BYTE, _ZERO_BYTE = b":\n+-0"
 
-# Bytes per chunk of the vectorized parse; a chunk's temporaries are a few
-# hundred KB.
-_CHUNK = 1 << 15
+# Bytes per chunk of the vectorized parse: 1/32 of the input, within
+# [_CHUNK, _CHUNK_MAX].  Each chunk pays a fixed cost of about 90 numpy
+# calls, so a large input takes fewer, larger chunks; past 2^17 bytes a
+# chunk's temporaries, over a few MB, fall out of a core's L2 cache and the
+# parse slows again.  A small input keeps 2^15, so its temporaries stay
+# small beside its entries.
+_CHUNK, _CHUNK_MAX = 1 << 15, 1 << 17
 
 # Integers of up to 15 digits are exact in int64 Horner and in a double.
 _EXACT_DIGITS = 15
@@ -156,12 +162,15 @@ def _declared(n_features):
     return None if n_features is None else check_count("n_features", n_features, 0, INDEX_MAX)
 
 
-def _dataset(labels, values, indices, indptr, n_features):
-    """RawDataset of typed label, value, 0-based index and row-end buffers."""
-    dimension = int(np.max(indices, initial=-1)) + 1 if n_features is None else n_features
+def _dataset(labels, values, indices, indptr, largest, n_features):
+    """RawDataset of typed label, value, 0-based index and row-end buffers
+    whose indices increase along each row; largest is the largest 1-based
+    index, 0 without entries."""
+    dimension = largest if n_features is None else n_features
     # scipy wraps the buffers without a copy (then downcasts the index
     # arrays to int32 when they fit).
     features = sp.csr_matrix((values, indices, indptr), shape=(len(labels), dimension))
+    features.has_sorted_indices = True  # both parsers reject an index out of order
     return RawDataset(labels=tuple(labels), features=features)
 
 
@@ -170,6 +179,7 @@ def _parse_lines(lines, n_features):
     None or already checked."""
     limit = INDEX_MAX if n_features is None else n_features
     labels = []
+    largest = 0
     indptr = array("q", [0])
     indices = array("q")
     values = array("d")
@@ -210,7 +220,8 @@ def _parse_lines(lines, n_features):
             previous = index
         labels.append(label)
         indptr.append(len(indices))
-    return _dataset(labels, values, indices, indptr, n_features)
+        largest = max(largest, previous)
+    return _dataset(labels, values, indices, indptr, largest, n_features)
 
 
 def _parse_text(text, n_features):
@@ -223,10 +234,12 @@ def _parse_bytes(content, n_features):
     when they hold anything this path leaves to the line loop.  n_features
     is None or already checked.
 
-    The bytes are read in chunks of about _CHUNK bytes that end at a
-    newline; the outputs are allocated once, one entry per ``:``.
+    The bytes are read in chunks that end at a newline, each at least the
+    chunk size of the input (see _CHUNK); the outputs are allocated once,
+    one entry per ``:``.
     """
     limit = INDEX_MAX if n_features is None else n_features
+    size = min(_CHUNK_MAX, max(_CHUNK, len(content) // 32))
     whole = np.frombuffer(content, dtype=np.uint8)
     entries = np.count_nonzero(whole == _COLON_BYTE)
     # scipy keeps int32 indices when they fit, so int32 spares it a copy
@@ -234,29 +247,31 @@ def _parse_bytes(content, n_features):
     values = np.empty(entries, dtype=np.float64)
     labels = np.empty(np.count_nonzero(whole == _NEWLINE_BYTE) + 1, dtype=np.float64)
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    rows = stored = start = 0
+    rows = stored = start = largest = 0
     while start < len(content):
-        stop = content.find(b"\n", start + _CHUNK - 1) + 1
+        stop = content.find(b"\n", start + size - 1) + 1
         stop = stop if stop > 0 else len(content)
         parsed = _parse_chunk(content[start:stop], limit)
         if parsed is None:
             return None
-        chunk_labels, row_ends, chunk_indices, chunk_values = parsed
+        chunk_labels, row_ends, chunk_indices, chunk_values, chunk_largest = parsed
         n, k = len(chunk_labels), len(chunk_indices)
-        if np.max(chunk_indices, initial=0) > np.iinfo(indices.dtype).max:
+        largest = max(largest, chunk_largest)
+        if largest > np.iinfo(indices.dtype).max:
             indices = indices.astype(np.int64)
         labels[rows:rows + n] = chunk_labels
         indptr[rows + 1:rows + n + 1] = row_ends + stored
         indices[stored:stored + k] = chunk_indices - 1
         values[stored:stored + k] = chunk_values
         rows, stored, start = rows + n, stored + k, stop
-    return _dataset(labels[:rows].tolist(), values, indices, indptr[:rows + 1], n_features)
+    return _dataset(labels[:rows].tolist(), values, indices, indptr[:rows + 1], largest,
+                    n_features)
 
 
 def _parse_chunk(chunk, limit):
-    """(labels, row ends, 1-based indices, values) of the whole lines in the
-    bytes `chunk`, or None when they hold anything the vectorized path
-    leaves to the loop."""
+    """(labels, row ends, 1-based indices, values, largest index, 0 without
+    entries) of the whole lines in the bytes `chunk`, or None when they hold
+    anything the vectorized path leaves to the loop."""
     if not chunk.endswith(b"\n"):
         chunk += b"\n"
     kinds = chunk.translate(_CLASS)
@@ -330,10 +345,11 @@ def _parse_chunk(chunk, limit):
     previous = np.zeros(len(chunk_indices) + 1, dtype=np.int64)
     previous[1:] = chunk_indices
     previous[row_starts] = 0
-    if np.any(chunk_indices <= previous[:-1]) or np.max(chunk_indices, initial=0) > limit:
+    largest = int(np.max(chunk_indices, initial=0))
+    if np.any(chunk_indices <= previous[:-1]) or largest > limit:
         return None
     row_ends = np.append(row_starts, len(chunk_indices))[1:]
-    return number[label_at], row_ends, chunk_indices, number[at + 1]
+    return number[label_at], row_ends, chunk_indices, number[at + 1], largest
 
 
 def serialize_libsvm(raw, sink=None):
@@ -366,7 +382,9 @@ def to_matrix(raw, n_features=None):
     `n_features` widens (never narrows) the column count, so train and
     test matrices can be aligned to a common dimension.  The matrix
     shares `raw.features`' arrays, unless a width beyond int32 needs
-    int64 index copies.
+    int64 index copies, and carries over its sortedness flag: a parsed
+    matrix is marked sorted, so a TrainingSet built on the result makes
+    no pass over the entries to check.
     """
     dimension = _declared(n_features)
     if dimension is None:
@@ -377,6 +395,7 @@ def to_matrix(raw, n_features=None):
         )
     X = raw.features
     features = sp.csr_matrix((X.data, X.indices, X.indptr), shape=(raw.n_samples, dimension))
+    features.has_sorted_indices = X.has_sorted_indices
     return features, np.asarray(raw.labels, dtype=float)
 
 

@@ -184,6 +184,7 @@ def resolve_config(problem, config):
             % (config.v_update_variant,)
         )
     check_loop_options(config)
+    check_count("seed", config.seed, 0)
 
     return _Resolved(
         tau=tau,
@@ -195,6 +196,16 @@ def resolve_config(problem, config):
         primal_k=primal_k,
         literal=config.v_update_variant == "literal",
     )
+
+
+def resolve_simplified(problem, config):
+    """resolve_config for run_simplified, which also needs B = 1 and rho = 0."""
+    res = resolve_config(problem, config)
+    if problem.num_blocks != 1:
+        raise DomainError("run_simplified requires a single block, got B=%d" % problem.num_blocks)
+    if res.rho != 0.0:
+        raise DomainError("run_simplified requires rho = 0")
+    return res
 
 
 def _check_mu(mu):
@@ -579,11 +590,7 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
     variant) exactly up to rounding.
     """
     start = time.perf_counter()
-    res = resolve_config(problem, config)
-    if problem.num_blocks != 1:
-        raise DomainError("run_simplified requires a single block, got B=%d" % problem.num_blocks)
-    if res.rho != 0.0:
-        raise DomainError("run_simplified requires rho = 0")
+    res = resolve_simplified(problem, config)
     N, L = problem.n_features, problem.n_samples
     tau, g, mu = res.tau, res.gamma, res.mu
     rng = make_rng(config.seed)

@@ -165,6 +165,28 @@ def test_bcpd_checks_options_and_start_before_the_operator_norm(monkeypatch, kwa
         px.bcpd_run(tiny_problem(), px.BaselineConfig(**kwargs), w0=w0)
 
 
+@pytest.mark.parametrize("run,kwargs", [
+    (px.sfb_run, dict(step_c=0.0)),
+    (px.rda_run, dict(step_c=math.nan)),
+    (px.bcpd_run, dict(tau=-1.0)),
+    (px.bcpd_run, dict(sigma="x")),
+    (px.sfb_run, dict(batch_size=2)),
+    (px.rda_run, dict(max_iters=-1)),
+    (px.bcpd_run, dict(trace_stride=0)),
+    (px.sfb_run, dict(plateau_window=2, plateau_rtol=-1.0)),
+    (px.bcpd_run, dict(seed=-1)),
+])
+def test_check_config_raises_what_the_runner_raises(monkeypatch, run, kwargs):
+    monkeypatch.setattr(baselines, "operator_norm_sq", _no_setup)
+    config = px.BaselineConfig(**kwargs)
+    with pytest.raises(DomainError) as ran:
+        run(tiny_problem(), config)
+    with pytest.raises(DomainError) as checked:
+        baselines.check_config(tiny_problem(), config)
+    assert str(checked.value) == str(ran.value)
+    baselines.check_config(tiny_problem(), px.BaselineConfig())
+
+
 # ------------------------------------------------------------ operator norm
 
 def test_operator_norm_on_single_row():

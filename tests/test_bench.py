@@ -140,6 +140,28 @@ def test_run_benchmark_rejects_a_name_that_is_not_its_own_trace_file(tmp_path, m
     assert calls == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("solver,config,message", [
+    ("sfb", px.BaselineConfig(step_c=-1.0), "step_c must be positive"),
+    ("rda", px.BaselineConfig(seed=-1), "seed must be >= 0"),
+    ("bcpd", px.BaselineConfig(batch_size=26), "batch_size must lie in"),
+    ("dr", px.DRConfig(mu=2.0), "mu must lie in"),
+    ("dr", px.DRConfig(seed=-1), "seed must be >= 0"),
+    ("dr-simplified", px.DRConfig(), "run_simplified requires a single block"),
+])
+def test_run_benchmark_checks_every_config_before_any_run(tmp_path, monkeypatch, solver, config,
+                                                          message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    prob = make_problem(8, 25, 2, lam=0.6, seed=9)
+    for key in px.SOLVERS:
+        monkeypatch.setitem(px.SOLVERS, key, no_run)
+    entries = bench_entries() + [px.BenchmarkEntry(name="last", solver=solver, config=config)]
+    with pytest.raises(DomainError, match=message):
+        px.run_benchmark(prob, entries, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_format_summary_empty_and_alignment():
     assert px.format_summary([]) == "name  solver  objective  dist_ref  test_error%  zeros%"
     row = px.SummaryRow(name="a", solver="dr", objective=1.25, dist_ref=None,

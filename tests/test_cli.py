@@ -385,6 +385,35 @@ def test_bench_rejects_duplicate_solvers_before_the_reference_run(binary_file, c
     assert "duplicate benchmark entry name 'dr'" in capsys.readouterr().err
 
 
+def _no_solver(*args, **kwargs):
+    raise AssertionError("a solver ran")
+
+
+@pytest.mark.parametrize("options", [
+    ["train", "--solver", "sfb", "--batch", "4"],
+    ["train", "--solver", "rda", "--step-c", "0"],
+    ["train", "--solver", "bcpd", "--tau", "-1"],
+    ["train", "--solver", "bcpd", "--iters", "-1"],
+    ["train", "--solver", "dr-simplified", "--blocks", "2"],
+    ["train", "--seed", "-1"],
+    ["bench", "--solvers", "dr,sfb", "--step-c", "-1"],
+    ["bench", "--solvers", "sfb", "--batch", "4"],
+    ["bench", "--solvers", "sfb", "--ref-solver", "dr-simplified", "--blocks", "2"],
+])
+def test_a_rejected_option_creates_nothing_and_runs_no_solver(tmp_path, monkeypatch, capsys,
+                                                              options):
+    # the 3-sample file of the installed-script check; every option is
+    # checked before the output directory, the reference run or any solver
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_bytes(b"# comment\r\n+1 1:1 2:0.5\r\n-1 1:-1 3:2\r\n+1 2:1 3:-1\r\n")
+    for key in px.SOLVERS:
+        monkeypatch.setitem(px.SOLVERS, key, _no_solver)
+    out = tmp_path / "out"
+    assert cli.main(options[:1] + ["--data", str(tiny), "--out", str(out)] + options[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_train_one_vs_all(multiclass_file, tmp_path, capsys):
     out = tmp_path / "ova"
     rc = cli.main(["train", "--data", multiclass_file, "--iters", "30",

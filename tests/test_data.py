@@ -7,7 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import _compressed as sparse_compressed  # where has_sorted_indices runs its check
 
 import proxsplit as px
 from proxsplit import data
@@ -391,6 +393,85 @@ def test_chunked_parse_matches_the_loop_and_reports_true_lines(tmp_path):
     assert fast[0].startswith("line %d: feature index 0 after " % (bad + 1))
     plain.write_text(text)
     assert outcome(lambda: px.load_libsvm(str(plain))) == fast
+
+
+def large_w8a_lines():
+    """Lines of a w8a-shaped text of over 1.5 MB, so the vectorized path reads
+    it in chunks above _CHUNK, with one line longer than such a chunk in the
+    middle."""
+    text, _ = w8a_shaped_text(21000)
+    lines = text.splitlines()
+    middle = len(lines) // 2
+    lines.insert(middle, "-1 " + " ".join("%d:%d" % (j, j % 3) for j in range(1, 14000)))
+    return lines
+
+
+def test_scaled_chunked_parse_of_a_large_file_matches_the_loop(tmp_path):
+    lines = large_w8a_lines()
+    text = "\n".join(lines) + "\n"
+    chunk = len(text) // 32
+    assert len(text) > 1_500_000 and chunk > data._CHUNK
+    assert max(len(line) for line in lines) > chunk
+    assert data._parse_text(text, None) is not None
+    path = tmp_path / "train.txt"
+    path.write_text(text)
+    fast = outcome(lambda: px.load_libsvm(str(path)))
+    assert fast == outcome(lambda: data._parse_lines(lines, None))
+    assert len(fast[0]) == len(lines)
+
+    # an error planted in the last chunk keeps its true line number
+    bad = len(lines) - 100
+    lines[bad] += " 0:1"
+    path.write_text("\n".join(lines) + "\n")
+    fast = outcome(lambda: px.load_libsvm(str(path)))
+    assert fast == outcome(lambda: data._parse_lines(lines, None)) and fast[1] == bad + 1
+    assert fast[0].startswith("line %d: feature index 0 after " % (bad + 1))
+
+
+def test_scaled_chunk_keeps_no_per_entry_objects(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_text("\n".join(large_w8a_lines()) + "\n")
+    tracemalloc.start()
+    try:
+        raw = px.load_libsvm(str(path))
+        tset = px.binarize(raw, None, n_features=raw.n_features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / tset.features.nnz <= 48
+
+
+def test_single_scan_parse_makes_no_sortedness_pass(tmp_path, monkeypatch):
+    # both parsers reject an index out of order and mark the matrix sorted,
+    # so binarize's TrainingSet shares the parsed arrays without a check
+    checks = []
+    original = sparse_compressed.csr_has_sorted_indices
+
+    def counted(*args):
+        checks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sparse_compressed, "csr_has_sorted_indices", counted)
+    text, stored = w8a_shaped_text(500)
+    path = tmp_path / "train.txt"
+    path.write_text(text)
+    for parse in (lambda: px.load_libsvm(str(path)), lambda: px.parse_libsvm(text.splitlines())):
+        raw = parse()
+        tset = px.binarize(raw)
+        assert checks == [] and tset.features.nnz == stored
+        for name in ("indices", "data"):
+            assert np.shares_memory(getattr(tset.features, name), getattr(raw.features, name))
+
+    # a matrix with unsorted rows given to TrainingSet directly is still
+    # checked, and sorted into one copy
+    X = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1], dtype=np.int32),
+                       np.array([0, 2, 3], dtype=np.int32)), shape=(2, 3))
+    tset = px.TrainingSet(features=X, labels=np.array([1.0, -1.0]))
+    assert checks and tset.features.has_sorted_indices
+    assert tset.features.indices.tolist() == [0, 2, 1]
+    assert tset.features.data.tolist() == [2.0, 1.0, 3.0]
+    assert not np.shares_memory(tset.features.indices, X.indices)
+    assert X.indices.tolist() == [2, 0, 1]
 
 
 def test_load_breaks_lines_at_newlines_only(tmp_path):
