@@ -46,29 +46,25 @@ class BaselineConfig:
 
 
 def check_config(problem, config):
-    """DomainError on an option any baseline run would reject in its setup:
-    step_c, tau, sigma (None or a step), the loop options, the batch size
-    and the seed, all checked without the power iteration.  The runners
-    check the options they use themselves; this lets a caller reject a
-    config before it creates files or runs anything."""
-    check_positive("step_c", config.step_c)
-    check_positive("tau", config.tau)
-    if config.sigma is not None:
-        check_positive("sigma", config.sigma)
+    """(step_c, tau, sigma or None, batch size); DomainError on a step that
+    is not positive and finite, the loop options, the batch size or the
+    seed.  Every runner starts with this call, before its setup work, so a
+    caller can make it before it creates files or runs anything."""
+    step_c = check_positive("step_c", config.step_c)
+    tau = check_positive("tau", config.tau)
+    sigma = None if config.sigma is None else check_positive("sigma", config.sigma)
     check_loop_options(config)
-    check_batch_size(config.batch_size, problem.n_samples)
+    batch = check_batch_size(config.batch_size, problem.n_samples)
     check_count("seed", config.seed, 0)
+    return step_c, tau, sigma, batch
 
 
 def _seeded_start(problem, config, w0):
-    """(batch, rng, w): the batch size, the seeded generator and the start
-    point, a standard-normal draw from it only when w0 is None.  The loop
-    options, the batch size and w0 are checked here, before any setup work."""
-    check_loop_options(config)
-    batch = check_batch_size(config.batch_size, problem.n_samples)
+    """(rng, w): the seeded generator and the start point, a standard-normal
+    draw from it only when w0 is None, checked before any setup work."""
     rng = make_rng(config.seed)
     N = problem.n_features
-    return batch, rng, rng.standard_normal(N) if w0 is None else float_copy("w0", w0, (N,))
+    return rng, rng.standard_normal(N) if w0 is None else float_copy("w0", w0, (N,))
 
 
 def _finite(w, i):
@@ -86,9 +82,9 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     the step of the last iteration before each record goes to
     trace.extra["step"]."""
     start = time.perf_counter()
-    step_c = check_positive("step_c", config.step_c)
+    step_c, _, _, batch = check_config(problem, config)
     L = problem.n_samples
-    batch, rng, w = _seeded_start(problem, config, w0)
+    rng, w = _seeded_start(problem, config, w0)
     pool_l = np.arange(L)
 
     def step(i):
@@ -153,10 +149,9 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     picks equality.
     """
     start = time.perf_counter()
-    tau = check_positive("tau", config.tau)
-    sigma = None if config.sigma is None else check_positive("sigma", config.sigma)
+    _, tau, sigma, batch = check_config(problem, config)
     L = problem.n_samples
-    batch, rng, w = _seeded_start(problem, config, w0)
+    rng, w = _seeded_start(problem, config, w0)
     nrm = operator_norm_sq(problem.data.features)
     if sigma is None:
         sigma = 1.0 / (tau * nrm) if nrm > 0.0 else 1.0

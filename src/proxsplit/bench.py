@@ -11,7 +11,6 @@ solver alone.
 import dataclasses
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +84,10 @@ def solver_named(name):
 def check_solver_config(problem, solver, config):
     """DomainError when the SOLVERS entry `solver` would reject `config` on
     `problem` in its setup; cheap, so a caller can check every run before
-    it creates a file or starts one.  It warns of nothing: the run itself
-    warns of a forced rho."""
+    it creates a file or starts one.  It calls the check the runner itself
+    starts with, so both raise the same message, and no option is changed."""
     solver_named(solver)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _CONFIG_CHECKS[solver](problem, config)
+    _CONFIG_CHECKS[solver](problem, config)
 
 
 def compute_reference(problem, solver, config, long_run_factor=20, kkt_tol=1e-4):

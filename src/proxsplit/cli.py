@@ -15,7 +15,6 @@ parameter combination.  An error in one option's value names its flag.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -34,7 +33,7 @@ from .bench import (
 )
 from .baselines import BaselineConfig
 from .data import binarize, load_libsvm, one_vs_all_tasks, predict_one_vs_all, to_matrix
-from .dr import ETA, DRConfig, resolve_config
+from .dr import ETA, DRConfig
 from .errors import DomainError, ParseError, ProxsplitError
 from .lambert import eval_w
 from .model import (
@@ -121,8 +120,9 @@ def _error_text(exc):
 
 
 def _read_config(path, spec):
-    """key = value lines -> {dest: raw string}; keys follow the flag names."""
-    values = {}
+    """key = value lines -> {dest: raw string}; keys follow the flag names,
+    and a key given twice is a DomainError naming both lines."""
+    values, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -139,7 +139,10 @@ def _read_config(path, spec):
                     "unknown config key %r (line %d); known keys: %s"
                     % (key.strip(), lineno, ", ".join(sorted(spec)))
                 )
-            values[dest] = value.strip()
+            if dest in first_line:
+                raise DomainError("config key %r given twice, on lines %d and %d"
+                                  % (key.strip(), first_line[dest], lineno))
+            values[dest], first_line[dest] = value.strip(), lineno
     return values
 
 
@@ -319,19 +322,16 @@ def _cmd_train(args):
         tset, test_set = _binary_task(merged, raw, raw_test, n_features)
         tasks = [(None, tset)]
 
+    problems = [(label, _make_problem(tset, n_features, merged)) for label, tset in tasks]
     config = _solver_config(merged, merged["solver"], tasks[0][1].n_samples)
-    probe = _make_problem(tasks[0][1], n_features, merged)
-    if isinstance(config, DRConfig):
-        # the tasks run with the rho this resolves, so a forced rho warns once
-        config = dataclasses.replace(config, rho=resolve_config(probe, config).rho)
     # reject a bad option before the output directory exists
-    check_solver_config(probe, merged["solver"], config)
+    for _, problem in problems:
+        check_solver_config(problem, merged["solver"], config)
     out_dir = merged["out"]
     os.makedirs(out_dir, exist_ok=True)
 
     weights = []
-    for label, tset in tasks:
-        problem = _make_problem(tset, n_features, merged)
+    for label, problem in problems:
         w, trace = run_solver(problem, config)
         suffix = "" if label is None else "_" + _label_text(label)
         save_model(os.path.join(out_dir, "model%s.txt" % suffix), w, problem)
@@ -443,7 +443,7 @@ def main(argv=None):
     except DomainError as exc:
         print("error: %s" % _error_text(exc), file=sys.stderr)
         return 2
-    except (ProxsplitError, OSError) as exc:
+    except (ProxsplitError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -70,7 +70,6 @@ nothing.
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +90,12 @@ class DRConfig:
     """Solver parameters.
 
     tau, gamma, rho and mu are scalars, shared by every block and sample;
-    mu is the relaxation, in (ETA, 2 - ETA).  batch_size None means every
-    sample each iteration; primal_activation is "all" or the number of
-    blocks drawn uniformly per iteration.  v_update_variant "refreshed"
-    (the default) reads the block values w just produced in the v-update;
-    "literal" is the printed scheme, which reads the pre-iteration w.
+    mu is the relaxation, in (ETA, 2 - ETA); rho > 0 is implemented for
+    the logistic loss only.  batch_size None means every sample each
+    iteration; primal_activation is "all" or the number of blocks drawn
+    uniformly per iteration.  v_update_variant "refreshed" (the default)
+    reads the block values w just produced in the v-update; "literal" is
+    the printed scheme, which reads the pre-iteration w.
     seed (>= 0) seeds the random start and every draw, so a seeded run is
     bitwise reproducible on one BLAS build with one BLAS thread count:
     the Cholesky factorization (LAPACK dpotrf) gives a 2000-coordinate
@@ -142,9 +142,8 @@ def resolve_config(problem, config):
     """Validate a DRConfig against a problem.
 
     Raises DomainError naming the violated inequality, or the parameter
-    that is not a real scalar; returns the resolved floats.  rho > 0 is
-    implemented for the logistic loss only; for the other losses rho is
-    forced to 0 with a warning.
+    that is not a real scalar or out of range, such as a rho other than 0
+    on a loss with no beta; returns the resolved floats, rho as given.
     """
     B = problem.num_blocks
     tau = check_positive("tau", config.tau)
@@ -155,12 +154,9 @@ def resolve_config(problem, config):
     beta = loss_beta(problem.loss)
     if beta is None:
         if rho != 0.0:
-            warnings.warn(
-                "rho forced to 0: rho > 0 is implemented for the logistic loss only, not %s"
-                % problem.loss.value,
-                stacklevel=2,
-            )
-            rho = 0.0
+            raise DomainError("must be 0 on the %s loss: rho > 0 is implemented for the "
+                              "logistic loss only, got %r" % (problem.loss.value, config.rho),
+                              "rho")
     elif B * beta * rho > 1.0:
         raise DomainError(
             "B*beta*rho <= 1 violated: B=%d, beta=%g, rho=%g gives %g"

@@ -175,6 +175,10 @@ def test_bcpd_checks_options_and_start_before_the_operator_norm(monkeypatch, kwa
     (px.bcpd_run, dict(trace_stride=0)),
     (px.sfb_run, dict(plateau_window=2, plateau_rtol=-1.0)),
     (px.bcpd_run, dict(seed=-1)),
+    (px.sfb_run, dict(tau=-1.0, sigma=-2.0)),
+    (px.rda_run, dict(sigma=-2.0)),
+    (px.sfb_run, dict(sigma=math.inf)),
+    (px.rda_run, dict(tau="x")),
 ])
 def test_check_config_raises_what_the_runner_raises(monkeypatch, run, kwargs):
     monkeypatch.setattr(baselines, "operator_norm_sq", _no_setup)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import proxsplit as px
+from proxsplit import baselines, dr
+from proxsplit.bench import check_solver_config
 from proxsplit.errors import DomainError, NonConvergenceError
 from conftest import make_problem
 
@@ -160,6 +162,32 @@ def test_run_benchmark_checks_every_config_before_any_run(tmp_path, monkeypatch,
     with pytest.raises(DomainError, match=message):
         px.run_benchmark(prob, entries, out_dir=str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
+
+
+def _no_setup(*args):
+    raise AssertionError("setup work started before the options were checked")
+
+
+@pytest.mark.parametrize("solver,config", [
+    ("dr", px.DRConfig(rho=0.1)),
+    ("dr", px.DRConfig(mu=2.0)),
+    ("dr-simplified", px.DRConfig(rho=0.1)),
+    ("dr-simplified", px.DRConfig()),
+    ("sfb", px.BaselineConfig(tau=-1.0)),
+    ("rda", px.BaselineConfig(sigma=-2.0)),
+    ("bcpd", px.BaselineConfig(step_c=0.0)),
+])
+def test_every_solver_raises_what_check_solver_config_raises(monkeypatch, solver, config):
+    # a squared hinge problem with 2 blocks: rho > 0 and dr-simplified are
+    # both rejected, by the solver's own check and before its setup work
+    monkeypatch.setattr(dr, "_build_preconditioner", _no_setup)
+    monkeypatch.setattr(baselines, "operator_norm_sq", _no_setup)
+    prob = make_problem(8, 25, 2, lam=0.6, seed=9, loss=px.ScalarLoss.HINGE_Q2)
+    with pytest.raises(DomainError) as checked:
+        check_solver_config(prob, solver, config)
+    with pytest.raises(DomainError) as ran:
+        px.SOLVERS[solver](prob, config)
+    assert str(ran.value) == str(checked.value)
 
 
 def test_format_summary_empty_and_alignment():

@@ -226,6 +226,42 @@ def test_unknown_config_key_lists_known_keys(binary_file, tmp_path, capsys):
     assert "known keys:" in err
 
 
+@pytest.mark.parametrize("text, key, lines", [
+    ("iters = 5\n# a comment\niters = 7\n", "iters", (1, 3)),
+    ("lambda = 0.5\nlam = 0.25\n", "lam", (1, 2)),
+    ("trace_stride = 2\n\ntrace-stride = 4\n", "trace-stride", (1, 3)),
+])
+def test_a_config_key_given_twice_names_both_lines(binary_file, tmp_path, capsys, text, key,
+                                                   lines):
+    # the last value once won without a word
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(text)
+    message = "config key %r given twice, on lines %d and %d" % ((key,) + lines)
+    with pytest.raises(px.DomainError, match=re.escape(message)):
+        cli._read_config(str(cfg), cli._TRAIN_SPEC)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", binary_file, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_file", ["data", "test", "config"])
+def test_a_file_that_is_not_utf8_exits_1_with_an_error_line(binary_file, tmp_path, capsys,
+                                                           bad_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"+1 1:1\n-1 2:\xff\n" if bad_file != "config" else b"iters = \xff5\n")
+    files = {"data": binary_file, "test": binary_file}
+    files[bad_file] = str(bad)
+    args = ["train", "--iters", "5", "--out", str(tmp_path / "out")]
+    for name, path in files.items():
+        args += ["--" + name, path]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
 def command_parsers():
     parser = cli.build_parser()
     return next(a for a in parser._actions
@@ -341,23 +377,27 @@ def test_rho_defaults_to_zero_off_the_logistic_loss_without_a_warning(binary_fil
             == (tmp_path / "zero" / "model.txt").read_bytes())
 
 
-@pytest.mark.parametrize("data, models", [
-    ("binary_file", ["model.txt"]),
-    ("multiclass_file", ["model_0.txt", "model_1.txt", "model_2.txt"]),
+@pytest.mark.parametrize("data, command", [
+    ("binary_file", ["train"]),
+    ("multiclass_file", ["train"]),
+    ("binary_file", ["bench", "--solvers", "sfb"]),
+    ("binary_file", ["bench", "--solvers", "dr,sfb", "--ref-solver", "sfb"]),
 ])
-def test_a_forced_rho_warns_once_per_train(data, models, tmp_path, request):
-    # the probe resolves the config and warns; the tasks run with its rho
-    args = ["train", "--data", request.getfixturevalue(data), "--loss", "hinge_q2",
-            "--iters", "5"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(args + ["--rho", "0.1", "--out", str(tmp_path / "forced")]) == 0
-    assert [str(w.message) for w in caught] == [
-        "rho forced to 0: rho > 0 is implemented for the logistic loss only, not hinge_q2"]
-    assert cli.main(args + ["--rho", "0", "--out", str(tmp_path / "zero")]) == 0
-    for name in models:
-        assert ((tmp_path / "forced" / name).read_bytes()
-                == (tmp_path / "zero" / name).read_bytes())
+def test_a_rho_the_loss_cannot_take_exits_2_before_any_output(data, command, tmp_path,
+                                                             monkeypatch, capsys, request):
+    # rho > 0 is implemented for the logistic loss only; it was once forced
+    # to 0 with a warning and the run went on
+    for key in px.SOLVERS:
+        monkeypatch.setitem(px.SOLVERS, key, _no_solver)
+    monkeypatch.setattr(cli, "compute_reference", _no_solver)
+    out = tmp_path / "out"
+    args = command + ["--data", request.getfixturevalue(data), "--loss", "hinge_q2",
+                      "--rho", "0.1", "--iters", "5", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: --rho must be 0 on the hinge_q2 loss: rho > 0 is implemented for the logistic "
+        "loss only, got 0.1\n")
+    assert not out.exists()
 
 
 def test_solver_names_are_checked_from_flags_and_the_config_file(binary_file, tmp_path,

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import proxsplit as px
 from proxsplit import dr, model
+from proxsplit.bench import check_solver_config
 from proxsplit.errors import DomainError, NumericalError
 from conftest import NoRowGatherKernels, make_problem, tiny_problem
 from oracles import resolvent_matrix
@@ -69,19 +69,41 @@ def test_gamma_rho_product_bound():
         px.resolve_config(prob, px.DRConfig(gamma=2.0, rho=0.5))
 
 
-def test_rho_forced_to_zero_for_hinge():
-    prob = make_problem(6, 8, 3, lam=0.4, seed=11, loss=px.ScalarLoss.HINGE_Q1)
-    with pytest.warns(UserWarning, match="rho forced to 0"):
-        res = px.resolve_config(prob, px.DRConfig(rho=0.5))
-    assert np.all(res.rho == 0.0)
+def _no_factorization(*args):
+    raise AssertionError("the factorization started before the options were checked")
 
 
-def test_run_resolves_its_config_once():
-    prob = make_problem(6, 8, 3, lam=0.4, seed=11, loss=px.ScalarLoss.HINGE_Q2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        px.run(prob, px.DRConfig(rho=0.1, max_iters=3, trace_stride=1))
-    assert [str(w.message).split(":")[0] for w in caught] == ["rho forced to 0"]
+@pytest.mark.parametrize("loss", [px.ScalarLoss.HINGE_Q1, px.ScalarLoss.HINGE_Q2,
+                                  px.ScalarLoss.HUBER])
+@pytest.mark.parametrize("check", [
+    px.resolve_config, px.run, px.run_simplified,
+    lambda problem, config: check_solver_config(problem, "dr", config),
+    lambda problem, config: check_solver_config(problem, "dr-simplified", config),
+], ids=["resolve_config", "run", "run_simplified", "check_dr", "check_dr-simplified"])
+def test_rho_above_zero_off_the_logistic_loss_is_an_error(monkeypatch, loss, check):
+    # rho > 0 needs the logistic loss's Lipschitz gradient; it was once
+    # forced to 0 with a warning, and dr-simplified then took it
+    monkeypatch.setattr(dr, "_build_preconditioner", _no_factorization)
+    prob = make_problem(6, 8, 1, lam=0.4, seed=11, loss=loss)
+    with pytest.raises(DomainError, match="^rho must be 0 on the %s loss" % loss.value) as err:
+        check(prob, px.DRConfig(rho=0.5))
+    assert err.value.parameter == "rho"
+    assert px.resolve_config(prob, px.DRConfig(rho=0.0)).rho == 0.0
+
+
+def test_run_resolves_its_config_once(monkeypatch):
+    calls = []
+
+    def counted(problem, config):
+        calls.append(config)
+        return resolve(problem, config)
+
+    resolve = dr.resolve_config
+    monkeypatch.setattr(dr, "resolve_config", counted)
+    prob = make_problem(6, 8, 3, lam=0.4, seed=11)
+    config = px.DRConfig(rho=0.1, max_iters=3, trace_stride=1)
+    px.run(prob, config)
+    assert calls == [config]
 
 
 # -------------------------------------------------------- preconditioner
