@@ -49,6 +49,7 @@ from .dr import (
 )
 from .errors import (
     ConvergenceError,
+    DecodeError,
     DegenerateDatasetError,
     DomainError,
     FactorizationError,

@@ -15,6 +15,7 @@ parameter combination.  An error in one option's value names its flag.
 """
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -32,7 +33,8 @@ from .bench import (
     solver_named,
 )
 from .baselines import BaselineConfig
-from .data import binarize, load_libsvm, one_vs_all_tasks, predict_one_vs_all, to_matrix
+from .data import (binarize, decode_utf8, load_libsvm, one_vs_all_tasks, predict_one_vs_all,
+                   to_matrix)
 from .dr import ETA, DRConfig
 from .errors import DomainError, ParseError, ProxsplitError
 from .lambert import eval_w
@@ -121,10 +123,12 @@ def _error_text(exc):
 
 def _read_config(path, spec):
     """key = value lines -> {dest: raw string}; keys follow the flag names,
-    and a key given twice is a DomainError naming both lines."""
+    and a key given twice is a DomainError naming both lines.  A file that
+    is not UTF-8 is a DecodeError naming path."""
     values, first_line = {}, {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    with open(path, "rb") as handle:
+        lines = io.StringIO(decode_utf8(handle.read(), path), newline=None)
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -443,7 +447,7 @@ def main(argv=None):
     except DomainError as exc:
         print("error: %s" % _error_text(exc), file=sys.stderr)
         return 2
-    except (ProxsplitError, OSError, UnicodeDecodeError) as exc:
+    except (ProxsplitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateDatasetError, DomainError, ParseError, UnknownClassError
+from .errors import (DecodeError, DegenerateDatasetError, DomainError, ParseError,
+                     UnknownClassError)
 from .model import TrainingSet
 from .trace import check_count
 
@@ -145,7 +146,7 @@ def load_libsvm(path, n_features=None):
 
     The vectorized path reads the file's bytes as they are; only when it
     gives up is the text decoded, so a file that is not UTF-8 raises
-    UnicodeDecodeError.
+    DecodeError, a UnicodeDecodeError that names the path.
     """
     n_features = _declared(n_features)
     opener = gzip.open if str(path).endswith(".gz") else open
@@ -153,8 +154,17 @@ def load_libsvm(path, n_features=None):
         content = handle.read()
     raw = _parse_bytes(content, n_features)
     if raw is None:
-        raw = _parse_lines(io.StringIO(content.decode("utf-8"), newline=None), n_features)
+        raw = _parse_lines(io.StringIO(decode_utf8(content, path), newline=None), n_features)
     return raw
+
+
+def decode_utf8(content, path):
+    """The bytes content of the file at path as UTF-8 text; DecodeError,
+    naming path, when they are not UTF-8."""
+    try:
+        return content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(path, exc) from None
 
 
 def _declared(n_features):

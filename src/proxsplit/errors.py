@@ -40,6 +40,18 @@ class ParseError(ProxsplitError, ValueError):
         self.line_number = line_number
 
 
+class DecodeError(ProxsplitError, UnicodeDecodeError):
+    """A file's bytes are not UTF-8 text.  The message opens with the file's
+    path; the codec's fields are those of the failed decode."""
+
+    def __init__(self, path, cause):
+        super().__init__(cause.encoding, cause.object, cause.start, cause.end, cause.reason)
+        self.path = path
+
+    def __str__(self):
+        return "%s: %s" % (self.path, super().__str__())
+
+
 class UnknownClassError(ProxsplitError, ValueError):
     """A requested class label does not occur in the dataset."""
 

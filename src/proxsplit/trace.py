@@ -8,7 +8,8 @@ reproduces the in-memory trace exactly.
 
 :func:`drive` is the iteration loop of all five solvers, with the record
 at iteration 0, the callback, the strided record, the batched objectives
-of the records and the plateau stop;
+of the records, which one worker thread evaluates with one batch in
+flight while the next one fills, and the plateau stop;
 :func:`float_copy` checks their start vectors, and :func:`check_scalar`
 and :func:`check_count` decide every number a caller passes, in any module.
 """
@@ -17,6 +18,7 @@ import io
 import math
 import numbers
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,7 +217,8 @@ def float_copy(name, value, shape):
 def batch_capacity(n_samples, n_features):
     """How many records drive evaluates together: BATCH_RECORDS, or fewer,
     but at least 1, when their (K, L) margins and (N, K) iterates would
-    pass BATCH_BYTES."""
+    pass BATCH_BYTES.  One batch is in flight while the next one fills, so
+    the copies of the filling batch's iterates come on top, K N floats."""
     return max(1, min(BATCH_RECORDS, BATCH_BYTES // (8 * (n_samples + n_features))))
 
 
@@ -231,14 +234,20 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
     for w itself); the clock reading, the dist_ref of w to reference and
     the zeros of w_hat are taken at once, and the record waits with a copy
     of w.  objective(problem, W), the solver module's own binding,
-    evaluates an (N, K) stack of waiting iterates: when batch_capacity(L, N)
-    records wait, after every record while plateau_window is set (the
-    plateau rule reads the newest objective), and when the loop ends; only
-    then is each record appended, whole.  So every objective keeps the bits
-    of its own call, and a record's seconds do not count the objectives
-    still waiting.  A reference of another shape than (N,) is a
-    DomainError before the first step.  The loop options are
-    config.max_iters, trace_stride, plateau_window and plateau_rtol.
+    evaluates an (N, K) stack of waiting iterates on one worker thread
+    while the steps go on: a batch is submitted when batch_capacity(L, N)
+    records wait and when the loop ends, and one batch is in flight while
+    the next one fills.  The batch in flight is settled, its records
+    appended whole in iteration order, before the next submit and when
+    the loop ends; with plateau_window set, each record is a batch that is
+    settled as soon as it is submitted, since the plateau rule reads the
+    newest objective.  So every objective keeps the bits of its own call,
+    and a record's seconds do not count its objective.  step, snapshot,
+    callback and the clock run on the calling thread; an error of objective
+    is raised there, at the settle, and a run that raises leaves no thread
+    running.  A reference of another shape than (N,) is a DomainError
+    before the first step.  The loop options are config.max_iters,
+    trace_stride, plateau_window and plateau_rtol.
     trace.extra["stop_reason"] is "plateau" when the plateau rule stopped
     the run, "budget" when it ran all max_iters iterations (0 included).
     """
@@ -249,11 +258,18 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
     capacity = 1 if window is not None else batch_capacity(problem.n_samples, N)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
     waiting = []  # (iteration, seconds, dist_ref, zeros_exact, zeros_tol, copy of the iterate)
+    in_flight = []  # at most one (records, future of their objectives)
 
-    def evaluate():
-        values = objective(problem, np.stack([taken[-1] for taken in waiting], axis=1))
-        for (iteration, seconds, dist, exact, tol, _), value in zip(waiting, values):
-            trace.append(TraceRecord(iteration, seconds, float(value), dist, exact, tol))
+    def settle():
+        if in_flight:
+            taken, values = in_flight.pop()
+            for (iteration, seconds, dist, exact, tol, _), value in zip(taken, values.result()):
+                trace.append(TraceRecord(iteration, seconds, float(value), dist, exact, tol))
+
+    def submit():
+        settle()
+        stack = np.stack([taken[-1] for taken in waiting], axis=1)
+        in_flight.append((waiting[:], worker.submit(objective, problem, stack)))
         waiting.clear()
 
     def record(iteration):
@@ -264,20 +280,26 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
         waiting.append((iteration, seconds, dist, int(np.count_nonzero(zeros_of == 0.0)),
                         int(np.count_nonzero(np.abs(zeros_of) <= ZEROS_TOL)), w.copy()))
         if len(waiting) == capacity:
-            evaluate()
+            submit()
+            if window is not None:
+                settle()
 
-    record(0)
-    stopped = False
-    for i in range(max_iters):
-        w = step(i)
-        if callback is not None:
-            callback(i + 1, w)
-        if (i + 1) % stride == 0 or i + 1 == max_iters:
-            record(i + 1)
-            if window is not None and plateau_hit(trace, window, rtol):
-                stopped = True
-                break
-    if waiting:
-        evaluate()
+    # leaving the with block waits for the batch in flight, also when a
+    # step or an objective raised
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        record(0)
+        stopped = False
+        for i in range(max_iters):
+            w = step(i)
+            if callback is not None:
+                callback(i + 1, w)
+            if (i + 1) % stride == 0 or i + 1 == max_iters:
+                record(i + 1)
+                if window is not None and plateau_hit(trace, window, rtol):
+                    stopped = True
+                    break
+        if waiting:
+            submit()
+        settle()
     trace.extra["stop_reason"] = "plateau" if stopped else "budget"
     return trace

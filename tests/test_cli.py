@@ -249,16 +249,21 @@ def test_a_config_key_given_twice_names_both_lines(binary_file, tmp_path, capsys
 @pytest.mark.parametrize("bad_file", ["data", "test", "config"])
 def test_a_file_that_is_not_utf8_exits_1_with_an_error_line(binary_file, tmp_path, capsys,
                                                            bad_file):
-    bad = tmp_path / "bad.txt"
+    # all three files are given, so only the path says which holds the byte
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("iters = 5\n")
+    files = {"data": binary_file, "test": binary_file, "config": str(cfg)}
+    bad = tmp_path / ("bad_" + bad_file)
     bad.write_bytes(b"+1 1:1\n-1 2:\xff\n" if bad_file != "config" else b"iters = \xff5\n")
-    files = {"data": binary_file, "test": binary_file}
     files[bad_file] = str(bad)
-    args = ["train", "--iters", "5", "--out", str(tmp_path / "out")]
+    args = ["train", "--out", str(tmp_path / "out")]
     for name, path in files.items():
         args += ["--" + name, path]
     assert cli.main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    position = 8 if bad_file == "config" else 12
+    assert capsys.readouterr().err == (
+        "error: %s: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte\n"
+        % (bad, position))
     assert not (tmp_path / "out").exists()
 
 

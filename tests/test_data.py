@@ -322,11 +322,19 @@ def test_load_of_the_bytes_agrees_with_the_text_parse(data_files, case):
 
 
 def test_load_of_bytes_that_are_not_utf8_raises_unicode_error(tmp_path):
-    path = tmp_path / "data.txt"
-    for content in (b"\xff", b"+1 1:1\n-1 2:\xff\n"):
-        path.write_bytes(content)
-        with pytest.raises(UnicodeDecodeError):
-            px.load_libsvm(str(path))
+    # a DecodeError is a UnicodeDecodeError whose message opens with the path
+    plain, gz = tmp_path / "data.txt", tmp_path / "data.txt.gz"
+    for content, position in ((b"\xff", 0), (b"+1 1:1\n-1 2:\xff\n", 12)):
+        plain.write_bytes(content)
+        gz.write_bytes(gzip.compress(content))
+        for path in (str(plain), str(gz)):
+            with pytest.raises(UnicodeDecodeError) as caught:
+                px.load_libsvm(path)
+            assert isinstance(caught.value, px.DecodeError) and caught.value.path == path
+            assert (caught.value.start, caught.value.object) == (position, content)
+            assert str(caught.value) == (
+                "%s: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte"
+                % (path, position))
 
 
 def test_w8a_shaped_bytes_take_the_vectorized_path(tmp_path):

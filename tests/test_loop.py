@@ -4,6 +4,9 @@ plateau stop, determinism, and the module names through which each layer
 is reached."""
 
 import dataclasses
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import pytest
 import proxsplit as px
 from proxsplit import baselines, dr, model, trace
 from proxsplit.bench import SOLVERS
-from proxsplit.errors import DomainError
+from proxsplit.errors import DomainError, NumericalError
 from conftest import NoRowGatherKernels, make_problem
 
 # keyword of each solver's start vector
@@ -285,6 +288,114 @@ def test_every_appended_record_is_whole(solver, loop, monkeypatch):
     assert appended == [dataclasses.astuple(r) for r in tr.records]
     assert all(type(obj) is float and type(dist) is float for _, _, obj, dist, _, _ in appended)
     assert not hasattr(tr, "add")
+
+
+# ----------------------------------------------------- the worker thread
+
+# long enough for any step to come; a synchronous loop waits it out and fails
+WAIT_S = 5.0
+
+
+class StepFailed(Exception):
+    pass
+
+
+def drive_with(objective, step):
+    """trace.drive on the single-block problem, 40 steps and a record at
+    every iteration: its first batch of 16 is submitted after step 14."""
+    config = types.SimpleNamespace(max_iters=40, trace_stride=1, plateau_window=None,
+                                   plateau_rtol=0.0)
+    w = np.zeros(6)
+    return trace.drive(config, 0.0, single_block_problem(), objective, lambda i: step(i, w),
+                       lambda: (w, None))
+
+
+def test_steps_run_while_the_worker_evaluates_a_batch():
+    # the objective of the first batch finishes only once step 15 has run
+    before = threading.active_count()
+    stepped = threading.Event()
+
+    def objective(problem, W):
+        if not stepped.wait(WAIT_S):
+            raise AssertionError("no step ran while the objective did")
+        return model.objective(problem, W)
+
+    def step(i, w):
+        if i == 15:
+            stepped.set()
+        return w
+
+    tr = drive_with(objective, step)
+    assert [r.iteration for r in tr.records] == list(range(41))
+    assert [r.objective for r in tr.records] == [px.objective(single_block_problem(),
+                                                              np.zeros(6))] * 41
+    assert threading.active_count() == before
+
+
+def test_a_step_that_raises_while_a_batch_is_in_flight_leaves_no_thread():
+    before = threading.active_count()
+    released, finished = threading.Event(), []
+
+    def objective(problem, W):
+        if not released.wait(WAIT_S):
+            raise AssertionError("no step ran while the objective did")
+        finished.append(W.shape[1])
+        return model.objective(problem, W)
+
+    def step(i, w):
+        if i == 15:
+            released.set()
+            raise StepFailed("step %d" % i)
+        return w
+
+    with pytest.raises(StepFailed, match="step 15"):
+        drive_with(objective, step)
+    # the run waited for the batch in flight before it raised
+    assert finished == [16]
+    assert threading.active_count() == before
+
+
+def test_an_objective_that_raises_fails_the_run_on_the_calling_thread():
+    # the error reaches the caller at the next settle, after the steps that
+    # ran meanwhile, and the worker is gone
+    before = threading.active_count()
+    stepped, steps = threading.Event(), []
+
+    def objective(problem, W):
+        if not stepped.wait(WAIT_S):
+            raise AssertionError("no step ran while the objective did")
+        raise NumericalError("non-finite objective")
+
+    def step(i, w):
+        steps.append(i)
+        if i == 15:
+            stepped.set()
+        return w
+
+    with pytest.raises(NumericalError, match="non-finite objective"):
+        drive_with(objective, step)
+    assert steps == list(range(31))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_records_keep_their_bits_under_rapid_thread_switches(solver):
+    # a 10 us switch interval interleaves the worker's objectives with the
+    # steps about as finely as the interpreter allows; 70 records make four
+    # full batches and a part, each submitted while the last may still run
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, tr = run(solver, max_iters=69, trace_stride=1,
+                    callback=lambda i, ww: seen.append(ww.copy()))
+    finally:
+        sys.setswitchinterval(interval)
+    prob = single_block_problem()
+    start = np.zeros(6) if solver.startswith("dr") else px.make_rng(5).standard_normal(6)
+    assert [r.iteration for r in tr.records] == list(range(70))
+    assert [r.objective.hex() for r in tr.records] == [
+        px.objective(prob, w).hex() for w in [start] + seen]
 
 
 def test_run_benchmark_rejects_a_reference_of_another_shape_than_w():
