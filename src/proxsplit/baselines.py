@@ -46,17 +46,18 @@ class BaselineConfig:
 
 
 def check_config(problem, config):
-    """(step_c, tau, sigma or None, batch size); DomainError on a step that
-    is not positive and finite, the loop options, the batch size or the
-    seed.  Every runner starts with this call, before its setup work, so a
-    caller can make it before it creates files or runs anything."""
+    """(step_c, tau, sigma or None, batch size, loop options), the last the
+    check_loop_options tuple that trace.drive takes; DomainError on a step
+    that is not positive and finite, the loop options, the batch size or
+    the seed.  Every runner starts with this call, before its setup work,
+    so a caller can make it before it creates files or runs anything."""
     step_c = check_positive("step_c", config.step_c)
     tau = check_positive("tau", config.tau)
     sigma = None if config.sigma is None else check_positive("sigma", config.sigma)
-    check_loop_options(config)
+    loop = check_loop_options(config)
     batch = check_batch_size(config.batch_size, problem.n_samples)
     check_count("seed", config.seed, 0)
-    return step_c, tau, sigma, batch
+    return step_c, tau, sigma, batch, loop
 
 
 def _seeded_start(problem, config, w0):
@@ -82,7 +83,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
     the step of the last iteration before each record goes to
     trace.extra["step"]."""
     start = time.perf_counter()
-    step_c, _, _, batch = check_config(problem, config)
+    step_c, _, _, batch, loop = check_config(problem, config)
     L = problem.n_samples
     rng, w = _seeded_start(problem, config, w0)
     pool_l = np.arange(L)
@@ -94,7 +95,7 @@ def _gradient_run(problem, config, w0, reference, callback, update):
         w = _finite(update(w, smooth_gradient(problem, w, act_l), gamma_i, i), i)
         return w
 
-    trace = drive(config, start, problem, objective, step, lambda: (w, None), reference, callback)
+    trace = drive(loop, start, problem, objective, step, lambda: w, reference, callback)
     steps = [_step_size(step_c, r.iteration - 1) for r in trace.records[1:]]
     if steps:
         trace.extra["step"] = steps
@@ -149,7 +150,7 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
     picks equality.
     """
     start = time.perf_counter()
-    _, tau, sigma, batch = check_config(problem, config)
+    _, tau, sigma, batch, loop = check_config(problem, config)
     L = problem.n_samples
     rng, w = _seeded_start(problem, config, w0)
     nrm = operator_norm_sq(problem.data.features)
@@ -180,7 +181,7 @@ def bcpd_run(problem, config, w0=None, reference=None, callback=None):
         w = _finite(w_new, i)
         return w
 
-    trace = drive(config, start, problem, objective, step, lambda: (w, None), reference, callback)
+    trace = drive(loop, start, problem, objective, step, lambda: w, reference, callback)
     return w, trace
 
 

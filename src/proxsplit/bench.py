@@ -13,12 +13,10 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .baselines import bcpd_run, check_config, rda_run, sfb_run
 from .dr import resolve_config, resolve_simplified, run, run_simplified
 from .errors import DomainError, NonConvergenceError
-from .model import kkt_residual, objective, sparsity_degree, test_error
+from .model import kkt_residual, test_error
 from .trace import check_count, check_scalar
 
 # Every solver shares the calling convention
@@ -152,8 +150,8 @@ def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None)
     """Run every entry, write per-run trace CSVs plus summary.csv, return rows.
 
     Each row's objective, dist_ref, test error and zeros are of the vector
-    the solver returns; for dr and dr-simplified the trace's objective and
-    dist_ref columns are of the primal iterate instead.
+    the solver returns: all but the test error are read from the trace's
+    last record, which is of that vector.
 
     Parameters
     ----------
@@ -182,14 +180,16 @@ def run_benchmark(problem, entries, reference=None, out_dir=None, test_set=None)
         if out_dir is not None:
             trace.write_csv(os.path.join(out_dir, entry.name + ".csv"))
         err_pct = None if test_set is None else 100.0 * test_error(w, test_set)
+        final = trace.final
         rows.append(
             SummaryRow(
                 name=entry.name,
                 solver=entry.solver,
-                objective=objective(problem, w),
-                dist_ref=None if reference is None else float(np.linalg.norm(w - reference)),
+                objective=final.objective,
+                dist_ref=final.dist_ref,
                 test_error_pct=err_pct,
-                zeros_pct=100.0 * sparsity_degree(w, tol=0.0),
+                # the bits of 100 * sparsity_degree(w, tol=0.0)
+                zeros_pct=100.0 * (final.zeros_exact / problem.n_features),
             )
         )
     if out_dir is not None:

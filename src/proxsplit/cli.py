@@ -38,15 +38,7 @@ from .data import (binarize, decode_utf8, load_libsvm, one_vs_all_tasks, predict
 from .dr import ETA, DRConfig
 from .errors import DomainError, ParseError, ProxsplitError
 from .lambert import eval_w
-from .model import (
-    BlockPartition,
-    Problem,
-    RegularizerSpec,
-    TrainingSet,
-    objective,
-    sparsity_degree,
-    test_error,
-)
+from .model import BlockPartition, Problem, RegularizerSpec, TrainingSet, test_error
 from .prox import ScalarLoss, loss_beta, prox_logistic
 
 _LOSS_NAMES = tuple(loss.value for loss in ScalarLoss)
@@ -185,10 +177,11 @@ def load_model(path):
     header line, blocks outside [1, n_features], a kappa count other than
     blocks or a kappa other than 1 or 2, an unknown loss, a negative or
     non-finite lambda, a malformed or non-finite weight, or a weight count
-    other than n_features.
+    other than n_features; DecodeError, naming path, when the file is not
+    UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        lines = decode_utf8(handle.read(), path).splitlines()
     expected = ("n_features", "blocks", "lambda", "kappa", "loss")
     meta = {}
     for lineno, key in enumerate(expected, start=1):
@@ -341,10 +334,10 @@ def _cmd_train(args):
         save_model(os.path.join(out_dir, "model%s.txt" % suffix), w, problem)
         trace.write_csv(os.path.join(out_dir, "trace%s.csv" % suffix))
         tag = "" if label is None else "class %s: " % _label_text(label)
-        print(
-            "%sobjective %.6e, zeros %.2f%%"
-            % (tag, objective(problem, w), 100.0 * sparsity_degree(w, tol=0.0))
-        )
+        # the last record is of w
+        final = trace.final
+        print("%sobjective %.6e, zeros %.2f%%"
+              % (tag, final.objective, 100.0 * (final.zeros_exact / problem.n_features)))
         weights.append((label, w))
 
     if raw_test is not None:

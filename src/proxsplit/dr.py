@@ -58,9 +58,10 @@ numpy's own row sum for B < 8, and writes the new v rows only into a
 state that has a v.
 
 :func:`run` and :func:`run_simplified` are a setup plus a step and a
-snapshot function handed to :func:`proxsplit.trace.drive`, the loop shared
-with the baselines, which evaluates the records' objectives through this
-module's ``objective`` binding.  A run keeps no v: a step computes v_l
+solution function handed to :func:`proxsplit.trace.drive`, the loop shared
+with the baselines: each record is of the solution, the prox image the
+run returns, and its objective is evaluated through this module's
+``objective`` binding.  A run keeps no v: a step computes v_l
 from s and w for each sample it draws and reads no older v, so only the
 state of :func:`init_state` and :func:`dr_iterate` carries one.  With no
 s0, a run starts from s = 0 and u = 0, the aggregate of s = 0, without
@@ -136,6 +137,7 @@ class _Resolved:
     batch_size: int
     primal_k: object  # None = all blocks
     literal: bool
+    loop: tuple  # check_loop_options(config), what trace.drive takes
 
 
 def resolve_config(problem, config):
@@ -179,7 +181,7 @@ def resolve_config(problem, config):
             "v_update_variant must be 'literal' or 'refreshed', got %r"
             % (config.v_update_variant,)
         )
-    check_loop_options(config)
+    loop = check_loop_options(config)
     check_count("seed", config.seed, 0)
 
     return _Resolved(
@@ -191,6 +193,7 @@ def resolve_config(problem, config):
         batch_size=batch,
         primal_k=primal_k,
         literal=config.v_update_variant == "literal",
+        loop=loop,
     )
 
 
@@ -531,12 +534,14 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     t0, s0 : optional initial auxiliaries (shapes (N,) and (L, B)).
     reference : optional solution vector; fills the dist_ref trace column.
     callback : optional callable(iteration, w) invoked after each iteration;
-        w is the solver's live array, so copy it to keep it.
+        w is the solver's live primal iterate, so copy it to keep it.
 
     Returns
     -------
     (w, trace)
-        The extracted prox-image solution and the convergence trace.
+        The extracted prox-image solution and the convergence trace.  Every
+        record is of the prox image at its iteration, so the last one holds
+        the objective, dist_ref and zeros of the returned w.
     """
     start = time.perf_counter()
     res = resolve_config(problem, config)
@@ -563,10 +568,7 @@ def run(problem, config, t0=None, s0=None, reference=None, callback=None):
     def solution():
         return reg_prox(problem, 2.0 * state.w - state.t, res.tau)
 
-    def snapshot():
-        return state.w, solution()
-
-    trace = drive(config, start, problem, objective, step, snapshot, reference, callback)
+    trace = drive(res.loop, start, problem, objective, step, solution, reference, callback)
     return solution(), trace
 
 
@@ -583,7 +585,9 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         ut <- ut + sum_l A*_l (st_l^new - st_l)
 
     With matched seeds this reproduces the iterates of :func:`run` (same
-    variant) exactly up to rounding.
+    variant) exactly up to rounding.  As in run, the returned w and every
+    record are of the prox image prox_{tau f}(2 w - t), and the callback
+    gets the primal iterate w.
     """
     start = time.perf_counter()
     res = resolve_simplified(problem, config)
@@ -619,8 +623,8 @@ def run_simplified(problem, config, t0=None, st0=None, reference=None, callback=
         ut += rows.aggregate(ds)
         return w
 
-    def snapshot():
-        return w, reg_prox(problem, 2.0 * w - t, tau)
+    def solution():
+        return reg_prox(problem, 2.0 * w - t, tau)
 
-    trace = drive(config, start, problem, objective, step, snapshot, reference, callback)
-    return reg_prox(problem, 2.0 * w - t, tau), trace
+    trace = drive(res.loop, start, problem, objective, step, solution, reference, callback)
+    return solution(), trace

@@ -31,7 +31,7 @@ CSV_HEADER = "iter,seconds,objective,dist_ref,zeros_exact,zeros_tol"
 ZEROS_TOL = 1e-8
 
 # drive evaluates the objectives of up to BATCH_RECORDS records at once,
-# fewer when their margins and iterates would pass BATCH_BYTES
+# fewer when their margins and vectors would pass BATCH_BYTES
 BATCH_RECORDS = 16
 BATCH_BYTES = 8 * 2 ** 20
 
@@ -216,48 +216,49 @@ def float_copy(name, value, shape):
 
 def batch_capacity(n_samples, n_features):
     """How many records drive evaluates together: BATCH_RECORDS, or fewer,
-    but at least 1, when their (K, L) margins and (N, K) iterates would
+    but at least 1, when their (K, L) margins and (N, K) vectors would
     pass BATCH_BYTES.  One batch is in flight while the next one fills, so
-    the copies of the filling batch's iterates come on top, K N floats."""
+    the copies of the filling batch's vectors come on top, K N floats."""
     return max(1, min(BATCH_RECORDS, BATCH_BYTES // (8 * (n_samples + n_features))))
 
 
-def drive(config, start, problem, objective, step, snapshot, reference=None, callback=None):
+def drive(options, start, problem, objective, step, snapshot, reference=None, callback=None):
     """Run a solver's iterations and return its ConvergenceTrace.
 
+    options is the (max_iters, trace_stride, plateau_window, plateau_rtol)
+    tuple of check_loop_options, which the solver's own check has made.
     start is the perf_counter reading at which the solver's setup began;
     setup_seconds and every record's seconds count from it.  step(i)
     performs iteration i (0-based) and returns the iterate passed to
     callback(i + 1, w).  A record is taken at iteration 0, every
-    trace_stride iterations and after the last one.  snapshot() gives
-    (w, w_hat), the iterate and the vector the solver would return (None
-    for w itself); the clock reading, the dist_ref of w to reference and
-    the zeros of w_hat are taken at once, and the record waits with a copy
-    of w.  objective(problem, W), the solver module's own binding,
-    evaluates an (N, K) stack of waiting iterates on one worker thread
-    while the steps go on: a batch is submitted when batch_capacity(L, N)
-    records wait and when the loop ends, and one batch is in flight while
-    the next one fills.  The batch in flight is settled, its records
-    appended whole in iteration order, before the next submit and when
-    the loop ends; with plateau_window set, each record is a batch that is
-    settled as soon as it is submitted, since the plateau rule reads the
-    newest objective.  So every objective keeps the bits of its own call,
-    and a record's seconds do not count its objective.  step, snapshot,
-    callback and the clock run on the calling thread; an error of objective
-    is raised there, at the settle, and a run that raises leaves no thread
-    running.  A reference of another shape than (N,) is a DomainError
-    before the first step.  The loop options are config.max_iters,
-    trace_stride, plateau_window and plateau_rtol.
+    trace_stride iterations and after the last one.  snapshot() gives the
+    vector the solver would return at that point, and every field of a
+    record is of it: the clock reading, its dist_ref to reference and its
+    zeros are taken at once, and the record waits with a copy of it.
+    objective(problem, W), the solver module's own binding, evaluates an
+    (N, K) stack of waiting vectors on one worker thread while the steps
+    go on: a batch is submitted when batch_capacity(L, N) records wait and
+    when the loop ends, and one batch is in flight while the next one
+    fills.  The batch in flight is settled, its records appended whole in
+    iteration order, before the next submit and when the loop ends; with
+    plateau_window set, each record is a batch that is settled as soon as
+    it is submitted, since the plateau rule reads the newest objective.
+    So every objective keeps the bits of its own call, the last record is
+    the summary of the vector the run returns, and a record's seconds do
+    not count its objective.  step, snapshot, callback and the clock run
+    on the calling thread; an error of objective is raised there, at the
+    settle, and a run that raises leaves no thread running.  A reference
+    of another shape than (N,) is a DomainError before the first step.
     trace.extra["stop_reason"] is "plateau" when the plateau rule stopped
     the run, "budget" when it ran all max_iters iterations (0 included).
     """
-    max_iters, stride, window, rtol = check_loop_options(config)
+    max_iters, stride, window, rtol = options
     N = problem.n_features
     if reference is not None and np.shape(reference) != (N,):
         raise DomainError("must have shape (%d,), got %s" % (N, np.shape(reference)), "reference")
     capacity = 1 if window is not None else batch_capacity(problem.n_samples, N)
     trace = ConvergenceTrace(setup_seconds=time.perf_counter() - start)
-    waiting = []  # (iteration, seconds, dist_ref, zeros_exact, zeros_tol, copy of the iterate)
+    waiting = []  # (iteration, seconds, dist_ref, zeros_exact, zeros_tol, copy of the vector)
     in_flight = []  # at most one (records, future of their objectives)
 
     def settle():
@@ -274,11 +275,10 @@ def drive(config, start, problem, objective, step, snapshot, reference=None, cal
 
     def record(iteration):
         seconds = time.perf_counter() - start
-        w, w_hat = snapshot()
-        zeros_of = w if w_hat is None else w_hat
+        w = snapshot()
         dist = None if reference is None else float(np.linalg.norm(w - reference))
-        waiting.append((iteration, seconds, dist, int(np.count_nonzero(zeros_of == 0.0)),
-                        int(np.count_nonzero(np.abs(zeros_of) <= ZEROS_TOL)), w.copy()))
+        waiting.append((iteration, seconds, dist, int(np.count_nonzero(w == 0.0)),
+                        int(np.count_nonzero(np.abs(w) <= ZEROS_TOL)), w.copy()))
         if len(waiting) == capacity:
             submit()
             if window is not None:

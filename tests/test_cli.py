@@ -587,16 +587,16 @@ def test_bench_multiclass_needs_positive_class(multiclass_file, capsys):
 
 
 def test_train_and_bench_report_the_vector_they_return(tmp_path, capsys):
-    # dr's trace records the primal iterate, while run returns, train saves
-    # and bench summarizes its prox image: what train prints and the summary
-    # row are of that returned vector
+    # run returns, train saves and bench summarizes dr's prox image, and
+    # the trace records it too: what train prints and the summary row are
+    # the last record, of that returned vector
     problem = make_problem(20, 100, 4, lam=3, seed=123)
     config = px.DRConfig(rho=0.1, max_iters=5)
     w, trace = px.run(problem, config)
     reference, _ = px.run(problem, px.DRConfig(rho=0.1, max_iters=200))
     [row] = px.run_benchmark(problem, [px.BenchmarkEntry("dr", "dr", config)],
                              reference=reference)
-    assert row.objective == px.objective(problem, w) != trace.final.objective
+    assert row.objective == px.objective(problem, w) == trace.final.objective
     assert row.dist_ref == float(np.linalg.norm(w - reference))
 
     data = tmp_path / "train.txt"
@@ -609,7 +609,7 @@ def test_train_and_bench_report_the_vector_they_return(tmp_path, capsys):
     shown = capsys.readouterr().out.splitlines()[0]
     assert shown.startswith("objective %.6e," % px.objective(problem, saved))
     last = px.ConvergenceTrace.from_csv((out / "trace.csv").read_text()).final
-    assert "%.6e" % last.objective not in shown
+    assert shown.startswith("objective %.6e," % last.objective)
 
 
 # ------------------------------------------------------------ model files
@@ -650,6 +650,15 @@ def test_load_model_rejects_corrupt_header(tmp_path):
 
 
 GOOD_MODEL = ["n_features 2", "blocks 1", "lambda 0.5", "kappa 1", "loss logistic", "1", "-2"]
+
+
+def test_load_model_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(("\n".join(GOOD_MODEL[:2]) + "\nlambda \xff\n").encode("latin-1"))
+    with pytest.raises(px.DecodeError) as exc:
+        cli.load_model(str(path))
+    assert str(exc.value) == (
+        "%s: 'utf-8' codec can't decode byte 0xff in position 29: invalid start byte" % path)
 
 
 @pytest.mark.parametrize("line,text,message", [

@@ -672,8 +672,10 @@ def test_full_batch_run_gives_the_bits_of_a_dr_iterate_loop(variant):
     state = px.init_state(prob, cfg, px.make_rng(9).standard_normal(6), np.zeros((8, 3)))
     for _ in range(20):
         px.dr_iterate(state, prob, pre, cfg, np.ones(3 + 8), cfg.mu)
-    assert np.array_equal(w, px.extract_solution(state, prob, cfg))
-    assert tr.final.objective == px.objective(prob, state.w)
+    solution = px.extract_solution(state, prob, cfg)
+    assert np.array_equal(w, solution)
+    # the last record is of the prox image, not of the primal iterate
+    assert tr.final.objective == px.objective(prob, solution) != px.objective(prob, state.w)
 
 
 def test_run_from_no_s0_gives_the_bits_of_a_zero_s0(monkeypatch):

@@ -6,7 +6,6 @@ is reached."""
 import dataclasses
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -125,6 +124,17 @@ def test_random_start_is_drawn_unless_a_baseline_gets_w0(solver, monkeypatch):
 
 # ----------------------------------------------------------- loop contract
 
+def fields_of(v, reference):
+    """(objective, dist_ref, zeros_exact, zeros_tol) of the vector v, as a
+    record of it holds them."""
+    return (px.objective(single_block_problem(), v), float(np.linalg.norm(v - reference)),
+            np.count_nonzero(v == 0.0), np.count_nonzero(np.abs(v) <= px.ZEROS_TOL))
+
+
+def record_fields(record):
+    return (record.objective, record.dist_ref, record.zeros_exact, record.zeros_tol)
+
+
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
     reference = np.full(6, 0.25)
@@ -146,21 +156,17 @@ def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
     # one callback per iteration; the four records wait for one stacked evaluation
     assert [i for i, _ in seen] == list(range(1, 12))
     assert stacks == [(6, 4)]
-    # each record holds the objective of the iterate the callback saw at its
-    # iteration (DR starts from w = 0, a baseline from its seeded draw)
-    prob = single_block_problem()
-    start = np.zeros(6) if solver.startswith("dr") else px.make_rng(5).standard_normal(6)
-    iterates = dict([(0, start)] + seen)
-    assert [r.objective for r in tr.records] == [
-        px.objective(prob, iterates[r.iteration]) for r in tr.records]
+    # each record is of the vector that a run of as many iterations returns:
+    # DR's prox image, which the callback, given the primal iterate, never
+    # sees; a baseline's iterate, which the callback saw
+    returned = {k: run(solver, max_iters=k)[0] for k in (0, 4, 8)}
+    returned[11] = w
+    assert [record_fields(r) for r in tr.records] == [
+        fields_of(returned[r.iteration], reference) for r in tr.records]
+    if not solver.startswith("dr"):
+        iterates = dict([(0, px.make_rng(5).standard_normal(6))] + seen)
+        assert all(np.array_equal(v, iterates[k]) for k, v in returned.items())
     assert tr.extra["stop_reason"] == "budget"
-    # the last record is taken after the last callback, on the same iterate
-    last = seen[-1][1]
-    assert tr.final.objective == px.objective(single_block_problem(), last)
-    assert tr.final.dist_ref == float(np.linalg.norm(last - reference))
-    # the zero counts are those of the returned solution (DR: its prox image)
-    assert (tr.final.zeros_exact, tr.final.zeros_tol) == (
-        np.count_nonzero(w == 0.0), np.count_nonzero(np.abs(w) <= px.ZEROS_TOL))
     w2, tr2 = run(solver, max_iters=11, trace_stride=4, reference=reference)
     assert np.array_equal(w, w2)
     fields = [(r.iteration, r.objective, r.dist_ref, r.zeros_exact, r.zeros_tol)
@@ -168,6 +174,40 @@ def test_records_callbacks_and_seeded_determinism(solver, monkeypatch):
     assert fields == [(r.iteration, r.objective, r.dist_ref, r.zeros_exact, r.zeros_tol)
                       for r in tr2.records]
     assert tr.extra == tr2.extra
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("loop,reason", [
+    (dict(max_iters=0), "budget"),
+    (dict(max_iters=11, trace_stride=4), "budget"),
+    (dict(max_iters=50, trace_stride=3, plateau_window=5, plateau_rtol=1e9), "plateau"),
+], ids=["zero-iterations", "strided", "plateau"])
+def test_the_last_record_and_the_summary_row_are_of_the_returned_vector(solver, loop, reason):
+    prob, reference = single_block_problem(), np.full(6, 0.25)
+    w, tr = run(solver, reference=reference, **loop)
+    assert tr.extra["stop_reason"] == reason
+    assert record_fields(tr.final) == fields_of(w, reference)
+    entry = px.BenchmarkEntry(name=solver, solver=solver, config=config_for(solver, **loop))
+    [row] = px.run_benchmark(prob, [entry], reference=reference)
+    assert (row.objective, row.dist_ref, row.zeros_pct) == (
+        px.objective(prob, w), float(np.linalg.norm(w - reference)),
+        100 * px.sparsity_degree(w, tol=0.0))
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_each_run_decides_its_loop_options_once(solver, monkeypatch):
+    # the runner's own check decides them, and drive takes the tuple it gave
+    calls = []
+    check = trace.check_loop_options
+
+    def counted(config):
+        calls.append(config)
+        return check(config)
+
+    for module in (trace, dr, baselines):
+        monkeypatch.setattr(module, "check_loop_options", counted)
+    run(solver, max_iters=3)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -303,11 +343,9 @@ class StepFailed(Exception):
 def drive_with(objective, step):
     """trace.drive on the single-block problem, 40 steps and a record at
     every iteration: its first batch of 16 is submitted after step 14."""
-    config = types.SimpleNamespace(max_iters=40, trace_stride=1, plateau_window=None,
-                                   plateau_rtol=0.0)
     w = np.zeros(6)
-    return trace.drive(config, 0.0, single_block_problem(), objective, lambda i: step(i, w),
-                       lambda: (w, None))
+    return trace.drive((40, 1, None, 0.0), 0.0, single_block_problem(), objective,
+                       lambda i: step(i, w), lambda: w)
 
 
 def test_steps_run_while_the_worker_evaluates_a_batch():
@@ -383,19 +421,25 @@ def test_records_keep_their_bits_under_rapid_thread_switches(solver):
     # a 10 us switch interval interleaves the worker's objectives with the
     # steps about as finely as the interpreter allows; 70 records make four
     # full batches and a part, each submitted while the last may still run
+    reference = np.full(6, 0.25)
     seen = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        _, tr = run(solver, max_iters=69, trace_stride=1,
+        _, tr = run(solver, max_iters=69, trace_stride=1, reference=reference,
                     callback=lambda i, ww: seen.append(ww.copy()))
     finally:
         sys.setswitchinterval(interval)
-    prob = single_block_problem()
-    start = np.zeros(6) if solver.startswith("dr") else px.make_rng(5).standard_normal(6)
+    _, tr_default = run(solver, max_iters=69, trace_stride=1, reference=reference)
+    fields = lambda t: [(r.iteration, r.objective.hex(), r.dist_ref.hex(), r.zeros_exact,
+                         r.zeros_tol) for r in t.records]
     assert [r.iteration for r in tr.records] == list(range(70))
-    assert [r.objective.hex() for r in tr.records] == [
-        px.objective(prob, w).hex() for w in [start] + seen]
+    assert fields(tr) == fields(tr_default)
+    if not solver.startswith("dr"):
+        # a baseline's records are of the iterates the callback saw
+        start = px.make_rng(5).standard_normal(6)
+        assert [r.objective.hex() for r in tr.records] == [
+            px.objective(single_block_problem(), w).hex() for w in [start] + seen]
 
 
 def test_run_benchmark_rejects_a_reference_of_another_shape_than_w():
